@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -32,7 +31,6 @@ func auditMustBeClean(t *testing.T, c *Cluster) {
 
 // TestAuditCleanTestbed: a lossless testbed broadcast must audit clean.
 func TestAuditCleanTestbed(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	c.EnableAudit()
@@ -52,7 +50,6 @@ func TestAuditCleanTestbed(t *testing.T) {
 // workload) exercises retransmission, NACKs, MFT wipes and unknown-group
 // drops — all of which are protocol-legal and must not trip any checker.
 func TestAuditCleanLossy(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewFatTree(4, Options{Seed: 7})
 	defer c.Close()
 	c.EnableAudit()
@@ -89,7 +86,6 @@ func TestAuditCleanChaos(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			core.ResetMcstIDs()
 			c := NewLeafSpine(2, 2, 4, Options{Seed: seed})
 			defer c.Close()
 			c.EnableAudit()
@@ -141,7 +137,6 @@ func TestAuditCleanChaos(t *testing.T) {
 // auditor, first pristine (must be clean), then with a deliberately
 // duplicated DELIVER event — the duplicate must trip the delivery checker.
 func TestAuditCorruptedTrace(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
@@ -202,7 +197,6 @@ func TestAuditCorruptedTrace(t *testing.T) {
 // auditor attached and returns (events seen, violations).
 func auditWorkload(t *testing.T, workers int) (uint64, uint64) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: 1, Workers: workers, Partition: true})
 	defer c.Close()
 	c.EnableAudit()

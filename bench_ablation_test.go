@@ -17,7 +17,6 @@ import (
 
 // ablationCluster builds a 4-host testbed with a tweaked accelerator.
 func ablationCluster(mut func(*core.AccelConfig)) (*Cluster, *core.Group) {
-	core.ResetMcstIDs()
 	acc := core.DefaultAccelConfig()
 	if mut != nil {
 		mut(&acc)
@@ -126,7 +125,6 @@ func BenchmarkAblationRetransmitFilter(b *testing.B) {
 // with filtering on/off while receivers are ECN-marked.
 func BenchmarkAblationCNPFilter(b *testing.B) {
 	run := func(disable bool) (senderCNPs uint64) {
-		core.ResetMcstIDs()
 		acc := core.DefaultAccelConfig()
 		acc.DisableCNPFilter = disable
 		// Measure the raw CNP streams: no sender reaction, so congestion
@@ -187,7 +185,6 @@ func BenchmarkAblationStateScaling(b *testing.B) {
 		t := exp.NewTable("Ablation: switch feedback state vs group size (k=16 fat-tree)",
 			"group size", "max MFT entries/switch (hierarchical)", "per-receiver entries (naive)")
 		for _, gs := range []int{8, 64, 512} {
-			core.ResetMcstIDs()
 			c := NewFatTree(16, Options{})
 			nodes := make([]int, gs)
 			for j := range nodes {
@@ -231,7 +228,6 @@ func BenchmarkAblationSourceSwitching(b *testing.B) {
 		single := c.Accels[0].Groups()
 
 		// Naive: one group per source.
-		core.ResetMcstIDs()
 		c2 := NewTestbed(4, Options{})
 		for src := 0; src < 4; src++ {
 			if _, err := c2.NewGroup([]int{0, 1, 2, 3}, src); err != nil {
@@ -272,7 +268,6 @@ func BenchmarkAblationChainSlices(b *testing.B) {
 		t := exp.NewTable("Ablation: chain slice count (64MB, 4 nodes)",
 			"slices", "JCT(ms)", "relay posts")
 		for _, s := range []int{1, 2, 4, 16, 64} {
-			core.ResetMcstIDs()
 			c := NewTestbed(4, Options{})
 			br, err := c.Broadcaster(SchemeChain, []int{0, 1, 2, 3}, s)
 			if err != nil {

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/hpl"
 	"repro/internal/sim"
@@ -16,7 +15,6 @@ import (
 )
 
 func newStorage(mode storage.Mode) *storage.Cluster {
-	core.ResetMcstIDs()
 	return storage.NewCluster(sim.New(1), mode, storage.DefaultConfig())
 }
 
@@ -75,7 +73,6 @@ func BenchmarkFig10IOLatency(b *testing.B) {
 }
 
 func runHPL(p, q int, pb, rs hpl.Alg) hpl.Result {
-	core.ResetMcstIDs()
 	eng := sim.New(1)
 	return hpl.NewTestbedCluster(eng, hpl.DefaultTestbedConfig(p, q), pb, rs).Run()
 }

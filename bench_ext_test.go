@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/amcast"
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/ps"
 	"repro/internal/roce"
@@ -76,7 +75,6 @@ func BenchmarkIRNLossTolerance(b *testing.B) {
 func BenchmarkReduceExtension(b *testing.B) {
 	const n = 8
 	runCepheus := func(size int) sim.Time {
-		core.ResetMcstIDs()
 		c := NewTestbed(n, Options{})
 		nodes := make([]int, n)
 		for i := range nodes {
@@ -96,7 +94,6 @@ func BenchmarkReduceExtension(b *testing.B) {
 		return runReducer(b, c, r, size, n)
 	}
 	runBaseline := func(mk func(*amcast.Comm) amcast.Reducer, size int) sim.Time {
-		core.ResetMcstIDs()
 		c := NewTestbed(n, Options{})
 		ns := make([]*amcast.Node, n)
 		for i := range ns {
@@ -146,7 +143,6 @@ func runReducer(b *testing.B, c *Cluster, r amcast.Reducer, size, n int) sim.Tim
 // multicast down, gradient reduction up, per iteration.
 func BenchmarkPSTraining(b *testing.B) {
 	run := func(scheme ps.Scheme) ps.Result {
-		core.ResetMcstIDs()
 		eng := sim.New(1)
 		c := ps.NewTestbed(eng, ps.DefaultConfig(6), scheme)
 		res := c.Run()

@@ -147,7 +147,6 @@ func BenchmarkRDMCComparison(b *testing.B) {
 // still delivers.
 func BenchmarkSafeguardFallback(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		core.ResetMcstIDs()
 		acc := core.DefaultAccelConfig()
 		acc.MaxGroups = 1 // the second group must be rejected
 		c := NewTestbed(4, Options{Accel: &acc})

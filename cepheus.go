@@ -285,19 +285,7 @@ func (c *Cluster) ResetExecProfile() {
 // simulation until registration completes and returns an error on
 // rejection or timeout.
 func (c *Cluster) NewGroup(members []int, leader int) (*core.Group, error) {
-	var ms []*core.Member
-	var ags []*core.Agent
-	for _, i := range members {
-		ms = append(ms, &core.Member{Host: c.Net.Hosts[i], RNIC: c.RNICs[i], QP: c.RNICs[i].CreateQP()})
-		ags = append(ags, c.Agents[i])
-	}
-	eng := c.Eng
-	if c.Par != nil {
-		// The group controller lives on the leader host; its timers and
-		// confirmation accounting must run on the leader's LP.
-		eng = ms[leader].Host.Engine()
-	}
-	g := core.NewGroup(eng, core.AllocMcstID(), ms, leader, ags)
+	g := c.newGroup(members, leader)
 	var err error
 	done := false
 	g.Register(50*sim.Millisecond, func(e error) { err = e; done = true })
@@ -324,6 +312,20 @@ func (c *Cluster) NewGroup(members []int, leader int) (*core.Group, error) {
 		return nil, err
 	}
 	return g, nil
+}
+
+// newGroup creates an unregistered group over the given host indices under
+// a fresh McstID from the cluster's fabric. The group controller lives on
+// the leader host, so its timers and confirmation accounting run on the
+// leader's engine — its LP when partitioned, Cluster.Eng otherwise.
+func (c *Cluster) newGroup(members []int, leader int) *core.Group {
+	var ms []*core.Member
+	var ags []*core.Agent
+	for _, i := range members {
+		ms = append(ms, &core.Member{Host: c.Net.Hosts[i], RNIC: c.RNICs[i], QP: c.RNICs[i].CreateQP()})
+		ags = append(ags, c.Agents[i])
+	}
+	return core.NewGroup(ms[leader].Host.Engine(), c.Net.AllocMcstID(), ms, leader, ags)
 }
 
 // Broadcaster builds a broadcaster of the given scheme over the host

@@ -3,7 +3,6 @@ package cepheus
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/roce"
 	"repro/internal/sim"
 )
@@ -29,7 +28,6 @@ func TestNewFatTreeDefaults(t *testing.T) {
 }
 
 func TestNewGroupRegisters(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{})
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
 	if err != nil {
@@ -49,7 +47,6 @@ func TestEverySchemeRuns(t *testing.T) {
 		SchemeNUnicast, SchemeRDMC, SchemeLong,
 	}
 	for _, s := range schemes {
-		core.ResetMcstIDs()
 		c := NewTestbed(4, Options{})
 		b, err := c.Broadcaster(s, []int{0, 1, 2, 3}, 4)
 		if err != nil {
@@ -82,7 +79,6 @@ func TestOptionsOverride(t *testing.T) {
 
 func TestSeedDeterminism(t *testing.T) {
 	run := func() sim.Time {
-		core.ResetMcstIDs()
 		c := NewTestbed(4, Options{Seed: 42})
 		c.SetLossRate(1e-3)
 		b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 0)
@@ -97,7 +93,6 @@ func TestSeedDeterminism(t *testing.T) {
 }
 
 func TestLossInjectionThroughAPI(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{})
 	c.SetLossRate(0.01)
 	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 0)

@@ -65,16 +65,16 @@ fi
 
 # Profiler-overhead gate: executor introspection (Options.Profile) promises
 # to cost <3% events/s on the partitioned coordinator. profov measures it
-# (median-of-7 interleaved off/on runs, warmed up) and -profover fails the
+# (median-of-7 interleaved off/on runs, warmed up) and -maxover fails the
 # process above the budget. Runs at any CPU count: on a 1-CPU box the
 # coordinator degrades to the inline path, where the merge/exec phase stamps
 # — the profiler's whole per-window cost — are still taken.
-go run ./cmd/cepheus-bench -only profov -profover 0.03
+go run ./cmd/cepheus-bench -only profov -maxover 0.03
 
 # Group-attribution overhead gate: EnableGroupStats promises to cost <3%
 # events/s even on its worst case — a pure multicast workload where every
 # delivered packet books into a group cell. gsov measures it with the same
-# paired-median methodology as traceov/profov and -gsover fails the process
+# paired-median harness as traceov/profov and -maxover fails the process
 # above the budget. (Disabled cost is one nil check per hook and is covered
 # by the BenchmarkScaleEvents floor above.)
-go run ./cmd/cepheus-bench -only gsov -gsover 0.03
+go run ./cmd/cepheus-bench -only gsov -maxover 0.03

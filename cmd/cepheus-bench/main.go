@@ -45,14 +45,12 @@ var (
 	memProfile = flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	traceOut   = flag.String("trace", "", "record a flight-recorder trace and write it (JSONL) here; with several broadcasts the last one wins, so combine with -only")
 	traceCap   = flag.Int("tracecap", 0, "flight-recorder capacity in events (0: default)")
-	failOver   = flag.Float64("failover", 0, "traceov: exit nonzero if tracing costs more than this fraction of events/s (e.g. 0.10)")
 	auditOn    = flag.Bool("audit", false, "run the online protocol auditor on every broadcast; violations fail the run")
 	seriesOut  = flag.String("series", "", "fig14: sample per-flow DCQCN rates and queue depths, write the time series (CSV) here")
 	pdesProf   = flag.String("pdesprof", "", "pdes/scale1024: profile the parallel executor per worker row and write the reports (JSON, cepheus-trace pdes renders them) here")
-	profOver   = flag.Float64("profover", 0, "profov: exit nonzero if executor profiling costs more than this fraction of events/s (e.g. 0.03)")
 	groupsOn   = flag.Bool("groups", false, "enable per-group attribution; print the group table after each broadcast")
 	sloSpec    = flag.String("slo", "", "with -groups (implied): per-group SLO, p99=<dur>,goodput=<bytes/s>,drops=<frac>[,window=<dur>]; breaches fail the run")
-	gsOver     = flag.Float64("gsover", 0, "gsov: exit nonzero if group attribution costs more than this fraction of events/s (e.g. 0.03)")
+	maxOver    = flag.Float64("maxover", 0, "traceov/profov/gsov: exit nonzero if the measured instrumentation costs more than this fraction of events/s (e.g. 0.03)")
 )
 
 // -slo parsed once at startup; sloSet gates the evaluation paths.
@@ -75,14 +73,14 @@ type benchRecord struct {
 	// Delivery-latency quantiles (requester emission to in-order responder
 	// acceptance) and the deepest egress queue, from the always-on
 	// histograms. Omitted when the experiment measures throughput only
-	// (traceov/profov rows carry no broadcast-level results).
+	// (overhead-experiment rows carry no broadcast-level results).
 	P50LatencyNs  int64 `json:"p50_latency_ns,omitempty"`
 	P99LatencyNs  int64 `json:"p99_latency_ns,omitempty"`
 	P999LatencyNs int64 `json:"p999_latency_ns,omitempty"`
 	MaxQueueBytes int64 `json:"max_queue_bytes,omitempty"`
 
 	// OverheadPct is the events/s cost of the measured instrumentation,
-	// set only on traceov/profov "on" rows.
+	// set only on the overhead experiments' "on" rows.
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
 
 	// Executor stall breakdown from -pdesprof (parallel sweep rows only):
@@ -131,7 +129,7 @@ func main() {
 	os.Exit(run(*only))
 }
 
-// exitCode lets experiments (traceov's overhead gate) fail the process after
+// exitCode lets experiments (the -maxover gate) fail the process after
 // profiles and JSON are still written.
 var exitCode int
 
@@ -443,7 +441,6 @@ func table1() {
 	t := exp.NewTable("Table I: replication writing throughput, 8KB IOs",
 		"scheme", "IOPS(M)", "paper(M)")
 	for _, mode := range []storage.Mode{storage.Unicast1, storage.UnicastN, storage.CepheusWrite} {
-		core.ResetMcstIDs()
 		c := storage.NewCluster(sim.New(1), mode, storage.DefaultConfig())
 		t.Add(mode.String(), fmt.Sprintf("%.3f", c.RunIOPS(8<<10, 64, 20*sim.Millisecond)/1e6), paper[mode])
 	}
@@ -455,7 +452,6 @@ func fig10() {
 		"IO size", "1-unicast", "3-unicasts", "cepheus", "cepheus vs 3-unicasts")
 	for _, size := range []int{4 << 10, 8 << 10, 64 << 10, 256 << 10, 512 << 10} {
 		lat := func(m storage.Mode) sim.Time {
-			core.ResetMcstIDs()
 			return storage.NewCluster(sim.New(1), m, storage.DefaultConfig()).MeasureLatency(size, 10)
 		}
 		u1, u3, ceph := lat(storage.Unicast1), lat(storage.UnicastN), lat(storage.CepheusWrite)
@@ -467,7 +463,6 @@ func fig10() {
 
 func fig11() {
 	run := func(p, q int, pb, rs hpl.Alg) hpl.Result {
-		core.ResetMcstIDs()
 		return hpl.NewTestbedCluster(sim.New(1), hpl.DefaultTestbedConfig(p, q), pb, rs).Run()
 	}
 	basePB := run(1, 4, hpl.AlgRing, hpl.AlgLong)
@@ -700,7 +695,6 @@ func reduceExt() {
 		return end - start
 	}
 	for _, size := range []int{8 << 10, 1 << 20, 16 << 20} {
-		core.ResetMcstIDs()
 		cc := cepheus.NewTestbed(n, cepheus.Options{})
 		nodes := make([]int, n)
 		for i := range nodes {
@@ -719,7 +713,6 @@ func reduceExt() {
 		ceph := runOne(cr, cc.Eng, size)
 
 		mk := func() (*sim.Engine, *amcast.Comm) {
-			core.ResetMcstIDs()
 			c2 := cepheus.NewTestbed(n, cepheus.Options{})
 			ns := make([]*amcast.Node, n)
 			for i := range ns {
@@ -740,7 +733,6 @@ func psTrain() {
 	t := exp.NewTable("Extension: PS training (6 workers, 64MB model, 4 iterations)",
 		"scheme", "JCT", "bcast", "reduce", "compute")
 	for _, scheme := range []ps.Scheme{ps.SchemeCepheus, ps.SchemeAMcast} {
-		core.ResetMcstIDs()
 		eng := sim.New(1)
 		c := ps.NewTestbed(eng, ps.DefaultConfig(6), scheme)
 		res := c.Run()
@@ -775,7 +767,6 @@ func workerSweep(name string, k, members int, workers []int) {
 	defer func() { bcastReps = 1 }()
 	var base float64
 	for _, w := range workers {
-		core.ResetMcstIDs()
 		tr := roce.DefaultConfig()
 		tr.DCQCN = true
 		c := cepheus.NewFatTree(k, cepheus.Options{Transport: &tr, Workers: w, PodPartition: true,
@@ -845,85 +836,104 @@ func scale1024() {
 	workerSweep("scale1024", 16, 257, []int{1, 2, 4, 8})
 }
 
-// traceov measures the flight recorder's events/s cost on the pdes workload
-// (1MB Cepheus multicast to 65 members, k=8 fat-tree, DCQCN, sequential
-// engine): median paired overhead across 9 interleaved off/on iterations.
-// -failover turns the measurement into a gate: overhead above the fraction
-// fails the run.
+// overheadExp is one paired off/on overhead experiment on the pdes
+// workload: 1MB Cepheus multicasts to 65 members of the k=8 fat-tree under
+// DCQCN, member 0 the source.
+type overheadExp struct {
+	title string // table title
+	what  string // the switched instrumentation, for the table and the gate
+	pairs int    // interleaved off/on iterations
+	reps  int    // timed broadcasts per iteration
+	nodes []int
+	// build returns a fresh cluster with the instrumentation off or on.
+	build func(on bool) *cepheus.Cluster
+	// check runs on every "on" cluster after its timed region; an error
+	// means the instrumentation measured nothing and fails the run.
+	check func(c *cepheus.Cluster) error
+}
+
+// pdesCluster builds the overhead experiments' k=8 DCQCN fat-tree.
+func pdesCluster(opts cepheus.Options) *cepheus.Cluster {
+	tr := roce.DefaultConfig()
+	tr.DCQCN = true
+	opts.Transport = &tr
+	return cepheus.NewFatTree(8, opts)
+}
+
+// firstHosts returns hosts 0..n-1, the overhead experiments' group.
+func firstHosts(n int) []int {
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
+	}
+	return nodes
+}
+
+// overhead measures o's events/s cost as the median of per-pair overhead
+// ratios over o.pairs interleaved off/on iterations, records the off/on
+// rows, and, with -maxover, fails the run above that fraction.
 //
-// Each iteration times the second broadcast on its cluster, not the first:
-// the untimed warmup absorbs one-time cold costs (event-heap and port-buffer
-// growth, DCQCN ramp, first touch of the recorder rings) that otherwise land
-// on the traced side and roughly double the apparent overhead — the BENCH_pr8
-// "~20%" was mostly this artifact. Steady state is what the recorder costs in
-// any long-running use, and is what the gate bounds.
-func traceov() {
-	var lost uint64
-	once := func(traced bool) float64 {
-		core.ResetMcstIDs()
-		tr := roce.DefaultConfig()
-		tr.DCQCN = true
-		c := cepheus.NewFatTree(8, cepheus.Options{Transport: &tr})
+// Each iteration times the broadcasts after an untimed warm-up on its
+// cluster: the warm-up absorbs one-time cold costs (event-heap and
+// port-buffer growth, DCQCN ramp, first touch of recorder rings or executor
+// buffers) that otherwise land on the instrumented side — the BENCH_pr8
+// "~20%" trace overhead was mostly this artifact — and GC runs before the
+// timed region so collection lands outside it on both sides. Pairing
+// cancels host steal and thermal drift within each back-to-back pair, and
+// the median over pairs discards the ones a GC pause or a noisy-neighbor
+// burst did hit; each side's median taken independently (let alone
+// best-of) compares different moments of machine state and swings tens of
+// points on a shared host.
+func overhead(name string, o overheadExp) {
+	once := func(on bool) float64 {
+		c := o.build(on)
 		defer c.Close()
-		var rec *obs.Recorder
-		if traced {
-			rec = c.EnableTrace(1 << 20)
-		}
-		nodes := make([]int, 65)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		b, err := c.Broadcaster(cepheus.SchemeCepheus, nodes, 65)
+		b, err := c.Broadcaster(cepheus.SchemeCepheus, o.nodes, len(o.nodes))
 		if err != nil {
 			panic(err)
 		}
-		if _, err := c.RunBcastErr(b, 0, 1<<20); err != nil {
-			fmt.Fprintf(os.Stderr, "traceov: %v\n", err)
-			os.Exit(1)
+		bcast := func() {
+			if _, err := c.RunBcastErr(b, o.nodes[0], 1<<20); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+				os.Exit(1)
+			}
 		}
-		// Collect warmup garbage (and the previous iteration's 128MB of
-		// recorder rings) now, so GC pauses don't land inside the timed
-		// region of either side.
+		bcast()
+		c.ResetExecProfile()
 		runtime.GC()
 		ev0 := c.EventsRun()
 		t0 := time.Now()
-		if _, err := c.RunBcastErr(b, 0, 1<<20); err != nil {
-			fmt.Fprintf(os.Stderr, "traceov: %v\n", err)
-			os.Exit(1)
+		for rep := 0; rep < o.reps; rep++ {
+			bcast()
 		}
 		wall := time.Since(t0)
-		if rec != nil {
-			lost = rec.Lost()
+		if on && o.check != nil {
+			if err := o.check(c); err != nil {
+				fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+				os.Exit(1)
+			}
 		}
 		return float64(c.EventsRun()-ev0) / wall.Seconds()
 	}
-	// Interleave off/on iterations and gate on the median of *paired*
-	// overhead ratios: each off/on pair runs back to back under the same
-	// machine conditions, so host steal and thermal drift cancel within the
-	// pair, and the median over pairs discards the iterations a GC pause or
-	// a noisy-neighbor burst did hit. Taking each side's median
-	// independently (let alone best-of) compares samples from different
-	// moments of machine state and swings tens of points on a shared host.
 	var offs, ons, overs []float64
-	for i := 0; i < 9; i++ {
+	for i := 0; i < o.pairs; i++ {
 		off, on := once(false), once(true)
 		offs, ons = append(offs, off), append(ons, on)
 		overs = append(overs, 1-on/off)
 	}
 	off, on := median(offs), median(ons)
-	overhead := median(overs)
-	t := exp.NewTable("Trace overhead: pdes workload, flight recorder off vs on (median of 9, interleaved)",
-		"tracing", "events/s(M)", "overhead")
+	over := median(overs)
+	t := exp.NewTable(fmt.Sprintf("%s (median of %d, interleaved)", o.title, o.pairs),
+		o.what, "events/s(M)", "overhead")
 	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
-	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
+	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*over))
 	fmt.Print(t)
-	fmt.Printf("events lost by recorder: %d\n", lost)
 	records = append(records,
-		benchRecord{Experiment: "traceov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "traceov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *failOver > 0 && overhead > *failOver {
-		fmt.Fprintf(os.Stderr, "traceov: tracing overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**failOver)
+		benchRecord{Experiment: name, Case: "off", EventsPerSec: off},
+		benchRecord{Experiment: name, Case: "on", EventsPerSec: on, OverheadPct: 100 * over})
+	if *maxOver > 0 && over > *maxOver {
+		fmt.Fprintf(os.Stderr, "%s: %s overhead %.1f%% exceeds the %.0f%% budget\n",
+			name, o.what, 100*over, 100**maxOver)
 		exitCode = 1
 	}
 }
@@ -936,80 +946,77 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// profov measures the executor profiler's events/s cost on the pdes workload
-// run under the partitioned coordinator (1MB Cepheus multicast to 65 members,
-// k=8 fat-tree, pod partition, DCQCN): median paired overhead across 7
-// interleaved off/on iterations. -profover turns the measurement into a gate. Uses
-// min(2, GOMAXPROCS) workers so the same experiment is meaningful on a 1-CPU
-// CI box (inline path: merge/exec stamps still taken, spin/park zero).
-func profov() {
-	workers := 2
-	if runtime.GOMAXPROCS(0) < 2 {
-		workers = 1
-	}
-	once := func(profiled bool) float64 {
-		core.ResetMcstIDs()
-		tr := roce.DefaultConfig()
-		tr.DCQCN = true
-		c := cepheus.NewFatTree(8, cepheus.Options{Transport: &tr, Workers: workers,
-			Partition: true, PodPartition: true, Profile: profiled})
-		defer c.Close()
-		const members = 65
-		hostsPerPod := 8 * 8 / 4
-		nodes := make([]int, members)
-		for i := range nodes {
-			nodes[i] = (i%8)*hostsPerPod + i/8
-		}
-		b, err := c.Broadcaster(cepheus.SchemeCepheus, nodes, members)
-		if err != nil {
-			panic(err)
-		}
-		// Untimed warmup grows executor buffers; GC now so collection cost
-		// lands outside the timed region on both sides.
-		if _, err := c.RunBcastErr(b, nodes[0], 1<<20); err != nil {
-			panic(err)
-		}
-		c.ResetExecProfile()
-		runtime.GC()
-		ev0 := c.EventsRun()
-		// Time three broadcasts, not one: the budget is 3% and a ~23ms
-		// timed region has more scheduler jitter than that.
-		t0 := time.Now()
-		for rep := 0; rep < 3; rep++ {
-			if _, err := c.RunBcastErr(b, nodes[0], 1<<20); err != nil {
-				fmt.Fprintf(os.Stderr, "profov: %v\n", err)
-				os.Exit(1)
+// traceov measures the flight recorder's cost on the sequential engine,
+// timing one broadcast per iteration.
+func traceov() {
+	var lost uint64
+	overhead("traceov", overheadExp{
+		title: "Trace overhead: pdes workload, flight recorder off vs on",
+		what:  "tracing", pairs: 9, reps: 1, nodes: firstHosts(65),
+		build: func(on bool) *cepheus.Cluster {
+			c := pdesCluster(cepheus.Options{})
+			if on {
+				c.EnableTrace(1 << 20)
 			}
-		}
-		wall := time.Since(t0)
-		if profiled && c.ExecProfile() == nil {
-			panic("profov: profile missing")
-		}
-		return float64(c.EventsRun()-ev0) / wall.Seconds()
+			return c
+		},
+		check: func(c *cepheus.Cluster) error {
+			lost = c.Rec.Lost()
+			return nil
+		},
+	})
+	fmt.Printf("events lost by recorder: %d\n", lost)
+}
+
+// profov measures the executor profiler's cost under the partitioned
+// coordinator (pod partition, members spread over all pods). It uses
+// min(2, GOMAXPROCS) workers so the experiment is meaningful on a 1-CPU CI
+// box (inline path: merge/exec stamps still taken, spin/park zero), and
+// times three broadcasts: the budget is 3% and a ~23ms timed region has
+// more scheduler jitter than that.
+func profov() {
+	workers := min(2, runtime.GOMAXPROCS(0))
+	nodes := make([]int, 65)
+	for i := range nodes {
+		nodes[i] = (i%8)*16 + i/8 // 16 hosts per pod
 	}
-	// Same paired-ratio methodology as traceov: overhead is the median of
-	// per-pair ratios, not the ratio of per-side medians.
-	var offs, ons, overs []float64
-	for i := 0; i < 7; i++ {
-		off, on := once(false), once(true)
-		offs, ons = append(offs, off), append(ons, on)
-		overs = append(overs, 1-on/off)
-	}
-	off, on := median(offs), median(ons)
-	overhead := median(overs)
-	t := exp.NewTable(fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d, median of 7, interleaved)", workers),
-		"profiling", "events/s(M)", "overhead")
-	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
-	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
-	fmt.Print(t)
-	records = append(records,
-		benchRecord{Experiment: "profov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "profov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *profOver > 0 && overhead > *profOver {
-		fmt.Fprintf(os.Stderr, "profov: profiling overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**profOver)
-		exitCode = 1
-	}
+	overhead("profov", overheadExp{
+		title: fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d)", workers),
+		what:  "profiling", pairs: 7, reps: 3, nodes: nodes,
+		build: func(on bool) *cepheus.Cluster {
+			return pdesCluster(cepheus.Options{Workers: workers, Partition: true, PodPartition: true, Profile: on})
+		},
+		check: func(c *cepheus.Cluster) error {
+			if c.ExecProfile() == nil {
+				return fmt.Errorf("profile missing")
+			}
+			return nil
+		},
+	})
+}
+
+// gsov measures group attribution's cost on the sequential engine. This is
+// attribution's worst case — every delivered packet books into a group cell
+// — and three broadcasts are timed: its cost is a few percent at most, and
+// a single ~20ms timed region has more scheduler jitter than that.
+func gsov() {
+	overhead("gsov", overheadExp{
+		title: "Group-attribution overhead: pdes workload, off vs on",
+		what:  "attribution", pairs: 9, reps: 3, nodes: firstHosts(65),
+		build: func(on bool) *cepheus.Cluster {
+			c := pdesCluster(cepheus.Options{})
+			if on {
+				c.EnableGroupStats(0)
+			}
+			return c
+		},
+		check: func(c *cepheus.Cluster) error {
+			if n := len(c.GroupReports()); n != 1 {
+				return fmt.Errorf("attributed run saw %d groups, want 1 — overhead measured nothing", n)
+			}
+			return nil
+		},
+	})
 }
 
 // fairness runs G concurrent multicast groups over a shared k=8 fat-tree
@@ -1036,7 +1043,6 @@ func fairness() {
 }
 
 func fairnessOne(G int) obs.FairnessReport {
-	core.ResetMcstIDs()
 	tr := roce.DefaultConfig()
 	tr.DCQCN = true
 	c := cepheus.NewFatTree(8, cepheus.Options{Transport: &tr})
@@ -1106,81 +1112,7 @@ func fairnessOne(G int) obs.FairnessReport {
 	return f
 }
 
-// gsov measures group attribution's events/s cost on the pdes workload (1MB
-// Cepheus multicast to 65 members, k=8 fat-tree, DCQCN, sequential engine):
-// median paired overhead across 9 interleaved off/on iterations, same
-// methodology as traceov (warmed up, GC outside the timed region, per-pair
-// ratios). This is the worst case for attribution — every delivered packet
-// books into a group cell — and -gsover turns it into the <3% perfsmoke gate.
-func gsov() {
-	groupsSeen := -1
-	once := func(attributed bool) float64 {
-		core.ResetMcstIDs()
-		tr := roce.DefaultConfig()
-		tr.DCQCN = true
-		c := cepheus.NewFatTree(8, cepheus.Options{Transport: &tr})
-		defer c.Close()
-		if attributed {
-			c.EnableGroupStats(0)
-		}
-		nodes := make([]int, 65)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		b, err := c.Broadcaster(cepheus.SchemeCepheus, nodes, 65)
-		if err != nil {
-			panic(err)
-		}
-		if _, err := c.RunBcastErr(b, 0, 1<<20); err != nil {
-			fmt.Fprintf(os.Stderr, "gsov: %v\n", err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		ev0 := c.EventsRun()
-		// Time three broadcasts: attribution's cost is a few percent at most,
-		// and a single ~20ms timed region has more scheduler jitter than that.
-		t0 := time.Now()
-		for rep := 0; rep < 3; rep++ {
-			if _, err := c.RunBcastErr(b, 0, 1<<20); err != nil {
-				fmt.Fprintf(os.Stderr, "gsov: %v\n", err)
-				os.Exit(1)
-			}
-		}
-		wall := time.Since(t0)
-		if attributed {
-			groupsSeen = len(c.GroupReports())
-		}
-		return float64(c.EventsRun()-ev0) / wall.Seconds()
-	}
-	var offs, ons, overs []float64
-	for i := 0; i < 9; i++ {
-		off, on := once(false), once(true)
-		offs, ons = append(offs, off), append(ons, on)
-		overs = append(overs, 1-on/off)
-	}
-	off, on := median(offs), median(ons)
-	overhead := median(overs)
-	if groupsSeen != 1 {
-		fmt.Fprintf(os.Stderr, "gsov: attributed run saw %d groups, want 1 — overhead measured nothing\n", groupsSeen)
-		os.Exit(1)
-	}
-	t := exp.NewTable("Group-attribution overhead: pdes workload, off vs on (median of 9, interleaved)",
-		"attribution", "events/s(M)", "overhead")
-	t.Add("off", fmt.Sprintf("%.2f", off/1e6), "-")
-	t.Add("on", fmt.Sprintf("%.2f", on/1e6), fmt.Sprintf("%.1f%%", 100*overhead))
-	fmt.Print(t)
-	records = append(records,
-		benchRecord{Experiment: "gsov", Case: "off", EventsPerSec: off},
-		benchRecord{Experiment: "gsov", Case: "on", EventsPerSec: on, OverheadPct: 100 * overhead})
-	if *gsOver > 0 && overhead > *gsOver {
-		fmt.Fprintf(os.Stderr, "gsov: group attribution overhead %.1f%% exceeds the %.0f%% budget\n",
-			100*overhead, 100**gsOver)
-		exitCode = 1
-	}
-}
-
 func safeguard() {
-	core.ResetMcstIDs()
 	acc := core.DefaultAccelConfig()
 	acc.MaxGroups = 1
 	c := cepheus.NewTestbed(4, cepheus.Options{Accel: &acc})

@@ -1,11 +1,14 @@
 package cepheus
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/amcast"
 	"repro/internal/roce"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // The engine's contract is bit-for-bit determinism: the same seed must yield
@@ -31,7 +34,6 @@ func (d simDigest) String() string {
 // clean path: registration, replication, aggregation, no recovery machinery.
 func testbedWorkload(t *testing.T) simDigest {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{})
 	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 4)
 	if err != nil {
@@ -49,24 +51,37 @@ func testbedWorkload(t *testing.T) simDigest {
 // loss injection) and the go-back-N recovery machinery in one digest.
 func fatTreeLossWorkload(t *testing.T) simDigest {
 	t.Helper()
-	core.ResetMcstIDs()
-	tr := roce.DefaultConfig()
-	tr.DCQCN = true
-	c := NewFatTree(4, Options{Transport: &tr})
-	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3, 4, 5, 6, 7}, 8)
+	d, _, err := fatTreeLossRun(fatTreeLossCluster())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetLossRate(1e-3)
-	jct, err := c.RunBcastErr(b, 0, 1<<20)
+	return d
+}
+
+// fatTreeLossCluster builds fatTreeLossWorkload's fabric.
+func fatTreeLossCluster() *Cluster {
+	tr := roce.DefaultConfig()
+	tr.DCQCN = true
+	return NewFatTree(4, Options{Transport: &tr})
+}
+
+// fatTreeLossRun registers fatTreeLossWorkload's group on c, runs the lossy
+// broadcast, and returns the digest and the group's McstID.
+func fatTreeLossRun(c *Cluster) (simDigest, simnet.Addr, error) {
+	g, err := c.NewGroup([]int{0, 1, 2, 3, 4, 5, 6, 7}, 0)
 	if err != nil {
-		t.Fatal(err)
+		return simDigest{}, 0, err
+	}
+	c.SetLossRate(1e-3)
+	jct, err := c.RunBcastErr(&amcast.Cepheus{Group: g}, 0, 1<<20)
+	if err != nil {
+		return simDigest{}, 0, err
 	}
 	d := simDigest{jct: jct, events: c.Eng.EventsRun(), metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
 	}
-	return d
+	return d, g.ID, nil
 }
 
 // TestDeterminismSameSeedTwice runs both workloads twice and demands every
@@ -97,7 +112,6 @@ func TestDeterminismSameSeedTwice(t *testing.T) {
 // drive loop stops stepping.
 func seqParWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
 	defer c.Close()
 	members := make([]int, 16)
@@ -162,9 +176,47 @@ func TestGoldenDigests(t *testing.T) {
 	if a := testbedWorkload(t); a.jct != 26316 || a.metrics != "clean" {
 		t.Errorf("testbed digest drifted: got %v, want jct=26316ns metrics=clean", a)
 	}
-	b := fatTreeLossWorkload(t)
+	checkFatTreeGolden(t, "fat-tree", fatTreeLossWorkload(t))
+}
+
+// checkFatTreeGolden pins fatTreeLossWorkload's digest.
+func checkFatTreeGolden(t *testing.T, name string, b simDigest) {
+	t.Helper()
 	if b.jct != 3449620 || b.metrics != "dataDrops=46" || b.retrans != 4017 {
-		t.Errorf("fat-tree digest drifted: got %v retrans=%d, want jct=3.450ms metrics=dataDrops=46 retrans=4017",
-			b, b.retrans)
+		t.Errorf("%s digest drifted: got %v retrans=%d, want jct=3.450ms metrics=dataDrops=46 retrans=4017",
+			name, b, b.retrans)
+	}
+}
+
+// TestConcurrentClusters builds two identical clusters on two goroutines
+// and runs fatTreeLossWorkload on both at once. Each fabric allocates its
+// own group IDs, so both must register the same McstID — the first one —
+// and reproduce the golden digest.
+func TestConcurrentClusters(t *testing.T) {
+	const n = 2
+	var built, done sync.WaitGroup
+	built.Add(n)
+	done.Add(n)
+	digests := make([]simDigest, n)
+	ids := make([]simnet.Addr, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
+			defer done.Done()
+			c := fatTreeLossCluster()
+			built.Done()
+			built.Wait() // both fabrics exist before either registers a group
+			digests[i], ids[i], errs[i] = fatTreeLossRun(c)
+		}(i)
+	}
+	done.Wait()
+	for i := 0; i < n; i++ {
+		if errs[i] != nil {
+			t.Fatalf("cluster %d: %v", i, errs[i])
+		}
+		if ids[i] != simnet.MulticastBase+1 {
+			t.Errorf("cluster %d: group ID %#x, want %#x", i, uint32(ids[i]), uint32(simnet.MulticastBase+1))
+		}
+		checkFatTreeGolden(t, fmt.Sprintf("cluster %d", i), digests[i])
 	}
 }

@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/ps"
 	"repro/internal/sim"
@@ -18,7 +17,6 @@ func main() {
 	table := exp.NewTable("PS training: 6 workers, 64MB model, 4 iterations",
 		"scheme", "JCT", "bcast", "reduce", "compute", "grad check")
 	for _, scheme := range []ps.Scheme{ps.SchemeCepheus, ps.SchemeAMcast} {
-		core.ResetMcstIDs()
 		eng := sim.New(1)
 		c := ps.NewTestbed(eng, ps.DefaultConfig(6), scheme)
 		res := c.Run()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -20,7 +19,6 @@ import (
 // report (nil when off).
 func profWorkload(t *testing.T, seed int64, workers int, profile bool) (simDigest, []byte, *obs.ExecReport) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, Profile: profile})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)

@@ -14,7 +14,6 @@ import (
 )
 
 func TestFailoverRegistrationToFallback(t *testing.T) {
-	core.ResetMcstIDs()
 	acc := core.DefaultAccelConfig()
 	acc.MaxGroups = 1
 	c := NewTestbed(4, Options{Accel: &acc})
@@ -38,7 +37,6 @@ func TestFailoverRegistrationToFallback(t *testing.T) {
 }
 
 func TestFailoverMidStreamCollapse(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{})
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
 	if err != nil {
@@ -84,7 +82,6 @@ func TestFailoverMidStreamCollapse(t *testing.T) {
 }
 
 func TestLeafSpineClusterRuns(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewLeafSpine(4, 2, 4, Options{})
 	if c.Hosts() != 16 {
 		t.Fatalf("hosts = %d", c.Hosts())

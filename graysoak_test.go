@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -111,7 +110,6 @@ func TestPrimedSafeguardReTripsOnStillLossyLink(t *testing.T) {
 // goodput, both of which must be identical at every worker count.
 func graySoakWorkload(t *testing.T, seed int64, workers int) ([]byte, string) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewLeafSpine(2, 2, 4, Options{Seed: seed, Workers: workers, Partition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 21)

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -23,7 +22,6 @@ import (
 // attribution is off).
 func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (simDigest, []byte, []obs.GroupReport) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
@@ -120,7 +118,6 @@ func TestGroupStatsDigestTraceNeutral(t *testing.T) {
 
 // TestEnableGroupStatsIdempotent: enabling twice returns the same registry.
 func TestEnableGroupStatsIdempotent(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	gs := c.EnableGroupStats(0)
@@ -138,7 +135,6 @@ func TestEnableGroupStatsIdempotent(t *testing.T) {
 // timeline.
 func TestGroupStatsSLOEndToEnd(t *testing.T) {
 	run := func(obj obs.SLOObjective) []obs.SLOResult {
-		core.ResetMcstIDs()
 		c := NewTestbed(8, Options{Seed: 1})
 		defer c.Close()
 		gs := c.EnableGroupStats(0)

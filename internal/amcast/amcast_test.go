@@ -170,7 +170,6 @@ func TestConcurrentCollectivePanics(t *testing.T) {
 }
 
 func TestCepheusBroadcaster(t *testing.T) {
-	core.ResetMcstIDs()
 	eng := sim.New(1)
 	net := topo.Testbed(eng, 4)
 	cfg := roce.DefaultConfig()
@@ -182,7 +181,7 @@ func TestCepheusBroadcaster(t *testing.T) {
 		members = append(members, &core.Member{Host: h, RNIC: r, QP: r.CreateQP()})
 	}
 	core.Attach(net.Switches[0], core.DefaultAccelConfig())
-	g := core.NewGroup(eng, core.AllocMcstID(), members, 0, agents)
+	g := core.NewGroup(eng, net.AllocMcstID(), members, 0, agents)
 	g.Register(10*sim.Millisecond, func(err error) {
 		if err != nil {
 			t.Fatalf("register: %v", err)

@@ -53,7 +53,6 @@ func cepheusGroup(t *testing.T, n int) (*sim.Engine, *core.Group) {
 
 func cepheusGroupNet(t *testing.T, n int) (*sim.Engine, *core.Group, *topo.Network) {
 	t.Helper()
-	core.ResetMcstIDs()
 	eng := sim.New(1)
 	net := topo.Testbed(eng, n)
 	cfg := roce.DefaultConfig()
@@ -65,7 +64,7 @@ func cepheusGroupNet(t *testing.T, n int) (*sim.Engine, *core.Group, *topo.Netwo
 		members = append(members, &core.Member{Host: h, RNIC: r, QP: r.CreateQP()})
 	}
 	core.Attach(net.Switches[0], core.DefaultAccelConfig())
-	g := core.NewGroup(eng, core.AllocMcstID(), members, 0, agents)
+	g := core.NewGroup(eng, net.AllocMcstID(), members, 0, agents)
 	ok := false
 	g.Register(10*sim.Millisecond, func(err error) {
 		if err != nil {

@@ -23,7 +23,6 @@ type env struct {
 // over the given member host indices. leader is an index into memberIdx.
 func newEnv(t *testing.T, build func(*sim.Engine) *topo.Network, memberIdx []int, leader int, cfg roce.Config) *env {
 	t.Helper()
-	ResetMcstIDs()
 	eng := sim.New(1)
 	n := build(eng)
 	e := &env{eng: eng, net: n}
@@ -41,7 +40,7 @@ func newEnv(t *testing.T, build func(*sim.Engine) *topo.Network, memberIdx []int
 		members = append(members, &Member{Host: n.Hosts[i], RNIC: e.rnics[i], QP: e.rnics[i].CreateQP()})
 		agents = append(agents, e.agents[i])
 	}
-	e.group = NewGroup(eng, AllocMcstID(), members, leader, agents)
+	e.group = NewGroup(eng, n.AllocMcstID(), members, leader, agents)
 	return e
 }
 
@@ -288,7 +287,6 @@ func TestRegistrationChunking(t *testing.T) {
 }
 
 func TestRegistrationCapacityReject(t *testing.T) {
-	ResetMcstIDs()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 4)
 	cfg := roce.DefaultConfig()
@@ -307,7 +305,7 @@ func TestRegistrationCapacityReject(t *testing.T) {
 		for i := range n.Hosts {
 			members = append(members, &Member{Host: n.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP()})
 		}
-		g := NewGroup(eng, AllocMcstID(), members, 0, agents)
+		g := NewGroup(eng, n.AllocMcstID(), members, 0, agents)
 		var err error
 		errp := &err
 		g.Register(5*sim.Millisecond, func(e error) { *errp = e })
@@ -328,7 +326,6 @@ func TestRegistrationCapacityReject(t *testing.T) {
 }
 
 func TestRegistrationTimeout(t *testing.T) {
-	ResetMcstIDs()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 4)
 	cfg := roce.DefaultConfig()
@@ -346,7 +343,7 @@ func TestRegistrationTimeout(t *testing.T) {
 	for i := range n.Hosts {
 		members = append(members, &Member{Host: n.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP()})
 	}
-	g := NewGroup(eng, AllocMcstID(), members, 0, agents)
+	g := NewGroup(eng, n.AllocMcstID(), members, 0, agents)
 	var err error
 	g.Register(1*sim.Millisecond, func(e error) { err = e })
 	eng.RunUntil(5 * sim.Millisecond)

@@ -9,18 +9,6 @@ import (
 	"repro/internal/simnet"
 )
 
-var nextMcstID uint32
-
-// AllocMcstID returns a fresh 32-bit multicast group ID in the class-D
-// range.
-func AllocMcstID() simnet.Addr {
-	nextMcstID++
-	return simnet.MulticastBase + simnet.Addr(nextMcstID)
-}
-
-// ResetMcstIDs rewinds the allocator (tests and repeated experiments).
-func ResetMcstIDs() { nextMcstID = 0 }
-
 // Member is one host's participation in a multicast group: a single RoCE
 // QP connected to the virtual remote <McstID, 0x1>, exactly one connection
 // per member regardless of group size.

@@ -21,7 +21,6 @@ type multiEnv struct {
 
 func newMultiEnv(t *testing.T, build func(*sim.Engine) *topo.Network) *multiEnv {
 	t.Helper()
-	ResetMcstIDs()
 	eng := sim.New(1)
 	n := build(eng)
 	m := &multiEnv{eng: eng, net: n}
@@ -44,7 +43,7 @@ func (m *multiEnv) newGroup(t *testing.T, idx []int) *Group {
 		members = append(members, &Member{Host: m.net.Hosts[i], RNIC: m.rnics[i], QP: m.rnics[i].CreateQP()})
 		agents = append(agents, m.agents[i])
 	}
-	g := NewGroup(m.eng, AllocMcstID(), members, 0, agents)
+	g := NewGroup(m.eng, m.net.AllocMcstID(), members, 0, agents)
 	done, err := false, error(nil)
 	g.Register(20*sim.Millisecond, func(e error) { done, err = true, e })
 	m.eng.RunUntil(m.eng.Now() + 20*sim.Millisecond)

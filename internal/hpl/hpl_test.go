@@ -3,13 +3,11 @@ package hpl
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 func run(t *testing.T, p, q int, pb, rs Alg) Result {
 	t.Helper()
-	core.ResetMcstIDs()
 	eng := sim.New(1)
 	c := NewTestbedCluster(eng, DefaultTestbedConfig(p, q), pb, rs)
 	return c.Run()

@@ -54,7 +54,7 @@ func NewTestbedCluster(eng *sim.Engine, cfg Config, pbAlg, rsAlg Alg) *Cluster {
 				members = append(members, &core.Member{Host: net.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP()})
 				ags = append(ags, agents[i])
 			}
-			g := core.NewGroup(eng, core.AllocMcstID(), members, 0, ags)
+			g := core.NewGroup(eng, net.AllocMcstID(), members, 0, ags)
 			ok := false
 			g.Register(10*sim.Millisecond, func(err error) {
 				if err != nil {

@@ -45,15 +45,3 @@ func DeliveredBytes(evs []Event, from, to sim.Time) int64 {
 	}
 	return n
 }
-
-// CountDrops tallies KDrop events by reason over evs, for report lines that
-// attribute observed loss to its injector.
-func CountDrops(evs []Event) map[Reason]uint64 {
-	m := make(map[Reason]uint64)
-	for i := range evs {
-		if evs[i].Kind == KDrop {
-			m[evs[i].Reason]++
-		}
-	}
-	return m
-}

@@ -67,26 +67,3 @@ func TestDeliveredBytes(t *testing.T) {
 		t.Fatalf("DeliveredBytes(nil) = %d, want 0", got)
 	}
 }
-
-func TestCountDrops(t *testing.T) {
-	evs := []Event{
-		{Kind: KDrop, Reason: RQueueLimit},
-		{Kind: KDrop, Reason: RLoss},
-		{Kind: KDrop, Reason: RQueueLimit},
-		{Kind: KEnqueue, Reason: RQueueLimit}, // not a drop: ignored
-		{Kind: KDrop, Reason: RImpairLoss},
-	}
-	m := CountDrops(evs)
-	want := map[Reason]uint64{RQueueLimit: 2, RLoss: 1, RImpairLoss: 1}
-	if len(m) != len(want) {
-		t.Fatalf("CountDrops = %v, want %v", m, want)
-	}
-	for r, n := range want {
-		if m[r] != n {
-			t.Fatalf("CountDrops[%v] = %d, want %d", r, m[r], n)
-		}
-	}
-	if got := CountDrops(nil); len(got) != 0 {
-		t.Fatalf("CountDrops(nil) = %v, want empty", got)
-	}
-}

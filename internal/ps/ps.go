@@ -88,7 +88,7 @@ func NewTestbed(eng *sim.Engine, cfg Config, scheme Scheme) *Cluster {
 		for i := 0; i < n; i++ {
 			members = append(members, &core.Member{Host: net.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP()})
 		}
-		g := core.NewGroup(eng, core.AllocMcstID(), members, 0, agents)
+		g := core.NewGroup(eng, net.AllocMcstID(), members, 0, agents)
 		ok := false
 		g.Register(10*sim.Millisecond, func(err error) {
 			if err != nil {

@@ -3,13 +3,11 @@ package ps
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 func run(t *testing.T, scheme Scheme, cfg Config) Result {
 	t.Helper()
-	core.ResetMcstIDs()
 	eng := sim.New(1)
 	c := NewTestbed(eng, cfg, scheme)
 	res := c.Run()

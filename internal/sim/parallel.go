@@ -146,10 +146,11 @@ type workerPark struct {
 
 	// spinNs/parkNs split this worker's barrier wait when profiling is on
 	// (phaseBarrier.prof): written only by the owning worker inside
-	// awaitGen, harvested by Parallel.absorbBarrierProf with all workers
-	// parked.
-	spinNs uint64
-	parkNs uint64
+	// awaitGen, harvested by Parallel.absorbBarrierProf. Atomic because the
+	// worker's wait for the window after a Run's last one — spin, then park
+	// — overlaps a snapshot taken once Run returns.
+	spinNs atomic.Uint64
+	parkNs atomic.Uint64
 	_      [24]byte
 }
 
@@ -206,7 +207,7 @@ func (b *phaseBarrier) awaitGen(w int, want uint64) bool {
 	for i := 0; i < b.spins; i++ {
 		if b.gen.Load() >= want {
 			if b.prof {
-				b.workers[w-1].spinNs += uint64(profNow() - t0)
+				b.workers[w-1].spinNs.Add(uint64(profNow() - t0))
 			}
 			return !b.quit.Load()
 		}
@@ -215,7 +216,7 @@ func (b *phaseBarrier) awaitGen(w int, want uint64) bool {
 	var t1 int64
 	if b.prof {
 		t1 = profNow()
-		wp.spinNs += uint64(t1 - t0)
+		wp.spinNs.Add(uint64(t1 - t0))
 	}
 	for b.gen.Load() < want {
 		wp.parked.Store(1)
@@ -230,7 +231,7 @@ func (b *phaseBarrier) awaitGen(w int, want uint64) bool {
 		<-wp.wake
 	}
 	if b.prof {
-		wp.parkNs += uint64(profNow() - t1)
+		wp.parkNs.Add(uint64(profNow() - t1))
 	}
 	return !b.quit.Load()
 }

@@ -115,11 +115,11 @@ func (p *Parallel) absorbBarrierProf() {
 	p.wstate[0].prof.ParkNs += b.coordParkNs
 	b.coordSpinNs, b.coordParkNs = 0, 0
 	for i := range b.workers {
+		spin, park := b.workers[i].spinNs.Swap(0), b.workers[i].parkNs.Swap(0)
 		if i+1 < len(p.wstate) {
-			p.wstate[i+1].prof.SpinNs += b.workers[i].spinNs
-			p.wstate[i+1].prof.ParkNs += b.workers[i].parkNs
+			p.wstate[i+1].prof.SpinNs += spin
+			p.wstate[i+1].prof.ParkNs += park
 		}
-		b.workers[i].spinNs, b.workers[i].parkNs = 0, 0
 	}
 }
 

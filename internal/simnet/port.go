@@ -632,6 +632,11 @@ func (pt *Port) trySend() {
 		pt.Stats.TxPackets++
 		pt.Stats.TxBytes += uint64(size)
 		end += pt.TxTime(size)
+		// Publish the busy deadline before the release and drain hooks run:
+		// a PFC RESUME they emit can re-enter this port's trySend, which
+		// must see the link busy and arm txT rather than form a second,
+		// overlapping train.
+		pt.busyUntil = end
 		if p.acct != nil {
 			p.acct.release(size)
 			p.acct = nil
@@ -659,7 +664,6 @@ func (pt *Port) trySend() {
 			pt.OnDrain()
 		}
 	}
-	pt.busyUntil = end
 	if pt.qBytes > 0 {
 		// Frames remain (deferred same-instant arrivals or the MaxTrain
 		// cap): the txT firing at the boundary is this train's one txDone.

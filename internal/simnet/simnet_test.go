@@ -241,6 +241,56 @@ func TestPFCPreventsDropsWithFiniteQueue(t *testing.T) {
 	}
 }
 
+// TestPFCResumeReentryKeepsTrainsSerial: two egress ports of one switch,
+// each holding frames that arrived on the other, both ingress accounts
+// paused. Committing a train on one port releases the other's ingress
+// account (RESUME), whose own train releases this port's ingress account in
+// turn, re-entering this port's transmitter mid-commit. The re-entrant call
+// must see the link busy, not form a second train on top of the first.
+func TestPFCResumeReentryKeepsTrainsSerial(t *testing.T) {
+	eng := sim.New(1)
+	sw := NewSwitch(eng, "s0")
+	sw.PFC = PFCConfig{Enabled: true, XOffBytes: 4000, XOnBytes: 2000}
+	h1 := NewHost(eng, "h1", 1, gbps100, 600)
+	h2 := NewHost(eng, "h2", 2, gbps100, 600)
+	p1, p2 := sw.AddPort(gbps100, 600), sw.AddPort(gbps100, 600)
+	Connect(h1.NIC, p1)
+	Connect(h2.NIC, p2)
+	sw.AddRoute(1, 0)
+	sw.AddRoute(2, 1)
+	var last [3]sim.Time
+	got := 0
+	arrive := func(h int) func(*Packet) {
+		return func(p *Packet) {
+			if now := eng.Now(); now <= last[h] {
+				t.Errorf("h%d: arrival at %v not after previous %v", h, now, last[h])
+			}
+			last[h] = eng.Now()
+			got++
+		}
+	}
+	h1.Handler, h2.Handler = arrive(1), arrive(2)
+	data := func(src, dst Addr) *Packet {
+		return &Packet{Type: Data, Src: src, Dst: dst, Payload: 1000}
+	}
+
+	// p1 serializes one frame until T; p2 is held by its peer.
+	p1.Send(data(2, 1))
+	T := p1.busyUntil
+	// Unpause p2 at exactly T, ordered before p1's own train boundary.
+	eng.Schedule(T, func() { p2.setPaused(false) })
+	p2.setPaused(true)
+	const n = 6
+	for i := 0; i < n; i++ {
+		sw.Output(data(1, 2), 1, p1) // queued on held p2; pauses ingress p1
+		sw.Output(data(2, 1), 0, p2) // queued on busy p1; pauses ingress p2
+	}
+	eng.Run()
+	if want := 2*n + 1; got != want {
+		t.Fatalf("delivered %d frames, want %d", got, want)
+	}
+}
+
 func TestLossInjection(t *testing.T) {
 	eng := sim.New(1)
 	sw := NewSwitch(eng, "s0")

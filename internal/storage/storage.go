@@ -167,7 +167,7 @@ func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
 				WVA: uint64(0x100000 * (i + 1)), WRKey: uint32(i + 1),
 			})
 		}
-		g := core.NewGroup(eng, core.AllocMcstID(), members, 0, agents)
+		g := core.NewGroup(eng, c.Net.AllocMcstID(), members, 0, agents)
 		regErr := make(chan error, 1)
 		g.Register(10*sim.Millisecond, func(err error) { regErr <- err })
 		eng.RunUntil(eng.Now() + 10*sim.Millisecond)

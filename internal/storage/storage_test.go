@@ -3,13 +3,11 @@ package storage
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
 func newCluster(t *testing.T, mode Mode) *Cluster {
 	t.Helper()
-	core.ResetMcstIDs()
 	return NewCluster(sim.New(1), mode, DefaultConfig())
 }
 

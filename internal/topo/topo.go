@@ -37,11 +37,21 @@ type Network struct {
 	// one per core group; nil for topologies without a natural grouping, in
 	// which case PartitionPods falls back to the per-switch Partition.
 	Domains [][]*simnet.Switch
+
+	mcstIDs uint32 // group IDs handed out by AllocMcstID
 }
 
 // HostIP returns the address of host i. Host addresses are assigned
 // sequentially starting at 10.0.0.1 and never collide with McstIDs.
 func HostIP(i int) simnet.Addr { return simnet.Addr(0x0A000001 + uint32(i)) }
+
+// AllocMcstID returns a fresh 32-bit class-D multicast group ID. The
+// switches key their MFTs by it, so it is unique within this network; each
+// network counts from MulticastBase+1.
+func (n *Network) AllocMcstID() simnet.Addr {
+	n.mcstIDs++
+	return simnet.MulticastBase + simnet.Addr(n.mcstIDs)
+}
 
 // HostByIP finds a host by address, or nil.
 func (n *Network) HostByIP(ip simnet.Addr) *simnet.Host {

@@ -37,6 +37,18 @@ func TestHostByIP(t *testing.T) {
 	}
 }
 
+func TestAllocMcstIDPerNetwork(t *testing.T) {
+	a, b := Testbed(sim.New(1), 4), Testbed(sim.New(1), 4)
+	for i, want := range []simnet.Addr{simnet.MulticastBase + 1, simnet.MulticastBase + 2} {
+		if got := a.AllocMcstID(); got != want || !got.IsMulticast() {
+			t.Errorf("allocation %d on a = %#x, want %#x", i, uint32(got), uint32(want))
+		}
+	}
+	if got := b.AllocMcstID(); got != simnet.MulticastBase+1 {
+		t.Errorf("first allocation on b = %#x, want %#x: IDs are per network", uint32(got), uint32(simnet.MulticastBase+1))
+	}
+}
+
 func TestFatTreeShape(t *testing.T) {
 	eng := sim.New(1)
 	k := 4

@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -39,7 +38,6 @@ func TestMetricsFieldMapping(t *testing.T) {
 	if got, want := reflect.TypeOf(Metrics{}).NumField(), int(obs.NumFCounters); got != want {
 		t.Fatalf("Metrics has %d fields, obs declares %d counters — update Metrics and Cluster.Metrics()", got, want)
 	}
-	core.ResetMcstIDs()
 	c := NewTestbed(2, Options{Seed: 1})
 	defer c.Close()
 	for fc := obs.FCounter(0); fc < obs.NumFCounters; fc++ {

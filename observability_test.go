@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -12,7 +11,6 @@ import (
 // cycle and checks that the sharded fabric counters Metrics() reads agree
 // exactly with a walk over every device's private counters.
 func TestMetricsFabricMatchesWalk(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewFatTree(4, Options{Seed: 7})
 	defer c.Close()
 	members := []int{0, 3, 6, 9, 12, 15}
@@ -51,7 +49,6 @@ func TestMetricsFabricMatchesWalk(t *testing.T) {
 // completed broadcast must record one observation per accepted data packet
 // at each receiver, with quantiles bounded by physical limits.
 func TestDeliveryLatencySanity(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 0)
@@ -84,7 +81,6 @@ func TestDeliveryLatencySanity(t *testing.T) {
 
 // TestGroupDeliveryLatency checks the per-group histogram merge.
 func TestGroupDeliveryLatency(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
@@ -113,7 +109,6 @@ func TestGroupDeliveryLatency(t *testing.T) {
 // partitioned coordinator even at workers <= 1.
 func traceWorkload(t *testing.T, seed int64, workers int, partition bool) ([]byte, map[string]int) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: partition})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -20,7 +19,6 @@ import (
 // core group instead of one per switch.
 func podWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
 	defer c.Close()
 	members := make([]int, 16)
@@ -70,7 +68,6 @@ func TestPodPartitionDigestEquivalence(t *testing.T) {
 // virtual horizon.
 func podTraceWorkload(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)

@@ -157,13 +157,7 @@ type bcastState struct {
 // NewGroup's single attempt.
 func (c *Cluster) NewResilientGroup(members []int, leader int, opts RecoveryOptions) (*ResilientGroup, error) {
 	opts.fill()
-	var ms []*core.Member
-	var ags []*core.Agent
-	for _, i := range members {
-		ms = append(ms, &core.Member{Host: c.Net.Hosts[i], RNIC: c.RNICs[i], QP: c.RNICs[i].CreateQP()})
-		ags = append(ags, c.Agents[i])
-	}
-	g := core.NewGroup(c.Eng, core.AllocMcstID(), ms, leader, ags)
+	g := c.newGroup(members, leader)
 	var err error
 	done := false
 	g.RegisterWithPolicy(*opts.Policy, func(e error) { err = e; done = true })

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -34,7 +33,6 @@ func scale1024Members(n int) []int {
 // pod-level partition with that worker count.
 func scale1024Workload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	t.Helper()
-	core.ResetMcstIDs()
 	opts := Options{Seed: seed, Workers: 1}
 	if workers > 0 {
 		opts.Workers = workers
@@ -96,7 +94,6 @@ func TestScale1024DigestEquivalence(t *testing.T) {
 // fixed virtual horizon.
 func scale1024TraceWorkload(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(16, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 21)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -15,7 +14,6 @@ import (
 // two-level testbed every multicast span crosses exactly two hops (origin
 // host NIC + ToR) with one delivery per non-origin member at path length 2.
 func TestSpanRoundTripTestbed(t *testing.T) {
-	core.ResetMcstIDs()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
@@ -87,7 +85,6 @@ func TestSpanRoundTripTestbed(t *testing.T) {
 // canonical event stream — and hence the rendering — must be byte-stable).
 func spanWorkload(t *testing.T, workers int) []byte {
 	t.Helper()
-	core.ResetMcstIDs()
 	c := NewFatTree(8, Options{Seed: 1, Workers: workers, Partition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
