@@ -41,7 +41,7 @@ func TestAuditCleanTestbed(t *testing.T) {
 	if _, err := c.RunBcastErr(b, 0, 256<<10); err != nil {
 		t.Fatal(err)
 	}
-	c.SettleUntil(c.Eng.Now() + sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	auditMustBeClean(t, c)
 }
 
@@ -66,13 +66,13 @@ func TestAuditCleanLossy(t *testing.T) {
 	sw := c.Net.Switches[len(c.Net.Switches)-1]
 	var done bool
 	b.Bcast(0, 512<<10, func() { done = true })
-	c.Eng.RunFor(50 * sim.Microsecond)
+	c.SettleUntil(c.Now() + 50*sim.Microsecond)
 	sw.Crash()
-	c.Eng.RunFor(200 * sim.Microsecond)
+	c.SettleUntil(c.Now() + 200*sim.Microsecond)
 	sw.Restart()
-	c.Eng.RunFor(5 * sim.Millisecond)
+	c.SettleUntil(c.Now() + 5*sim.Millisecond)
 	_ = done
-	c.Eng.RunFor(1 * sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	auditMustBeClean(t, c)
 }
 
@@ -117,15 +117,13 @@ func TestAuditCleanChaos(t *testing.T) {
 			}); err != nil {
 				t.Fatal(err)
 			}
-			minRuntime := c.Eng.Now() + horizon + 8*sim.Millisecond
-			for i := 0; i < 2 || c.Eng.Now() < minRuntime; i++ {
-				start := c.Eng.Now()
+			minRuntime := c.Now() + horizon + 8*sim.Millisecond
+			for i := 0; i < 2 || c.Now() < minRuntime; i++ {
+				start := c.Now()
 				done := false
 				rg.Bcast(0, 1<<20, func() { done = true })
-				for !done {
-					if !c.Eng.Step() || c.Eng.Now()-start > 60*sim.Second {
-						t.Fatalf("broadcast %d wedged at t=%v", i, c.Eng.Now())
-					}
+				if err := c.Run(start+60*sim.Second, func() bool { return done }); err != nil {
+					t.Fatalf("broadcast %d wedged: %v", i, err)
 				}
 			}
 			auditMustBeClean(t, c)
@@ -147,7 +145,7 @@ func TestAuditCorruptedTrace(t *testing.T) {
 	if _, err := c.RunBcastErr(b, 0, 64<<10); err != nil {
 		t.Fatal(err)
 	}
-	c.SettleUntil(c.Eng.Now() + sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	evs := rec.Events()
 
 	cfg := obs.AuditConfig{WindowPkts: c.RNICs[0].Cfg.WindowPkts}
@@ -197,7 +195,7 @@ func TestAuditCorruptedTrace(t *testing.T) {
 // auditor attached and returns (events seen, violations).
 func auditWorkload(t *testing.T, workers int) (uint64, uint64) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: 1, Workers: workers, Partition: true})
+	c := NewFatTree(8, Options{Seed: 1, Workers: workers})
 	defer c.Close()
 	c.EnableAudit()
 	members := make([]int, 16)

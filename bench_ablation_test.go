@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/roce"
+	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -250,13 +251,11 @@ func BenchmarkAblationSourceSwitching(b *testing.B) {
 
 func mcast2(c *Cluster, g *core.Group, root, size int) {
 	b := &amcastCepheus{g}
-	start := c.Eng.Now()
+	start := c.Now()
 	done := false
 	b.Bcast(root, size, func() { done = true })
-	for !done {
-		if !c.Eng.Step() || c.Eng.Now()-start > 10e9 {
-			panic("ablation mcast stalled")
-		}
+	if err := c.Run(start+10*sim.Second, func() bool { return done }); err != nil {
+		panic("ablation mcast stalled: " + err.Error())
 	}
 }
 

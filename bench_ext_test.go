@@ -88,8 +88,8 @@ func BenchmarkReduceExtension(b *testing.B) {
 		// Orient once, then measure steady state.
 		primeDone := false
 		r.Prime(0, func() { primeDone = true })
-		for !primeDone {
-			c.Eng.Step()
+		if err := c.Run(sim.MaxTime, func() bool { return primeDone }); err != nil {
+			b.Fatal(err)
 		}
 		return runReducer(b, c, r, size, n)
 	}
@@ -99,7 +99,7 @@ func BenchmarkReduceExtension(b *testing.B) {
 		for i := range ns {
 			ns[i] = &amcast.Node{Host: c.Net.Hosts[i], RNIC: c.RNICs[i]}
 		}
-		return runReducer(b, c, mk(amcast.NewComm(c.Eng, ns)), size, n)
+		return runReducer(b, c, mk(amcast.NewComm(ns)), size, n)
 	}
 	for i := 0; i < b.N; i++ {
 		t := exp.NewTable("Extension: many-to-one reduction (8 nodes)",
@@ -121,17 +121,15 @@ func BenchmarkReduceExtension(b *testing.B) {
 }
 
 func runReducer(b *testing.B, c *Cluster, r amcast.Reducer, size, n int) sim.Time {
-	start := c.Eng.Now()
+	start := c.Now()
 	var end sim.Time = -1
 	total := math.NaN()
 	r.Reduce(0, size, func(rank int) float64 { return float64(rank + 1) }, func(v float64) {
 		total = v
-		end = c.Eng.Now()
+		end = c.Now()
 	})
-	for end < 0 {
-		if !c.Eng.Step() || c.Eng.Now()-start > 30*sim.Second {
-			b.Fatalf("%s reduce stalled", r.Name())
-		}
+	if err := c.Run(start+30*sim.Second, func() bool { return end >= 0 }); err != nil {
+		b.Fatalf("%s reduce stalled: %v", r.Name(), err)
 	}
 	if want := float64(n*(n+1)) / 2; total != want {
 		b.Fatalf("%s computed %v, want %v", r.Name(), total, want)

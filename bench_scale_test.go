@@ -17,8 +17,8 @@ import (
 // events/sec and allocs/op budget every fat-tree sweep spends. One iteration
 // is a 1MB Cepheus multicast to 64 receivers on a 128-host fat-tree (k=8)
 // under DCQCN, so the workload exercises packet replication, feedback
-// aggregation, pacing, and RTO/rate-timer churn together. workers <= 1 runs
-// the sequential engine; >= 2 the lookahead-partitioned parallel executor.
+// aggregation, pacing, and RTO/rate-timer churn together. workers 0 runs
+// the sequential engine; >= 1 the lookahead-partitioned parallel executor.
 func benchScaleEvents(b *testing.B, workers int) {
 	var events uint64
 	var virtual sim.Time
@@ -49,7 +49,7 @@ func benchScaleEvents(b *testing.B, workers int) {
 
 // BenchmarkScaleEvents is the sequential baseline every PR's perf numbers
 // track.
-func BenchmarkScaleEvents(b *testing.B) { benchScaleEvents(b, 1) }
+func BenchmarkScaleEvents(b *testing.B) { benchScaleEvents(b, 0) }
 
 // BenchmarkScaleEventsParallel sweeps the partitioned executor's worker
 // counts on the same workload; the simulated results are byte-identical to
@@ -200,7 +200,7 @@ func BenchmarkFig14Fairness(b *testing.B) {
 			post()
 		}
 		var stop1, stop2, stop3 bool
-		eng := c.Eng
+		eng := c.Net.Eng
 		stream(f1, &stop1)
 		eng.Schedule(5*sim.Millisecond, func() { stream(f2, &stop2) })
 		eng.Schedule(20*sim.Millisecond, func() { stop2 = true })

@@ -44,37 +44,34 @@ type Options struct {
 	LinkRate  float64
 	PropDelay sim.Time
 
-	// Workers selects the execution mode. 0 or 1 (the default) is the
-	// single-threaded engine every existing caller uses — Cluster.Eng drives
-	// everything. 2 or more partitions the topology into one logical process
-	// per switch and executes them on that many goroutines under
-	// conservative lookahead synchronization (DESIGN.md §9); Cluster.Eng is
-	// then nil and Cluster.Par coordinates. The partition is fixed by the
-	// topology, so any Workers >= 2 value produces byte-identical simulated
-	// results — the knob trades wall-clock speed only.
+	// Workers selects the execution mode. 0 (the default) is the sequential
+	// engine: one event queue, Net.Eng, drives the whole fabric. n >= 1
+	// partitions the topology into logical processes (one per switch, or
+	// per pod with PodPartition) and runs them under the conservative
+	// lookahead coordinator, Cluster.Par, on n goroutines (DESIGN.md §9);
+	// Net.Eng is then nil. The partition is fixed by the topology, so every
+	// n >= 1 produces byte-identical simulated results and flight-recorder
+	// traces — the knob trades wall-clock speed only. Same-time cross-LP
+	// deliveries are ordered by the coordinator's canonical (time, source
+	// LP, send order) rule, so traces can differ from the sequential
+	// engine's (TestTraceSeqParEquivalence); digests do not.
 	//
-	// Parallel mode currently supports SchemeCepheus broadcasts and is
-	// incompatible with runtime fault injection (internal/fault) and the
-	// AMcast overlay baselines, whose completion accounting is inherently
-	// cross-member.
+	// A partitioned cluster returns an error from the APIs whose state is
+	// inherently cross-member or reads live devices mid-run:
+	//   - Broadcaster for every scheme but SchemeCepheus (AMcast overlays);
+	//   - RunBcastErr for any broadcaster but SchemeCepheus's;
+	//   - NewResilientGroup (the recovery pipeline);
+	//   - EnableSeries (the telemetry sampler).
+	// Runtime fail-stop fault injection (internal/fault) schedules on
+	// Net.Eng and likewise needs Workers 0; gray impairments work in both.
 	Workers int
-
-	// Partition forces the partitioned coordinator even when Workers <= 1:
-	// the topology is split into LPs and executed serially on one goroutine
-	// under the same windowed merge rule as any Workers >= 2 run. Same-time
-	// cross-LP deliveries are then serialized by the coordinator's canonical
-	// (time, source LP, send order) rule instead of the single engine's
-	// scheduling order, so a Partition run's flight-recorder trace is
-	// byte-identical to a multi-worker run's — the property
-	// TestTraceSeqParEquivalence pins down. Implied by Workers >= 2.
-	Partition bool
 
 	// PodPartition coarsens the partition to one LP per topology domain
 	// (topo.PartitionPods): on a fat-tree, one LP per pod plus one per core
 	// group instead of one per switch. Fewer, fatter LPs mean less cross-LP
 	// traffic and per-window overhead at scale; results remain byte-identical
 	// across worker counts for a fixed partition choice. No effect unless the
-	// partitioned coordinator is active (Workers >= 2 or Partition), or on
+	// partitioned coordinator is active (Workers >= 1), or on
 	// topologies without declared domains (falls back to per-switch LPs).
 	PodPartition bool
 
@@ -115,9 +112,8 @@ func (o *Options) fill() {
 // Cluster is a simulated RoCE datacenter with Cepheus accelerators on every
 // switch.
 type Cluster struct {
-	// Eng drives a sequential cluster (Workers <= 1); nil in parallel mode.
-	Eng *sim.Engine
-	// Par coordinates a partitioned cluster (Workers >= 2); nil otherwise.
+	// Par coordinates a partitioned cluster (Workers >= 1); nil otherwise,
+	// when Net.Eng drives the fabric. Drive either through Run.
 	Par    *sim.Parallel
 	Net    *topo.Network
 	RNICs  []*roce.RNIC
@@ -143,37 +139,34 @@ type Cluster struct {
 // accelerated ToR switch.
 func NewTestbed(n int, opts Options) *Cluster {
 	opts.fill()
-	eng := sim.New(opts.Seed)
-	return wire(eng, topo.TestbedWith(eng, n, opts.LinkRate, opts.PropDelay), opts)
+	return wire(topo.TestbedWith(sim.New(opts.Seed), n, opts.LinkRate, opts.PropDelay), opts)
 }
 
 // NewFatTree builds the §V-C simulation fabric: a k-ary 3-layer fat-tree
 // with k^3/4 hosts (k=16 gives the paper's 1024 servers).
 func NewFatTree(k int, opts Options) *Cluster {
 	opts.fill()
-	eng := sim.New(opts.Seed)
 	coreProp := opts.CorePropDelay
 	if coreProp == 0 {
 		coreProp = opts.PropDelay
 	}
-	return wire(eng, topo.FatTreeWithTrunk(eng, k, opts.LinkRate, opts.PropDelay, coreProp), opts)
+	return wire(topo.FatTreeWithTrunk(sim.New(opts.Seed), k, opts.LinkRate, opts.PropDelay, coreProp), opts)
 }
 
 // NewLeafSpine builds a two-tier Clos with the given leaf/spine counts and
 // hosts per leaf (oversubscription = hostsPerLeaf/spines).
 func NewLeafSpine(leaves, spines, hostsPerLeaf int, opts Options) *Cluster {
 	opts.fill()
-	eng := sim.New(opts.Seed)
-	return wire(eng, topo.LeafSpineWith(eng, leaves, spines, hostsPerLeaf, opts.LinkRate, opts.PropDelay), opts)
+	return wire(topo.LeafSpineWith(sim.New(opts.Seed), leaves, spines, hostsPerLeaf, opts.LinkRate, opts.PropDelay), opts)
 }
 
-func wire(eng *sim.Engine, net *topo.Network, opts Options) *Cluster {
-	c := &Cluster{Eng: eng, Net: net}
-	if opts.Workers >= 2 || opts.Partition {
+func wire(net *topo.Network, opts Options) *Cluster {
+	c := &Cluster{Net: net}
+	if opts.Workers >= 1 {
 		// Partition before attaching RNICs and accelerators, so every layer
 		// built on top picks up its device's LP engine rather than the
 		// build-time scratch engine (which Partition disconnects).
-		c.Par = sim.NewParallel(opts.Seed, max(opts.Workers, 1))
+		c.Par = sim.NewParallel(opts.Seed, opts.Workers)
 		if opts.PodPartition {
 			net.PartitionPods(c.Par)
 		} else {
@@ -184,7 +177,6 @@ func wire(eng *sim.Engine, net *topo.Network, opts Options) *Cluster {
 			// per-LP arrays size off it.
 			c.Par.EnableProfile()
 		}
-		c.Eng = nil
 	}
 	for _, h := range net.Hosts {
 		r := roce.NewRNIC(h, *opts.Transport)
@@ -210,15 +202,42 @@ func wire(eng *sim.Engine, net *topo.Network, opts Options) *Cluster {
 	return c
 }
 
-// Parallel reports whether the cluster runs in partitioned parallel mode.
-func (c *Cluster) Parallel() bool { return c.Par != nil }
-
 // EventsRun sums executed events across the cluster's engine(s).
 func (c *Cluster) EventsRun() uint64 {
 	if c.Par != nil {
 		return c.Par.EventsRun()
 	}
-	return c.Eng.EventsRun()
+	return c.Net.Eng.EventsRun()
+}
+
+// Now returns the cluster's simulated time: the sequential engine's clock,
+// or the partitioned coordinator's window floor.
+func (c *Cluster) Now() sim.Time {
+	if c.Par != nil {
+		return c.Par.Now()
+	}
+	return c.Net.Eng.Now()
+}
+
+// Run drives the cluster until done reports true, in either execution mode,
+// and returns an error if the run quiesces or its next event lies past the
+// absolute time limit first. done may be nil (run to quiescence or limit).
+// On the sequential engine done is checked before the first event and after
+// every event, so the run stops on the event that satisfied it. A
+// partitioned cluster checks it at window barriers and runs the windows on
+// the calling goroutine (Parallel.RunSerial), so done may read state that
+// callbacks on any LP write.
+func (c *Cluster) Run(limit sim.Time, done func() bool) error {
+	var out sim.Outcome
+	if c.Par != nil {
+		out = c.Par.RunSerial(limit, done)
+	} else {
+		out = c.Net.Eng.Run(limit, done)
+	}
+	if out != sim.Done {
+		return fmt.Errorf("cepheus: run ended %v at %v (limit %v) before done", out, c.Now(), limit)
+	}
+	return nil
 }
 
 // Close releases execution resources (the parallel worker pool). A no-op in
@@ -285,47 +304,36 @@ func (c *Cluster) ResetExecProfile() {
 // simulation until registration completes and returns an error on
 // rejection or timeout.
 func (c *Cluster) NewGroup(members []int, leader int) (*core.Group, error) {
-	g := c.newGroup(members, leader)
-	var err error
-	done := false
-	g.Register(50*sim.Millisecond, func(e error) { err = e; done = true })
-	if c.Par != nil {
-		// Registration callbacks funnel through the leader LP but touch the
-		// done/err closure shared with this goroutine, so drive the windows
-		// serially — same schedule and results, no worker handoff.
-		limit := c.Par.Now() + 10*sim.Second
-		if out := c.Par.RunSerial(limit, func() bool { return done }); out != sim.Done {
-			return nil, fmt.Errorf("cepheus: registration stalled (%v)", out)
-		}
-	} else {
-		// Bound by time as well as by queue exhaustion: perpetual timers
-		// (the audit drain, the telemetry sampler) keep the queue non-empty
-		// even when registration is wedged. Mirrors the parallel path.
-		limit := c.Eng.Now() + 10*sim.Second
-		for !done {
-			if !c.Eng.Step() || c.Eng.Now() > limit {
-				return nil, fmt.Errorf("cepheus: registration stalled")
-			}
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
+	return c.registerGroup(members, leader, core.RegisterPolicy{AttemptTimeout: 50 * sim.Millisecond, MaxAttempts: 1})
 }
 
-// newGroup creates an unregistered group over the given host indices under
-// a fresh McstID from the cluster's fabric. The group controller lives on
-// the leader host, so its timers and confirmation accounting run on the
-// leader's engine — its LP when partitioned, Cluster.Eng otherwise.
-func (c *Cluster) newGroup(members []int, leader int) *core.Group {
+// registerLimit bounds how long a registration may run. Perpetual timers
+// (the audit drain, the telemetry sampler) keep the queue non-empty even
+// when registration is wedged, so queue exhaustion alone is not enough.
+const registerLimit = 10 * sim.Second
+
+// registerGroup creates a group over the given host indices under a fresh
+// McstID from the cluster's fabric, and drives its registration under
+// policy to an outcome. The group controller lives on the leader host, so
+// its timers and confirmation accounting run on the leader's engine.
+func (c *Cluster) registerGroup(members []int, leader int, policy core.RegisterPolicy) (*core.Group, error) {
 	var ms []*core.Member
 	var ags []*core.Agent
 	for _, i := range members {
 		ms = append(ms, &core.Member{Host: c.Net.Hosts[i], RNIC: c.RNICs[i], QP: c.RNICs[i].CreateQP()})
 		ags = append(ags, c.Agents[i])
 	}
-	return core.NewGroup(ms[leader].Host.Engine(), c.Net.AllocMcstID(), ms, leader, ags)
+	g := core.NewGroup(ms[leader].Host.Engine(), c.Net.AllocMcstID(), ms, leader, ags)
+	var regErr error
+	done := false
+	g.RegisterWithPolicy(policy, func(e error) { regErr, done = e, true })
+	if err := c.Run(c.Now()+registerLimit, func() bool { return done }); err != nil {
+		return nil, fmt.Errorf("cepheus: registration stalled: %w", err)
+	}
+	if regErr != nil {
+		return nil, regErr
+	}
+	return g, nil
 }
 
 // Broadcaster builds a broadcaster of the given scheme over the host
@@ -341,13 +349,13 @@ func (c *Cluster) Broadcaster(scheme Scheme, nodes []int, slices int) (amcast.Br
 		return &amcast.Cepheus{Group: g}, nil
 	}
 	if c.Par != nil {
-		return nil, fmt.Errorf("cepheus: scheme %q requires sequential execution (Workers <= 1): overlay completion accounting is cross-member", scheme)
+		return nil, fmt.Errorf("cepheus: scheme %q requires sequential execution (Workers 0): overlay completion accounting is cross-member", scheme)
 	}
 	ns := make([]*amcast.Node, len(nodes))
 	for i, j := range nodes {
 		ns[i] = &amcast.Node{Host: c.Net.Hosts[j], RNIC: c.RNICs[j]}
 	}
-	comm := amcast.NewComm(c.Eng, ns)
+	comm := amcast.NewComm(ns)
 	switch scheme {
 	case SchemeBinomial:
 		return amcast.Binomial{C: comm}, nil
@@ -385,16 +393,11 @@ func (c *Cluster) RunBcastErr(b amcast.Broadcaster, root, size int) (sim.Time, e
 	if c.Par != nil {
 		return c.runBcastParallel(b, root, size)
 	}
-	start := c.Eng.Now()
+	start := c.Now()
 	var end sim.Time = -1
-	b.Bcast(root, size, func() { end = c.Eng.Now() })
-	for end < 0 {
-		if !c.Eng.Step() {
-			return 0, fmt.Errorf("cepheus: %s bcast of %dB stalled: event queue drained without completion", b.Name(), size)
-		}
-		if c.Eng.Now()-start > BcastTimeout {
-			return 0, fmt.Errorf("cepheus: %s bcast of %dB did not complete within %v", b.Name(), size, BcastTimeout)
-		}
+	b.Bcast(root, size, func() { end = c.Now() })
+	if err := c.Run(start+BcastTimeout, func() bool { return end >= 0 }); err != nil {
+		return 0, fmt.Errorf("cepheus: %s bcast of %dB stalled: %w", b.Name(), size, err)
 	}
 	return end - start, nil
 }

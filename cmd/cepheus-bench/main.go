@@ -630,7 +630,7 @@ func fig14() {
 	}
 	stop1 := false
 	stream(g.Members[0].QP, &stop1)
-	eng := c.Eng
+	eng := c.Net.Eng
 	eng.Schedule(5*sim.Millisecond, func() { stream(f2, &stop2) })
 	eng.Schedule(20*sim.Millisecond, func() { stop2 = true })
 	eng.Schedule(25*sim.Millisecond, func() { stream(f3, &stop3) })
@@ -678,19 +678,17 @@ func reduceExt() {
 	const n = 8
 	t := exp.NewTable("Extension: many-to-one reduction (8 nodes, in-network vs software)",
 		"size", "cepheus-reduce", "gather", "binomial-reduce")
-	runOne := func(r amcast.Reducer, eng *sim.Engine, size int) sim.Time {
-		start := eng.Now()
+	runOne := func(r amcast.Reducer, c *cepheus.Cluster, size int) sim.Time {
+		start := c.Now()
 		var end sim.Time = -1
 		r.Reduce(0, size, func(rank int) float64 { return float64(rank + 1) }, func(total float64) {
 			if total != float64(n*(n+1))/2 {
 				panic("reduce aggregate wrong")
 			}
-			end = eng.Now()
+			end = c.Now()
 		})
-		for end < 0 {
-			if !eng.Step() {
-				panic("reduce stalled")
-			}
+		if err := c.Run(sim.MaxTime, func() bool { return end >= 0 }); err != nil {
+			panic("reduce stalled: " + err.Error())
 		}
 		return end - start
 	}
@@ -707,23 +705,23 @@ func reduceExt() {
 		cr := &amcast.CepheusReduce{Group: g}
 		primeDone := false
 		cr.Prime(0, func() { primeDone = true })
-		for !primeDone {
-			cc.Eng.Step()
+		if err := cc.Run(sim.MaxTime, func() bool { return primeDone }); err != nil {
+			panic(err)
 		}
-		ceph := runOne(cr, cc.Eng, size)
+		ceph := runOne(cr, cc, size)
 
-		mk := func() (*sim.Engine, *amcast.Comm) {
+		mk := func() (*cepheus.Cluster, *amcast.Comm) {
 			c2 := cepheus.NewTestbed(n, cepheus.Options{})
 			ns := make([]*amcast.Node, n)
 			for i := range ns {
 				ns[i] = &amcast.Node{Host: c2.Net.Hosts[i], RNIC: c2.RNICs[i]}
 			}
-			return c2.Eng, amcast.NewComm(c2.Eng, ns)
+			return c2, amcast.NewComm(ns)
 		}
-		engG, commG := mk()
-		gather := runOne(amcast.GatherReduce{C: commG}, engG, size)
-		engB, commB := mk()
-		bino := runOne(amcast.BinomialReduce{C: commB}, engB, size)
+		cG, commG := mk()
+		gather := runOne(amcast.GatherReduce{C: commG}, cG, size)
+		cB, commB := mk()
+		bino := runOne(amcast.BinomialReduce{C: commB}, cB, size)
 		t.Add(exp.FormatBytes(size), ceph.String(), gather.String(), bino.String())
 	}
 	fmt.Print(t)
@@ -751,11 +749,11 @@ func psTrain() {
 // pods under DCQCN, swept over worker counts on the pod-level partition
 // (k pod LPs + k/2 core-group LPs). Members land on every pod — member i
 // goes to pod i mod k — so the replication and delivery work parallelizes
-// instead of concentrating on one pod LP. Workers=1 runs the sequential
-// engine, so the speedup column is against the single-threaded baseline,
-// not a serialized coordinator. Simulated results are byte-identical across
-// rows — the determinism suite enforces it — so the sweep isolates
-// wall-clock scaling of the executor.
+// instead of concentrating on one pod LP. The workers=1 row runs the
+// sequential engine (Options.Workers 0), so the speedup column is against
+// the single-threaded baseline, not a serialized coordinator. Simulated
+// results are byte-identical across rows — the determinism suite enforces
+// it — so the sweep isolates wall-clock scaling of the executor.
 func workerSweep(name string, k, members int, workers []int) {
 	t := exp.NewTable(fmt.Sprintf("%s: pod-partitioned executor scaling (1MB bcast, %d members, k=%d fat-tree, %d hosts, DCQCN)",
 		name, members, k, k*k*k/4),
@@ -769,7 +767,11 @@ func workerSweep(name string, k, members int, workers []int) {
 	for _, w := range workers {
 		tr := roce.DefaultConfig()
 		tr.DCQCN = true
-		c := cepheus.NewFatTree(k, cepheus.Options{Transport: &tr, Workers: w, PodPartition: true,
+		ow := w
+		if w == 1 {
+			ow = 0
+		}
+		c := cepheus.NewFatTree(k, cepheus.Options{Transport: &tr, Workers: ow, PodPartition: true,
 			Profile: *pdesProf != ""})
 		hostsPerPod := k * k / 4
 		nodes := make([]int, members)
@@ -984,7 +986,7 @@ func profov() {
 		title: fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d)", workers),
 		what:  "profiling", pairs: 7, reps: 3, nodes: nodes,
 		build: func(on bool) *cepheus.Cluster {
-			return pdesCluster(cepheus.Options{Workers: workers, Partition: true, PodPartition: true, Profile: on})
+			return pdesCluster(cepheus.Options{Workers: workers, PodPartition: true, Profile: on})
 		},
 		check: func(c *cepheus.Cluster) error {
 			if c.ExecProfile() == nil {
@@ -1077,13 +1079,13 @@ func fairnessOne(G int) obs.FairnessReport {
 		post()
 	}
 	const window = 10 * sim.Millisecond
-	c.Eng.RunUntil(window)
+	c.SettleUntil(window)
 	for g := range stops {
 		stops[g] = true
 	}
 	// Drain in-flight messages so the last word on every group is a complete
 	// delivery, not a truncated one.
-	c.Eng.RunUntil(window + 5*sim.Millisecond)
+	c.SettleUntil(window + 5*sim.Millisecond)
 
 	reps := c.GroupReports()
 	f := obs.Fairness(reps)

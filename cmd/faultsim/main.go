@@ -111,8 +111,8 @@ func main() {
 			// The ToR fail-stops 2ms into the run and restarts 6ms later
 			// with its MFT wiped.
 			tor := c.Net.Switches[0]
-			in.CrashAt(c.Eng.Now()+2*sim.Millisecond, tor)
-			in.RestartAt(c.Eng.Now()+8*sim.Millisecond, tor)
+			in.CrashAt(c.Now()+2*sim.Millisecond, tor)
+			in.RestartAt(c.Now()+8*sim.Millisecond, tor)
 			return 0
 		})
 	case "linkdown":
@@ -120,8 +120,8 @@ func main() {
 			// The access link of the last member dies mid-broadcast and is
 			// replaced 10ms later.
 			link := in.HostLink(3)
-			in.LinkDownAt(c.Eng.Now()+2*sim.Millisecond, link)
-			in.LinkUpAt(c.Eng.Now()+12*sim.Millisecond, link)
+			in.LinkDownAt(c.Now()+2*sim.Millisecond, link)
+			in.LinkUpAt(c.Now()+12*sim.Millisecond, link)
 			return 0
 		})
 	case "chaos":
@@ -145,7 +145,7 @@ func main() {
 				fmt.Printf("  %v\n", ev)
 			}
 			// Keep the workload running past the last repair.
-			return c.Eng.Now() + h + 8*sim.Millisecond
+			return c.Now() + h + 8*sim.Millisecond
 		})
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scenario %q\n", *scenario)
@@ -360,7 +360,7 @@ func runSoak() {
 		fmt.Fprintf(os.Stderr, "registration failed: %v\n", err)
 		os.Exit(1)
 	}
-	rg.OnEvent = func(ev string) { fmt.Printf("%12v  recovery: %s\n", c.Eng.Now(), ev) }
+	rg.OnEvent = func(ev string) { fmt.Printf("%12v  recovery: %s\n", c.Now(), ev) }
 
 	in := fault.NewInjector(c.Net)
 	in.OnEvent = func(ev fault.Event) { fmt.Printf("%12v  fault: %s %s\n", ev.At, ev.Kind, ev.Target) }
@@ -386,26 +386,22 @@ func runSoak() {
 	gpEnd := make([]uint64, len(plan))
 	for i := range plan {
 		i := i
-		c.Eng.Schedule(plan[i].Start, func() { gpStart[i] = sumGoodput() })
-		c.Eng.Schedule(plan[i].End, func() { gpEnd[i] = sumGoodput() })
+		c.Net.Eng.Schedule(plan[i].Start, func() { gpStart[i] = sumGoodput() })
+		c.Net.Eng.Schedule(plan[i].End, func() { gpEnd[i] = sumGoodput() })
 	}
 
-	minRuntime := c.Eng.Now() + h + 20*sim.Millisecond
-	for i := 0; c.Eng.Now() < minRuntime; i++ {
-		start := c.Eng.Now()
+	minRuntime := c.Now() + h + 20*sim.Millisecond
+	for i := 0; c.Now() < minRuntime; i++ {
+		start := c.Now()
 		done := false
 		rg.Bcast(0, sz, func() { done = true })
-		for !done {
-			if !c.Eng.Step() || c.Eng.Now()-start > 60*sim.Second {
-				fmt.Fprintf(os.Stderr, "broadcast %d wedged at t=%v (stats=%+v)\n", i, c.Eng.Now(), rg.Stats)
-				os.Exit(1)
-			}
+		if err := c.Run(start+60*sim.Second, func() bool { return done }); err != nil {
+			fmt.Fprintf(os.Stderr, "broadcast %d wedged: %v (stats=%+v)\n", i, err, rg.Stats)
+			os.Exit(1)
 		}
 	}
 	// Let the pipeline settle so the final span gets its restore timestamp.
-	limit := c.Eng.Now() + 200*sim.Millisecond
-	for !rg.Native() && c.Eng.Now() < limit && c.Eng.Step() {
-	}
+	settleNative(c, rg)
 
 	var marks []fault.RecoveryMark
 	for _, s := range rg.RecoverySpans() {
@@ -446,7 +442,7 @@ func runSoak() {
 // the property the chaos-soak CI job diffs.
 func runSoakPDES() {
 	c := cepheus.NewLeafSpine(2, 2, 4, cepheus.Options{
-		Seed: *seed, Workers: *workers, Partition: true, Transport: soakTransport(),
+		Seed: *seed, Workers: *workers, Transport: soakTransport(),
 	})
 	defer c.Close()
 	cap := *tracecap
@@ -544,32 +540,28 @@ func run(c *cepheus.Cluster, inject func(*cepheus.Cluster, *fault.Injector) sim.
 		fmt.Fprintf(os.Stderr, "registration failed: %v\n", err)
 		os.Exit(1)
 	}
-	rg.OnEvent = func(ev string) { fmt.Printf("%12v  recovery: %s\n", c.Eng.Now(), ev) }
+	rg.OnEvent = func(ev string) { fmt.Printf("%12v  recovery: %s\n", c.Now(), ev) }
 
 	in := fault.NewInjector(c.Net)
 	in.OnEvent = func(ev fault.Event) { fmt.Printf("%12v  fault: %s %s\n", ev.At, ev.Kind, ev.Target) }
 	minRuntime := inject(c, in)
 
-	for i := 0; i < *bcasts || c.Eng.Now() < minRuntime; i++ {
-		start := c.Eng.Now()
+	for i := 0; i < *bcasts || c.Now() < minRuntime; i++ {
+		start := c.Now()
 		mode := "native"
 		if !rg.Native() {
 			mode = "fallback"
 		}
 		done := false
 		rg.Bcast(0, *size, func() { done = true })
-		for !done {
-			if !c.Eng.Step() || c.Eng.Now()-start > 60*sim.Second {
-				fmt.Fprintf(os.Stderr, "broadcast %d wedged at t=%v (stats=%+v)\n", i, c.Eng.Now(), rg.Stats)
-				os.Exit(1)
-			}
+		if err := c.Run(start+60*sim.Second, func() bool { return done }); err != nil {
+			fmt.Fprintf(os.Stderr, "broadcast %d wedged: %v (stats=%+v)\n", i, err, rg.Stats)
+			os.Exit(1)
 		}
-		fmt.Printf("%12v  bcast %d done: %v (started %s)\n", c.Eng.Now(), i, c.Eng.Now()-start, mode)
+		fmt.Printf("%12v  bcast %d done: %v (started %s)\n", c.Now(), i, c.Now()-start, mode)
 	}
 	// Let the recovery pipeline settle (repairs drain, native restored).
-	limit := c.Eng.Now() + 200*sim.Millisecond
-	for !rg.Native() && c.Eng.Now() < limit && c.Eng.Step() {
-	}
+	settleNative(c, rg)
 
 	fmt.Printf("\nfinal mode: native=%v\n", rg.Native())
 	fmt.Printf("recovery: %+v\n", rg.Stats)
@@ -594,6 +586,13 @@ func run(c *cepheus.Cluster, inject func(*cepheus.Cluster, *fault.Injector) sim.
 			os.Exit(1)
 		}
 	}
+}
+
+// settleNative runs the cluster until the group is back on native multicast
+// or 200ms have passed. Either outcome is fine: the caller prints which.
+func settleNative(c *cepheus.Cluster, rg *cepheus.ResilientGroup) {
+	limit := c.Now() + 200*sim.Millisecond
+	_ = c.Run(sim.MaxTime, func() bool { return rg.Native() || c.Now() >= limit })
 }
 
 // printRecoverySpans summarizes every degrade episode: when the failure was

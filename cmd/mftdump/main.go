@@ -11,6 +11,7 @@ import (
 
 	cepheus "repro"
 	"repro/internal/roce"
+	"repro/internal/sim"
 )
 
 func main() {
@@ -43,10 +44,8 @@ func main() {
 	}
 	done := false
 	g.Members[0].QP.PostSend(4096, func() { done = true })
-	for !done {
-		if !c.Eng.Step() {
-			log.Fatal("priming message stalled")
-		}
+	if err := c.Run(sim.MaxTime, func() bool { return done }); err != nil {
+		log.Fatalf("priming message stalled: %v", err)
 	}
 
 	fmt.Printf("McstID %v, %d members, leader %s\n\n", g.ID, len(g.Members), g.Members[0].Host.Name)

@@ -43,7 +43,7 @@ func testbedWorkload(t *testing.T) simDigest {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return simDigest{jct: jct, events: c.Eng.EventsRun(), metrics: c.Metrics().String()}
+	return simDigest{jct: jct, events: c.EventsRun(), metrics: c.Metrics().String()}
 }
 
 // fatTreeLossWorkload is a 16-host fat-tree under DCQCN with 1e-3 injected
@@ -77,7 +77,7 @@ func fatTreeLossRun(c *Cluster) (simDigest, simnet.Addr, error) {
 	if err != nil {
 		return simDigest{}, 0, err
 	}
-	d := simDigest{jct: jct, events: c.Eng.EventsRun(), metrics: c.Metrics().String()}
+	d := simDigest{jct: jct, events: c.EventsRun(), metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
 	}
@@ -122,19 +122,12 @@ func seqParWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	settle := func(d sim.Time) {
-		if c.Par != nil {
-			c.Par.RunUntil(c.Par.Now() + d)
-		} else {
-			c.Eng.RunUntil(c.Eng.Now() + d)
-		}
-	}
-	settle(10 * sim.Millisecond) // drain registration residue
+	c.SettleUntil(c.Now() + 10*sim.Millisecond) // drain registration residue
 	jct, err := c.RunBcastErr(b, 0, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	settle(1 * sim.Millisecond) // let trailing ACK/feedback traffic land
+	c.SettleUntil(c.Now() + sim.Millisecond) // let trailing ACK/feedback traffic land
 	d := simDigest{jct: jct, metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
@@ -143,18 +136,20 @@ func seqParWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 }
 
 // TestSeqParDigestEquivalence is the acceptance gate for the partitioned
-// executor: on the same seed, Workers=1 and Workers∈{2,4,8} must produce
-// identical simulated outcomes (JCT, metrics, retransmissions), and the
-// parallel runs must additionally match each other in executed event count.
-// Event counts are not compared between sequential and parallel modes: the
-// drive loops stop at different points (a Step loop halts mid-window,
-// window barriers do not), so the modes run different amounts of
-// *post-completion* traffic while agreeing on every result.
+// executor: on the same seed, the sequential engine (Workers=0) and the
+// partitioned coordinator at Workers∈{1,2,4,8} must produce identical
+// simulated outcomes (JCT, metrics, retransmissions), and the partitioned
+// runs must additionally match each other in executed event count.
+// Event counts are not compared between sequential and partitioned modes:
+// the runs stop at different points (the sequential engine halts on the
+// completing event, the coordinator at the next window barrier), so the
+// modes run different amounts of *post-completion* traffic while agreeing
+// on every result.
 func TestSeqParDigestEquivalence(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		ref, _ := seqParWorkload(t, seed, 1)
+		ref, _ := seqParWorkload(t, seed, 0)
 		var parEvents uint64
-		for _, w := range []int{2, 4, 8} {
+		for _, w := range []int{1, 2, 4, 8} {
 			d, ev := seqParWorkload(t, seed, w)
 			if d != ref {
 				t.Errorf("seed %d workers %d: digest diverged from sequential:\n  seq: %+v\n  par: %+v", seed, w, ref, d)
@@ -162,7 +157,7 @@ func TestSeqParDigestEquivalence(t *testing.T) {
 			if parEvents == 0 {
 				parEvents = ev
 			} else if ev != parEvents {
-				t.Errorf("seed %d workers %d: event count %d differs from other parallel runs (%d)", seed, w, ev, parEvents)
+				t.Errorf("seed %d workers %d: event count %d differs from other partitioned runs (%d)", seed, w, ev, parEvents)
 			}
 		}
 	}

@@ -54,7 +54,7 @@ func main() {
 	}
 	var stop1, stop2, stop3 bool
 
-	eng := c.Eng
+	eng := c.Net.Eng
 	stream(f1, &stop1)
 	eng.Schedule(5*sim.Millisecond, func() { stream(f2, &stop2) })
 	eng.Schedule(20*sim.Millisecond, func() { stop2 = true })

@@ -19,7 +19,7 @@ import (
 // report (nil when off).
 func profWorkload(t *testing.T, seed int64, workers int, profile bool) (simDigest, []byte, *obs.ExecReport) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, Profile: profile})
+	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Profile: profile})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
 	members := make([]int, 16)

@@ -47,7 +47,7 @@ func TestFailoverMidStreamCollapse(t *testing.T) {
 		m.QP.OnMessage = func(roce.Message) {}
 	}
 	fellBack := false
-	sg := core.NewSafeguard(c.Eng, src, 0.5, sim.Millisecond, func(reason string) {
+	sg := core.NewSafeguard(g.Members[0].Host.Engine(), src, 0.5, sim.Millisecond, func(reason string) {
 		fellBack = true
 	})
 	streaming := true
@@ -58,13 +58,13 @@ func TestFailoverMidStreamCollapse(t *testing.T) {
 		}
 	}
 	post()
-	c.Eng.RunUntil(10 * sim.Millisecond)
+	c.SettleUntil(10 * sim.Millisecond)
 	if sg.Tripped() {
 		t.Fatal("safeguard tripped on healthy traffic")
 	}
 	// Misconfiguration strikes: pathological loss on the ToR.
 	c.SetLossRate(0.9)
-	c.Eng.RunUntil(150 * sim.Millisecond)
+	c.SettleUntil(150 * sim.Millisecond)
 	streaming = false
 	if !fellBack {
 		t.Fatal("safeguard never detected the collapse")

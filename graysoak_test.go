@@ -110,7 +110,7 @@ func TestPrimedSafeguardReTripsOnStillLossyLink(t *testing.T) {
 // goodput, both of which must be identical at every worker count.
 func graySoakWorkload(t *testing.T, seed int64, workers int) ([]byte, string) {
 	t.Helper()
-	c := NewLeafSpine(2, 2, 4, Options{Seed: seed, Workers: workers, Partition: true})
+	c := NewLeafSpine(2, 2, 4, Options{Seed: seed, Workers: workers})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 21)
 	in := fault.NewInjector(c.Net)

@@ -22,7 +22,7 @@ import (
 // attribution is off).
 func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (simDigest, []byte, []obs.GroupReport) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true})
+	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
 	if groups {

@@ -18,7 +18,7 @@ func testComm(t *testing.T, n int) (*sim.Engine, *topo.Network, *Comm) {
 	for i, h := range net.Hosts {
 		nodes[i] = &Node{Host: h, RNIC: roce.NewRNIC(h, roce.DefaultConfig())}
 	}
-	return eng, net, NewComm(eng, nodes)
+	return eng, net, NewComm(nodes)
 }
 
 // runBcast runs one broadcast and returns its JCT.
@@ -61,7 +61,7 @@ func TestSingleNodeBcastTrivial(t *testing.T) {
 	for _, b := range []Broadcaster{NUnicast{c}, Binomial{C: c}, Chain{C: c, Slices: 4}, RDMC{C: c, Blocks: 4}, Long{c}} {
 		called := false
 		b.Bcast(0, 100, func() { called = true })
-		eng.Run()
+		eng.Run(sim.MaxTime, nil)
 		if !called {
 			t.Fatalf("%s: single-node bcast did not complete immediately", b.Name())
 		}
@@ -166,7 +166,7 @@ func TestConcurrentCollectivePanics(t *testing.T) {
 		}
 	}()
 	Binomial{C: c}.Bcast(0, 100, func() {})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 }
 
 func TestCepheusBroadcaster(t *testing.T) {

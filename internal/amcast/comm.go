@@ -34,7 +34,6 @@ type Broadcaster interface {
 // created pairwise RC connections, reused across operations (as real MPI
 // reuses its QPs). One collective runs at a time.
 type Comm struct {
-	Eng   *sim.Engine
 	Nodes []*Node
 
 	sendQP map[[2]int]*roce.QP // [from][to] requester-side QP
@@ -44,8 +43,8 @@ type Comm struct {
 }
 
 // NewComm builds a communicator over the nodes.
-func NewComm(eng *sim.Engine, nodes []*Node) *Comm {
-	return &Comm{Eng: eng, Nodes: nodes, sendQP: make(map[[2]int]*roce.QP)}
+func NewComm(nodes []*Node) *Comm {
+	return &Comm{Nodes: nodes, sendQP: make(map[[2]int]*roce.QP)}
 }
 
 // qp returns (creating if needed) the sender-side QP from node i to node j.

@@ -117,10 +117,8 @@ func TestCepheusReduceUnderLoss(t *testing.T) {
 	// repairs them through the replicated feedback path.
 	done := false
 	r.Prime(0, func() { done = true })
-	for !done {
-		if !eng.Step() {
-			t.Fatal("prime stalled")
-		}
+	if eng.Run(sim.MaxTime, func() bool { return done }) != sim.Done {
+		t.Fatal("prime stalled")
 	}
 	net.Switches[0].LossRate = 5e-3
 	runReduce(t, eng, r, 0, 256<<10, 4)

@@ -63,11 +63,8 @@ func (m *multiEnv) bcast(t *testing.T, g *Group, src, size int) {
 		mem.QP.OnMessage = func(roce.Message) { remaining-- }
 	}
 	g.Members[src].QP.PostSend(size, nil)
-	deadline := m.eng.Now() + 2*sim.Second
-	for remaining > 0 {
-		if !m.eng.Step() || m.eng.Now() > deadline {
-			t.Fatalf("bcast stalled with %d receivers pending", remaining)
-		}
+	if m.eng.Run(m.eng.Now()+2*sim.Second, func() bool { return remaining == 0 }) != sim.Done {
+		t.Fatalf("bcast stalled with %d receivers pending", remaining)
 	}
 }
 

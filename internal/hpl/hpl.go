@@ -46,7 +46,7 @@ func (r Result) Others() sim.Time { return r.PF + r.Update }
 // colBcasts[q] within column q (P nodes). Either may be nil when that grid
 // dimension is 1.
 type Cluster struct {
-	Eng       *sim.Engine
+	eng       *sim.Engine
 	Cfg       Config
 	RowBcasts []amcast.Broadcaster
 	ColBcasts []amcast.Broadcaster
@@ -55,7 +55,7 @@ type Cluster struct {
 // Run executes the factorization schedule and returns the decomposed JCT.
 // Phases run sequentially within an iteration, as in HPL without lookahead.
 func (c *Cluster) Run() Result {
-	eng := c.Eng
+	eng := c.eng
 	cfg := c.Cfg
 	steps := cfg.N / cfg.NB
 	res := Result{Iterations: steps}
@@ -70,10 +70,8 @@ func (c *Cluster) Run() Result {
 		t0 := eng.Now()
 		finished := false
 		f(func() { finished = true })
-		for !finished {
-			if !eng.Step() {
-				panic("hpl: phase stalled with no pending events")
-			}
+		if eng.Run(sim.MaxTime, func() bool { return finished }) != sim.Done {
+			panic("hpl: phase stalled with no pending events")
 		}
 		return eng.Now() - t0
 	}

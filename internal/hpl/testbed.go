@@ -69,16 +69,16 @@ func NewTestbedCluster(eng *sim.Engine, cfg Config, pbAlg, rsAlg Alg) *Cluster {
 			return &amcast.Cepheus{Group: g}
 		case AlgRing:
 			nodes := commNodes(net, rnics, idx)
-			return amcast.Chain{C: amcast.NewComm(eng, nodes), Slices: 1}
+			return amcast.Chain{C: amcast.NewComm(nodes), Slices: 1}
 		case AlgLong:
 			nodes := commNodes(net, rnics, idx)
-			return amcast.Long{C: amcast.NewComm(eng, nodes)}
+			return amcast.Long{C: amcast.NewComm(nodes)}
 		default:
 			panic(fmt.Sprintf("hpl: unknown algorithm %q", alg))
 		}
 	}
 
-	c := &Cluster{Eng: eng, Cfg: cfg}
+	c := &Cluster{eng: eng, Cfg: cfg}
 	if cfg.Q > 1 {
 		for p := 0; p < cfg.P; p++ {
 			idx := make([]int, cfg.Q)

@@ -62,7 +62,7 @@ const (
 // Cluster is a wired PS training testbed: node 0 is the PS, nodes 1..W the
 // workers.
 type Cluster struct {
-	Eng *sim.Engine
+	eng *sim.Engine
 	Cfg Config
 
 	bcast  amcast.Broadcaster
@@ -80,7 +80,7 @@ func NewTestbed(eng *sim.Engine, cfg Config, scheme Scheme) *Cluster {
 		rnics[i] = roce.NewRNIC(h, tr)
 		agents[i] = core.NewAgent(rnics[i])
 	}
-	c := &Cluster{Eng: eng, Cfg: cfg}
+	c := &Cluster{eng: eng, Cfg: cfg}
 	switch scheme {
 	case SchemeCepheus:
 		core.Attach(net.Switches[0], core.DefaultAccelConfig())
@@ -107,7 +107,7 @@ func NewTestbed(eng *sim.Engine, cfg Config, scheme Scheme) *Cluster {
 		for i := range nodes {
 			nodes[i] = &amcast.Node{Host: net.Hosts[i], RNIC: rnics[i]}
 		}
-		comm := amcast.NewComm(eng, nodes)
+		comm := amcast.NewComm(nodes)
 		c.bcast = amcast.Chain{C: comm, Slices: n}
 		c.reduce = amcast.GatherReduce{C: comm}
 	default:
@@ -120,7 +120,7 @@ func NewTestbed(eng *sim.Engine, cfg Config, scheme Scheme) *Cluster {
 // are synthetic: worker i contributes float64(i) each iteration, so the
 // PS-side aggregate must equal W(W+1)/2 - ... (sum over worker ranks).
 func (c *Cluster) Run() Result {
-	eng := c.Eng
+	eng := c.eng
 	res := Result{}
 	start := eng.Now()
 
@@ -128,10 +128,8 @@ func (c *Cluster) Run() Result {
 		t0 := eng.Now()
 		finished := false
 		f(func() { finished = true })
-		for !finished {
-			if !eng.Step() {
-				panic("ps: phase stalled")
-			}
+		if eng.Run(sim.MaxTime, func() bool { return finished }) != sim.Done {
+			panic("ps: phase stalled")
 		}
 		return eng.Now() - t0
 	}

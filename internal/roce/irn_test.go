@@ -19,7 +19,7 @@ func TestIRNDeliversInOrder(t *testing.T) {
 	e.qb.OnMessage = func(m Message) { sizes = append(sizes, m.Size) }
 	e.qa.PostSend(100, nil)
 	e.qa.PostSend(5000, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if len(sizes) != 2 || sizes[0] != 100 || sizes[1] != 5000 {
 		t.Fatalf("sizes %v", sizes)
 	}
@@ -40,7 +40,7 @@ func TestIRNSelectiveRepairSingleLoss(t *testing.T) {
 	e.qb.OnMessage = func(m Message) { got = &m }
 	size := cfg.MTU * 200
 	e.qa.PostSend(size, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || got.Size != size {
 		t.Fatalf("transfer incomplete: %+v", got)
 	}
@@ -125,7 +125,7 @@ func TestIRNTailLossRTO(t *testing.T) {
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
 	e.qa.PostSend(cfg.MTU*3, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil {
 		t.Fatal("tail loss not repaired")
 	}

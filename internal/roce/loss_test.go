@@ -96,7 +96,7 @@ func TestNackRewindAckRaceDoesNotWedge(t *testing.T) {
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
 	e.qa.PostSend(cfg.MTU*2, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || got.Size != cfg.MTU*2 {
 		t.Fatalf("post-race message never delivered (QP wedged): %+v", got)
 	}
@@ -130,7 +130,7 @@ func TestRetxBackoffGrowsAndResets(t *testing.T) {
 		t.Fatalf("%d timeouts in 20ms; backoff not applied", e.ra.Stats.Timeouts)
 	}
 	blackhole = false
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil {
 		t.Fatal("message never recovered after the black hole lifted")
 	}
@@ -156,7 +156,7 @@ func TestRetxBackoffDefaultOff(t *testing.T) {
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
 	e.qa.PostSend(cfg.MTU*3, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || e.ra.Stats.Timeouts == 0 {
 		t.Fatal("RTO recovery path untested")
 	}

@@ -36,7 +36,7 @@ func TestSendDeliverSmall(t *testing.T) {
 	e.qb.OnMessage = func(m Message) { got = &m }
 	completed := false
 	e.qa.PostSend(100, func() { completed = true })
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil {
 		t.Fatal("message not delivered")
 	}
@@ -58,7 +58,7 @@ func TestSendMultiPacketMessage(t *testing.T) {
 	e.qb.OnMessage = func(m Message) { got = &m }
 	size := cfg.MTU*7 + 13
 	e.qa.PostSend(size, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || got.Size != size {
 		t.Fatalf("got %+v, want size %d", got, size)
 	}
@@ -74,7 +74,7 @@ func TestMultipleMessagesInOrder(t *testing.T) {
 	e.qa.PostSend(10, nil)
 	e.qa.PostSend(2000, nil)
 	e.qa.PostSend(333, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if len(sizes) != 3 || sizes[0] != 10 || sizes[1] != 2000 || sizes[2] != 333 {
 		t.Fatalf("delivered sizes %v", sizes)
 	}
@@ -85,7 +85,7 @@ func TestWriteCarriesMR(t *testing.T) {
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
 	e.qa.PostWrite(5000, 0xDEAD0000, 42, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil {
 		t.Fatal("write not delivered")
 	}
@@ -99,7 +99,7 @@ func TestAckCoalescing(t *testing.T) {
 	cfg.AckEvery = 4
 	e := newPairEnv(t, cfg)
 	e.qa.PostSend(cfg.MTU*16, nil) // 16 packets
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	// 16 in-order packets at AckEvery=4 -> 4 ACKs (last packet coincides
 	// with a coalescing boundary).
 	if e.rb.Stats.AcksSent != 4 {
@@ -113,7 +113,7 @@ func TestThroughputNearLineRate(t *testing.T) {
 	done := sim.Time(0)
 	size := 8 << 20 // 8MB
 	e.qa.PostSend(size, func() { done = e.eng.Now() })
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if done == 0 {
 		t.Fatal("transfer did not complete")
 	}
@@ -131,7 +131,7 @@ func TestGoBackNRecoversFromLoss(t *testing.T) {
 	e.qb.OnMessage = func(m Message) { got = &m }
 	size := 2 << 20
 	e.qa.PostSend(size, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || got.Size != size {
 		t.Fatalf("lossy transfer incomplete: %+v", got)
 	}
@@ -172,7 +172,7 @@ func TestRTORecoversFromTailLoss(t *testing.T) {
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
 	e.qa.PostSend(cfg.MTU*3, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if !dropped {
 		t.Fatal("tail-drop hook never fired")
 	}
@@ -214,7 +214,7 @@ func TestPostOverheadSerializes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		e.qa.PostSend(64, nil)
 	}
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if delivered != 5 {
 		t.Fatalf("delivered %d", delivered)
 	}
@@ -230,7 +230,7 @@ func TestPSNSynchronization(t *testing.T) {
 	e := newPairEnv(t, DefaultConfig())
 	e.qb.OnMessage = func(m Message) {}
 	e.qa.PostSend(DefaultConfig().MTU*100, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if e.qa.SqPSN() != e.qb.RqPSN() {
 		t.Fatalf("sq=%d rq=%d after transfer", e.qa.SqPSN(), e.qb.RqPSN())
 	}
@@ -240,7 +240,7 @@ func TestPSNSynchronization(t *testing.T) {
 	var got *Message
 	e.qa.OnMessage = func(m Message) { got = &m }
 	e.qb.PostSend(777, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if got == nil || got.Size != 777 {
 		t.Fatalf("reverse transfer after PSN sync failed: %+v", got)
 	}
@@ -275,7 +275,7 @@ func TestUnknownQPNDropped(t *testing.T) {
 		Type: simnet.Data, Src: e.net.Hosts[0].IP, Dst: e.net.Hosts[1].IP,
 		SrcQP: 99, DstQP: 99, PSN: 0, Payload: 64,
 	})
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 }
 
 func TestGoodputBytesCountsInOrderOnly(t *testing.T) {
@@ -285,7 +285,7 @@ func TestGoodputBytesCountsInOrderOnly(t *testing.T) {
 	var done bool
 	e.qb.OnMessage = func(m Message) { done = true }
 	e.qa.PostSend(size, nil)
-	e.eng.Run()
+	e.eng.Run(sim.MaxTime, nil)
 	if !done {
 		t.Fatal("transfer incomplete")
 	}
@@ -315,11 +315,10 @@ func TestWindowAndRetxInvariants(t *testing.T) {
 			done := false
 			qb.OnMessage = func(m Message) { done = true }
 			qa.PostSend(1<<20, nil)
+			// Run checks the predicate after every event, so it doubles as
+			// the invariant probe, sampled every 100 events.
 			steps := 0
-			for !done {
-				if !eng.Step() {
-					t.Fatalf("irn=%v seed=%d: stalled", irn, seed)
-				}
+			out := eng.Run(sim.MaxTime, func() bool {
 				steps++
 				if steps%100 == 0 {
 					if out := qa.sndNxt - qa.sndUna; out > uint64(cfg.WindowPkts) {
@@ -334,6 +333,10 @@ func TestWindowAndRetxInvariants(t *testing.T) {
 						}
 					}
 				}
+				return done
+			})
+			if out != sim.Done {
+				t.Fatalf("irn=%v seed=%d: stalled", irn, seed)
 			}
 			if qb.GoodputBytes != 1<<20 {
 				t.Fatalf("irn=%v seed=%d: goodput %d", irn, seed, qb.GoodputBytes)

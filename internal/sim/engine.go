@@ -31,6 +31,11 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
+// MaxTime is the latest representable instant. As a Run limit it never cuts
+// a run short; a Parallel run also uses it as the "no buffered cross-LP
+// message" sentinel.
+const MaxTime = Time(1<<63 - 1)
+
 // Seconds returns t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
@@ -99,14 +104,13 @@ type eslot struct {
 // outboxes for cross-LP messages, but its heap, clock, and RNG remain
 // strictly single-threaded — only the owning worker touches them.
 type Engine struct {
-	now     Time
-	seq     uint64
-	events  []event // 4-ary min-heap of pointer-free key records
-	slots   []eslot // payload arena, indexed by event.slot
-	free    []int32 // recycled slot indices
-	rng     *rand.Rand
-	stopped bool
-	nRun    uint64
+	now    Time
+	seq    uint64
+	events []event // 4-ary min-heap of pointer-free key records
+	slots  []eslot // payload arena, indexed by event.slot
+	free   []int32 // recycled slot indices
+	rng    *rand.Rand
+	nRun   uint64
 
 	// Parallel-execution identity: nil/0 for a standalone engine.
 	par *Parallel
@@ -126,7 +130,7 @@ type Engine struct {
 
 	// Inbound cross-LP slab: messages injected by the coordinator at window
 	// barriers, kept sorted by (at, seq) and consumed from slabIdx forward.
-	// Slab entries never enter the heap — Step merges the two streams on the
+	// Slab entries never enter the heap — step merges the two streams on the
 	// fly — so a cross-LP hand-off costs zero heap operations on the
 	// destination. slabScratch is the retired backing array, recycled on the
 	// next merge so steady-state injection allocates nothing.
@@ -402,8 +406,9 @@ func (t *Timer) Pending() bool { return t.slot >= 0 }
 // Fired reports whether the callback ran since the last Reset.
 func (t *Timer) Fired() bool { return t.fired }
 
-// Step executes the next pending event, advancing the clock to its timestamp.
-// It reports whether an event was executed.
+// step executes the next pending event, which must exist, advancing the
+// clock to its timestamp. Callers drive the engine through Run, never event
+// by event.
 //
 // Two fast paths keep the hot loop cheap. A cross-LP slab message earlier
 // than the heap top dispatches straight from the slab — no heap traffic at
@@ -411,10 +416,7 @@ func (t *Timer) Fired() bool { return t.fired }
 // it (the dominant pattern for port serialization chains and QP pacers),
 // Reset re-keys the existing entry and the fire costs one sift instead of a
 // pop/push pair plus slot churn.
-func (e *Engine) Step() bool {
-	if e.stopped {
-		return false
-	}
+func (e *Engine) step() {
 	if e.slabIdx < len(e.slab) {
 		m := &e.slab[e.slabIdx]
 		if len(e.events) == 0 || m.at < e.events[0].at ||
@@ -425,11 +427,8 @@ func (e *Engine) Step() bool {
 			h, arg := m.h, m.arg
 			*m = crossMsg{} // drop refs for the GC
 			h.OnEvent(e, arg)
-			return true
+			return
 		}
-	}
-	if len(e.events) == 0 {
-		return false
 	}
 	top := e.events[0]
 	if tm := e.slots[top.slot].tm; tm != nil {
@@ -443,7 +442,7 @@ func (e *Engine) Step() bool {
 			// back-pointer finds it even if other heap traffic moved the key.
 			e.remove(int(e.slots[top.slot].heap))
 		}
-		return true
+		return
 	}
 	at, sl := e.pop()
 	e.now = at
@@ -453,38 +452,62 @@ func (e *Engine) Step() bool {
 	} else {
 		sl.fn()
 	}
-	return true
 }
 
-// Run executes events until none remain or Stop is called.
-func (e *Engine) Run() {
-	for e.Step() {
+// Outcome reports why a Run returned.
+type Outcome int
+
+const (
+	// Done: the caller's predicate became true.
+	Done Outcome = iota
+	// Quiescent: no events remain.
+	Quiescent
+	// Horizon: the next event lies beyond the caller's time limit; it has
+	// not been executed.
+	Horizon
+)
+
+func (o Outcome) String() string {
+	switch o {
+	case Done:
+		return "done"
+	case Quiescent:
+		return "quiescent"
+	case Horizon:
+		return "horizon"
 	}
+	return fmt.Sprintf("Outcome(%d)", int(o))
+}
+
+// Run executes events until pred returns true, the next event lies beyond
+// limit, or none remain. pred may be nil; it is checked before the first
+// event and after every event, so on Done the clock stands at the event that
+// satisfied it. This is Parallel.Run's contract on a single engine, where
+// every event is a barrier.
+func (e *Engine) Run(limit Time, pred func() bool) Outcome {
+	for pred == nil || !pred() {
+		at, ok := e.NextEventTime()
+		if !ok {
+			return Quiescent
+		}
+		if at > limit {
+			return Horizon
+		}
+		e.step()
+	}
+	return Done
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	for !e.stopped {
-		at, ok := e.NextEventTime()
-		if !ok || at > t {
-			break
-		}
-		e.Step()
-	}
-	if !e.stopped && e.now < t {
+	e.Run(t, nil)
+	if e.now < t {
 		e.now = t
 	}
 }
 
 // RunFor executes events for d virtual nanoseconds from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
-// Stop halts Run/RunUntil after the current event. Further Step calls return
-// false until Resume.
-func (e *Engine) Stop() { e.stopped = true }
-
-// Resume clears a Stop so the engine can run again.
-func (e *Engine) Resume() { e.stopped = false }
 
 // ScheduleRemote schedules h.OnEvent(dst, arg) at absolute time at on dst,
 // which may be a different logical process of the same Parallel run. Calls
@@ -531,7 +554,7 @@ func (e *Engine) ScheduleRemote(dst *Engine, at Time, h Handler, arg any) {
 // — and the batch is merged with any not-yet-consumed slab remainder.
 //
 // The merge only compares timestamps: every remainder entry survived at least
-// one full window (runWindow consumed everything earlier), so its timestamp
+// one full window (its window consumed everything earlier), so its timestamp
 // is at or beyond the window end that every new message's timestamp is also
 // bounded below by, and its sequence number is older. Taking remainder
 // entries first on timestamp ties is therefore (at, seq) order.
@@ -565,17 +588,4 @@ func (e *Engine) injectSlab(msgs []crossMsg) {
 	e.slabScratch = e.slab[:0]
 	e.slab = merged
 	e.slabIdx = 0
-}
-
-// runWindow executes every pending event with timestamp strictly before end,
-// leaving the clock at the last executed event. It is the per-LP body of one
-// lookahead window of a Parallel run.
-func (e *Engine) runWindow(end Time) {
-	for !e.stopped {
-		at, ok := e.NextEventTime()
-		if !ok || at >= end {
-			return
-		}
-		e.Step()
-	}
 }

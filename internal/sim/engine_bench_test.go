@@ -10,10 +10,10 @@ func BenchmarkEngineSchedule(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.After(Time(i%1000), func() {})
 		if i%1024 == 0 {
-			e.Run()
+			e.Run(MaxTime, nil)
 		}
 	}
-	e.Run()
+	e.Run(MaxTime, nil)
 }
 
 // BenchmarkEngineChained measures the self-scheduling pattern ports and
@@ -30,7 +30,7 @@ func BenchmarkEngineChained(b *testing.B) {
 	}
 	b.ReportAllocs()
 	e.After(10, next)
-	e.Run()
+	e.Run(MaxTime, nil)
 }
 
 // BenchmarkTimerChurn measures arm/cancel cycles (RTO management).
@@ -41,10 +41,10 @@ func BenchmarkTimerChurn(b *testing.B) {
 		t := e.AfterTimer(1000, func() {})
 		t.Stop()
 		if i%4096 == 0 {
-			e.Run()
+			e.Run(MaxTime, nil)
 		}
 	}
-	e.Run()
+	e.Run(MaxTime, nil)
 }
 
 // BenchmarkTimerReset measures the re-armable path QPs use per ACK: one timer,
@@ -69,10 +69,10 @@ func BenchmarkHandlerDispatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e.AfterHandler(Time(i%1000), h, arg)
 		if i%1024 == 0 {
-			e.Run()
+			e.Run(MaxTime, nil)
 		}
 	}
-	e.Run()
+	e.Run(MaxTime, nil)
 }
 
 type nopHandler struct{}

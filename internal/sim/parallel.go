@@ -54,33 +54,6 @@ type crossMsg struct {
 // so no per-message synchronization is needed.
 type outbox []crossMsg
 
-// maxTime is the outMin sentinel: no buffered cross-LP message.
-const maxTime = Time(1<<63 - 1)
-
-// Outcome reports why a Parallel run returned.
-type Outcome int
-
-const (
-	// Done: the caller's predicate became true at a window barrier.
-	Done Outcome = iota
-	// Quiescent: no events remain in any LP heap or outbox.
-	Quiescent
-	// Horizon: the next event lies beyond the caller's time limit.
-	Horizon
-)
-
-func (o Outcome) String() string {
-	switch o {
-	case Done:
-		return "done"
-	case Quiescent:
-		return "quiescent"
-	case Horizon:
-		return "horizon"
-	}
-	return fmt.Sprintf("Outcome(%d)", int(o))
-}
-
 // drainKey orders one incoming message during a merge.
 type drainKey struct {
 	at  Time
@@ -400,7 +373,7 @@ func (p *Parallel) Finalize(lookahead Time) {
 		for par := 0; par < 2; par++ {
 			e.out[par] = make([]outbox, n)
 			e.dirty[par] = make([]int32, 0, n)
-			e.outMin[par] = maxTime
+			e.outMin[par] = MaxTime
 		}
 	}
 	p.incoming = make([][]int32, n)
@@ -527,7 +500,7 @@ func (p *Parallel) transpose(par int) {
 			p.incoming[d] = append(p.incoming[d], int32(si))
 		}
 		src.dirty[par] = dl[:0]
-		src.outMin[par] = maxTime
+		src.outMin[par] = MaxTime
 	}
 }
 
@@ -602,7 +575,7 @@ func (p *Parallel) runPhase(w int, end Time) {
 	for _, lp := range p.plan[w] {
 		e := p.lps[lp]
 		n0 := e.nRun
-		e.runWindow(end)
+		e.Run(end-1, nil) // every event strictly before the window end
 		if d := e.nRun - n0; d != 0 {
 			ran = true
 			if pr != nil {
@@ -630,7 +603,7 @@ func (p *Parallel) minPhase(w int) {
 		if t, ok := e.NextEventTime(); ok && (!has || t < m) {
 			m, has = t, true
 		}
-		if om := e.outMin[wp]; om != maxTime && (!has || om < m) {
+		if om := e.outMin[wp]; om != MaxTime && (!has || om < m) {
 			m, has = om, true
 		}
 	}
@@ -673,7 +646,7 @@ func (p *Parallel) scanMin() (Time, bool) {
 			m, ok = t, true
 		}
 		for par := 0; par < 2; par++ {
-			if om := e.outMin[par]; om != maxTime && (!ok || om < m) {
+			if om := e.outMin[par]; om != MaxTime && (!ok || om < m) {
 				m, ok = om, true
 			}
 		}
@@ -906,12 +879,4 @@ func (p *Parallel) runLoop(limit Time, pred func() bool, serial bool) Outcome {
 		p.phase(0)
 		p.bar.gather()
 	}
-}
-
-// RunUntil executes windows until every event with timestamp <= t has run
-// (or the run quiesces first). It is the parallel analogue of
-// Engine.RunUntil, used to let in-flight traffic settle before counters are
-// compared across modes.
-func (p *Parallel) RunUntil(t Time) {
-	p.Run(t, nil)
 }

@@ -223,7 +223,7 @@ func TestParallelSingleLPMatchesSequential(t *testing.T) {
 	ref := New(seed)
 	rs := &selfSpawn{left: 1000}
 	ref.ScheduleHandler(0, rs, nil)
-	ref.Run()
+	ref.Run(MaxTime, nil)
 
 	p := NewParallel(seed, 4)
 	defer p.Close()

@@ -75,7 +75,7 @@ func TestImpairLossEndToEnd(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Send(&Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024, PSN: uint64(i)})
 		}
-		eng.Run()
+		eng.Run(sim.MaxTime, nil)
 		drops = a.NIC.Stats.ImpairDrops
 		if delivered+int(drops) != n {
 			t.Fatalf("delivered %d + dropped %d != sent %d", delivered, drops, n)
@@ -100,7 +100,7 @@ func TestImpairBandwidthStretchesSerialization(t *testing.T) {
 	p := &Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024}
 	tx := a.NIC.TxTime(p.Size())
 	a.Send(p)
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	want := 2*tx + 600
 	if at != want {
 		t.Fatalf("delivered at %v, want %v (2x serialization at half rate + prop)", at, want)
@@ -116,7 +116,7 @@ func TestImpairExtraLatency(t *testing.T) {
 	p := &Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024}
 	tx := a.NIC.TxTime(p.Size())
 	a.Send(p)
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	want := tx + 600 + extra
 	if at != want {
 		t.Fatalf("delivered at %v, want %v", at, want)
@@ -129,7 +129,7 @@ func TestClearImpairmentRestoresHealthy(t *testing.T) {
 	delivered := 0
 	b.Handler = func(p *Packet) { delivered++ }
 	a.Send(&Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if delivered != 0 {
 		t.Fatal("total loss delivered a packet")
 	}
@@ -138,7 +138,7 @@ func TestClearImpairmentRestoresHealthy(t *testing.T) {
 		t.Fatal("still impaired after clear")
 	}
 	a.Send(&Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if delivered != 1 {
 		t.Fatal("healthy link did not deliver after clear")
 	}

@@ -18,10 +18,10 @@ func BenchmarkPortForwarding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
 		if i%256 == 0 {
-			eng.Run()
+			eng.Run(sim.MaxTime, nil)
 		}
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if got != b.N {
 		b.Fatalf("delivered %d of %d", got, b.N)
 	}
@@ -45,10 +45,10 @@ func BenchmarkSwitchTransit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
 		if i%256 == 0 {
-			eng.Run()
+			eng.Run(sim.MaxTime, nil)
 		}
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if got != b.N {
 		b.Fatalf("delivered %d of %d", got, b.N)
 	}

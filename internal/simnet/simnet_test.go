@@ -62,7 +62,7 @@ func TestHostToHostDelivery(t *testing.T) {
 	p := &Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024}
 	wantTx := a.NIC.TxTime(p.Size())
 	a.Send(p)
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if !delivered {
 		t.Fatal("packet not delivered")
 	}
@@ -79,7 +79,7 @@ func TestSerializationBackToBack(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		a.Send(&Packet{Type: Data, Src: a.IP, Dst: b.IP, Payload: 1024})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if len(times) != 3 {
 		t.Fatalf("delivered %d packets, want 3", len(times))
 	}
@@ -103,7 +103,7 @@ func TestSwitchForwarding(t *testing.T) {
 	var got int
 	h2.Handler = func(p *Packet) { got++ }
 	h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 256})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if got != 1 {
 		t.Fatalf("delivered %d, want 1", got)
 	}
@@ -115,7 +115,7 @@ func TestSwitchNoRouteDrops(t *testing.T) {
 	h1 := NewHost(eng, "h1", 1, gbps100, 600)
 	Connect(h1.NIC, sw.AddPort(gbps100, 600))
 	h1.Send(&Packet{Type: Data, Src: 1, Dst: 99, Payload: 64})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if sw.NoRouteDrops != 1 {
 		t.Fatalf("NoRouteDrops = %d, want 1 (unroutable packets must be dropped, not forwarded)", sw.NoRouteDrops)
 	}
@@ -145,7 +145,7 @@ func TestQueueDropTail(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1000})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if a.NIC.Stats.Drops == 0 {
 		t.Fatal("no drops despite tiny queue")
 	}
@@ -169,7 +169,7 @@ func TestECNMarking(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1000})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if marks == 0 {
 		t.Fatal("no ECN marks despite saturated queue")
 	}
@@ -197,7 +197,7 @@ func TestPFCPauseResume(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1000})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if delivered != n {
 		t.Fatalf("delivered %d, want %d (lossless)", delivered, n)
 	}
@@ -232,7 +232,7 @@ func TestPFCPreventsDropsWithFiniteQueue(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1000})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if delivered != n {
 		t.Fatalf("delivered %d, want %d", delivered, n)
 	}
@@ -285,7 +285,7 @@ func TestPFCResumeReentryKeepsTrainsSerial(t *testing.T) {
 		sw.Output(data(1, 2), 1, p1) // queued on held p2; pauses ingress p1
 		sw.Output(data(2, 1), 0, p2) // queued on busy p1; pauses ingress p2
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if want := 2*n + 1; got != want {
 		t.Fatalf("delivered %d frames, want %d", got, want)
 	}
@@ -307,7 +307,7 @@ func TestLossInjection(t *testing.T) {
 	for i := 0; i < n; i++ {
 		h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 64})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if delivered+int(sw.DataDrops) != n {
 		t.Fatalf("delivered %d + drops %d != %d", delivered, sw.DataDrops, n)
 	}
@@ -330,7 +330,7 @@ func TestLossInjectionSparesControl(t *testing.T) {
 	h2.Handler = func(p *Packet) { got++ }
 	h1.Send(&Packet{Type: Ack, Src: 1, Dst: 2})
 	h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 64})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if got != 1 {
 		t.Fatalf("got %d packets, want only the ACK to survive full data loss", got)
 	}
@@ -359,7 +359,7 @@ func TestPortStatsCountTx(t *testing.T) {
 	eng, a, b := newPair(t)
 	b.Handler = func(p *Packet) {}
 	a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 500})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if a.NIC.Stats.TxPackets != 1 {
 		t.Fatalf("TxPackets = %d", a.NIC.Stats.TxPackets)
 	}
@@ -381,7 +381,7 @@ func TestControlQueuePriority(t *testing.T) {
 		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1000})
 	}
 	a.Send(&Packet{Type: Ack, Src: 1, Dst: 2})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if len(order) != 11 {
 		t.Fatalf("delivered %d", len(order))
 	}
@@ -401,7 +401,7 @@ func TestPriorityQueuesPreserveWork(t *testing.T) {
 		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 500})
 		a.Send(&Packet{Type: Ack, Src: 1, Dst: 2})
 	}
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if n != 100 {
 		t.Fatalf("delivered %d of 100 across both queues", n)
 	}

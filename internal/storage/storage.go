@@ -89,7 +89,6 @@ type Cluster struct {
 	Cfg  Config
 	Mode Mode
 
-	Eng *sim.Engine
 	Net *topo.Network
 
 	clientStack  stack
@@ -115,7 +114,7 @@ type Cluster struct {
 // completion before returning.
 func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
 	n := cfg.Replicas + 1
-	c := &Cluster{Cfg: cfg, Mode: mode, Eng: eng, Net: topo.Testbed(eng, n), onDone: make(map[uint64]func())}
+	c := &Cluster{Cfg: cfg, Mode: mode, Net: topo.Testbed(eng, n), onDone: make(map[uint64]func())}
 	rnics := make([]*roce.RNIC, n)
 	agents := make([]*core.Agent, n)
 	for i, h := range c.Net.Hosts {
@@ -248,11 +247,12 @@ func (c *Cluster) Completed() uint64 { return c.completed }
 // RunIOPS drives the cluster with queueDepth outstanding IOs of size bytes
 // for the duration and returns the measured IOPS.
 func (c *Cluster) RunIOPS(size, queueDepth int, duration sim.Time) float64 {
-	stopAt := c.Eng.Now() + duration
+	eng := c.Net.Eng
+	stopAt := eng.Now() + duration
 	startCompleted := c.completed
 	var pump func()
 	pump = func() {
-		if c.Eng.Now() >= stopAt {
+		if eng.Now() >= stopAt {
 			return
 		}
 		c.SubmitWrite(size, pump)
@@ -260,24 +260,23 @@ func (c *Cluster) RunIOPS(size, queueDepth int, duration sim.Time) float64 {
 	for i := 0; i < queueDepth; i++ {
 		pump()
 	}
-	c.Eng.RunUntil(stopAt)
+	eng.RunUntil(stopAt)
 	return float64(c.completed-startCompleted) / duration.Seconds()
 }
 
 // MeasureLatency issues count sequential IOs (queue depth 1) and returns
 // the mean end-to-end latency.
 func (c *Cluster) MeasureLatency(size, count int) sim.Time {
+	eng := c.Net.Eng
 	var total sim.Time
 	for i := 0; i < count; i++ {
-		start := c.Eng.Now()
+		start := eng.Now()
 		done := false
 		c.SubmitWrite(size, func() { done = true })
-		for !done {
-			if !c.Eng.Step() || c.Eng.Now() > start+sim.Second {
-				panic("storage: IO did not complete within 1s")
-			}
+		if eng.Run(start+sim.Second, func() bool { return done }) != sim.Done {
+			panic("storage: IO did not complete within 1s")
 		}
-		total += c.Eng.Now() - start
+		total += eng.Now() - start
 	}
 	return total / sim.Time(count)
 }

@@ -16,7 +16,7 @@ func TestSingleWriteCompletes(t *testing.T) {
 		c := newCluster(t, mode)
 		done := false
 		c.SubmitWrite(8<<10, func() { done = true })
-		c.Eng.RunUntil(c.Eng.Now() + 10*sim.Millisecond)
+		c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
 		if !done {
 			t.Fatalf("%v: write never committed", mode)
 		}
@@ -33,7 +33,7 @@ func TestPipelinedWritesCompleteInOrder(t *testing.T) {
 		i := i
 		c.SubmitWrite(8<<10, func() { order = append(order, i) })
 	}
-	c.Eng.RunUntil(c.Eng.Now() + 50*sim.Millisecond)
+	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 50*sim.Millisecond)
 	if len(order) != 20 {
 		t.Fatalf("completed %d of 20", len(order))
 	}
@@ -100,7 +100,7 @@ func TestUnicast1UsesOneServer(t *testing.T) {
 	c := newCluster(t, Unicast1)
 	done := false
 	c.SubmitWrite(8<<10, func() { done = true })
-	c.Eng.RunUntil(c.Eng.Now() + 10*sim.Millisecond)
+	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
 	if !done {
 		t.Fatal("write incomplete")
 	}
@@ -113,7 +113,7 @@ func TestCepheusWriteHitsAllReplicas(t *testing.T) {
 	c := newCluster(t, CepheusWrite)
 	done := false
 	c.SubmitWrite(64<<10, func() { done = true })
-	c.Eng.RunUntil(c.Eng.Now() + 10*sim.Millisecond)
+	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
 	if !done {
 		t.Fatal("write incomplete")
 	}

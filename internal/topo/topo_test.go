@@ -83,7 +83,7 @@ func deliver(t *testing.T, n *Network, from, to int) sim.Time {
 	n.Hosts[to].Handler = func(p *simnet.Packet) { at = eng.Now() }
 	start := eng.Now()
 	n.Hosts[from].Send(&simnet.Packet{Type: simnet.Data, Src: HostIP(from), Dst: HostIP(to), Payload: 64})
-	eng.Run()
+	eng.Run(sim.MaxTime, nil)
 	if at < 0 {
 		t.Fatalf("packet %d->%d not delivered", from, to)
 	}

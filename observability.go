@@ -132,7 +132,7 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 	rec.Attach(aud.Observe)
 	if c.Par == nil {
 		var drain *sim.Timer
-		drain = c.Eng.NewTimer(func() {
+		drain = c.Net.Eng.NewTimer(func() {
 			rec.Barrier()
 			drain.Reset(auditDrainInterval)
 		})
@@ -157,12 +157,12 @@ func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet,
 		return c.Series, nil
 	}
 	if c.Par != nil {
-		return nil, fmt.Errorf("cepheus: EnableSeries requires sequential execution (Workers <= 1)")
+		return nil, fmt.Errorf("cepheus: EnableSeries requires sequential execution (Workers 0)")
 	}
 	if interval <= 0 {
 		interval = 100 * sim.Microsecond
 	}
-	s := obs.NewSeriesSet(c.Eng, interval, capacity)
+	s := obs.NewSeriesSet(c.Net.Eng, interval, capacity)
 	s.Track("qdepth/total", func() float64 {
 		var t int64
 		for _, sw := range c.Net.Switches {
@@ -312,8 +312,8 @@ func (c *Cluster) QueueDepth() obs.Summary {
 // exactly on it, and EventsUntil(t) yields the event set both agree on.
 func (c *Cluster) SettleUntil(t sim.Time) {
 	if c.Par != nil {
-		c.Par.RunUntil(t)
+		c.Par.Run(t, nil)
 		return
 	}
-	c.Eng.RunUntil(t)
+	c.Net.Eng.RunUntil(t)
 }

@@ -28,13 +28,13 @@ func TestMetricsFabricMatchesWalk(t *testing.T) {
 	sw := c.Net.Switches[len(c.Net.Switches)-1]
 	var done bool
 	b.Bcast(0, 512<<10, func() { done = true })
-	c.Eng.RunFor(50 * sim.Microsecond)
+	c.SettleUntil(c.Now() + 50*sim.Microsecond)
 	sw.Crash()
-	c.Eng.RunFor(200 * sim.Microsecond)
+	c.SettleUntil(c.Now() + 200*sim.Microsecond)
 	sw.Restart()
-	c.Eng.RunFor(5 * sim.Millisecond)
+	c.SettleUntil(c.Now() + 5*sim.Millisecond)
 	_ = done // the transfer may or may not finish around the crash; irrelevant here
-	c.Eng.RunFor(1 * sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 
 	got, want := c.Metrics(), c.metricsWalk()
 	if got != want {
@@ -59,7 +59,7 @@ func TestDeliveryLatencySanity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SettleUntil(c.Eng.Now() + sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	s := c.DeliveryLatency()
 	if s.Count == 0 {
 		t.Fatal("no delivery latency observations after a completed broadcast")
@@ -89,12 +89,10 @@ func TestGroupDeliveryLatency(t *testing.T) {
 	}
 	var done bool
 	g.Members[0].QP.PostSend(32<<10, func() { done = true })
-	for !done {
-		if !c.Eng.Step() {
-			t.Fatal("queue drained before completion")
-		}
+	if err := c.Run(sim.MaxTime, func() bool { return done }); err != nil {
+		t.Fatal(err)
 	}
-	c.Eng.RunFor(sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	gs := g.DeliveryLatency()
 	cs := c.DeliveryLatency()
 	if gs.Count == 0 || gs != cs {
@@ -105,11 +103,11 @@ func TestGroupDeliveryLatency(t *testing.T) {
 // traceWorkload runs the digest-equivalence workload with the flight
 // recorder on and returns the canonical JSONL export cut at a fixed virtual
 // horizon — every event at or before it executed in every mode — plus a
-// per-(device, kind) census of the same events. partition selects the
-// partitioned coordinator even at workers <= 1.
-func traceWorkload(t *testing.T, seed int64, workers int, partition bool) ([]byte, map[string]int) {
+// per-(device, kind) census of the same events. workers 0 selects the
+// sequential engine.
+func traceWorkload(t *testing.T, seed int64, workers int) ([]byte, map[string]int) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: partition})
+	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
 	members := make([]int, 16)
@@ -149,7 +147,7 @@ func traceWorkload(t *testing.T, seed int64, workers int, partition bool) ([]byt
 // breaks same-nanosecond cross-LP delivery ties by (time, source LP, send
 // order), a rule independent of how many goroutines execute the windows. So
 // the merged stream must be byte-identical from fully serial execution
-// (workers=1 under Partition) through any parallel worker count.
+// (workers=1) through any parallel worker count.
 //
 // The legacy single engine serializes those same ties by scheduling order
 // instead. Both serializations are deterministic and result-equivalent
@@ -163,14 +161,14 @@ func TestTraceSeqParEquivalence(t *testing.T) {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}
 	for _, seed := range []int64{1, 2, 3} {
-		ref, refCensus := traceWorkload(t, seed, 1, true)
+		ref, refCensus := traceWorkload(t, seed, 1)
 		for _, w := range []int{2, 4} {
-			got, _ := traceWorkload(t, seed, w, true)
+			got, _ := traceWorkload(t, seed, w)
 			if !bytes.Equal(ref, got) {
 				t.Errorf("seed %d: workers=%d trace diverges from serial partitioned run (%d vs %d bytes)", seed, w, len(got), len(ref))
 			}
 		}
-		_, legacyCensus := traceWorkload(t, seed, 0, false)
+		_, legacyCensus := traceWorkload(t, seed, 0)
 		if len(legacyCensus) != len(refCensus) {
 			t.Errorf("seed %d: legacy engine census has %d (device, kind) classes, partitioned %d", seed, len(legacyCensus), len(refCensus))
 		}

@@ -19,7 +19,7 @@ import (
 // core group instead of one per switch.
 func podWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
+	c := NewFatTree(8, Options{Seed: seed, Workers: workers, PodPartition: true})
 	defer c.Close()
 	members := make([]int, 16)
 	for i := range members {
@@ -29,12 +29,12 @@ func podWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Par.RunUntil(c.Par.Now() + 10*sim.Millisecond) // drain registration residue
+	c.SettleUntil(c.Now() + 10*sim.Millisecond) // drain registration residue
 	jct, err := c.RunBcastErr(b, 0, 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Par.RunUntil(c.Par.Now() + 1*sim.Millisecond) // let trailing feedback land
+	c.SettleUntil(c.Now() + sim.Millisecond) // let trailing feedback land
 	d := simDigest{jct: jct, metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
@@ -68,7 +68,7 @@ func TestPodPartitionDigestEquivalence(t *testing.T) {
 // virtual horizon.
 func podTraceWorkload(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
+	c := NewFatTree(8, Options{Seed: seed, Workers: workers, PodPartition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
 	c.EnableAudit()

@@ -121,6 +121,7 @@ type ResilientGroup struct {
 	OnEvent func(event string)
 
 	c         *Cluster
+	eng       *sim.Engine // the leader host's: runs the recovery timers
 	fallback  bool
 	safeguard *core.Safeguard
 	root      int     // current native source (member index)
@@ -155,22 +156,21 @@ type bcastState struct {
 // pipeline around it. Registration uses the bounded-retransmission policy,
 // so it succeeds under lossy control planes that would time out Cluster.
 // NewGroup's single attempt.
+//
+// The pipeline needs the sequential engine (Options.Workers 0): degrading
+// rebuilds routes fabric-wide and completes transfers through delivery
+// accounting shared by every member, so a partitioned cluster gets an error.
 func (c *Cluster) NewResilientGroup(members []int, leader int, opts RecoveryOptions) (*ResilientGroup, error) {
-	opts.fill()
-	g := c.newGroup(members, leader)
-	var err error
-	done := false
-	g.RegisterWithPolicy(*opts.Policy, func(e error) { err = e; done = true })
-	for !done {
-		if !c.Eng.Step() {
-			return nil, fmt.Errorf("cepheus: registration stalled")
-		}
+	if c.Par != nil {
+		return nil, fmt.Errorf("cepheus: NewResilientGroup requires sequential execution (Workers 0): recovery state is cross-member")
 	}
+	opts.fill()
+	g, err := c.registerGroup(members, leader, *opts.Policy)
 	if err != nil {
 		return nil, err
 	}
 	r := &ResilientGroup{
-		Group: g, Opts: opts, c: c,
+		Group: g, Opts: opts, c: c, eng: g.Members[leader].Host.Engine(),
 		root:   leader,
 		sendQP: make(map[[2]int]*roce.QP),
 	}
@@ -202,7 +202,7 @@ func (r *ResilientGroup) armSafeguard() {
 		}
 		r.safeguard.Stop()
 	}
-	r.safeguard = core.NewSafeguard(r.c.Eng, r.Group.Members[r.root].QP,
+	r.safeguard = core.NewSafeguard(r.eng, r.Group.Members[r.root].QP,
 		r.Opts.Threshold, r.Opts.Window, func(reason string) {
 			r.Stats.Trips++
 			r.degrade("safeguard tripped: " + reason)
@@ -260,7 +260,7 @@ func (r *ResilientGroup) nativeSend() {
 	}
 	r.Group.Members[bc.root].QP.PostSend(bc.size, nil)
 	if r.Opts.Deadline > 0 {
-		bc.deadline = r.c.Eng.AfterTimer(r.Opts.Deadline, func() {
+		bc.deadline = r.eng.AfterTimer(r.Opts.Deadline, func() {
 			if r.bc == bc && !r.fallback {
 				r.Stats.Deadlines++
 				r.degrade("native broadcast deadline exceeded")
@@ -312,7 +312,7 @@ func (r *ResilientGroup) degrade(reason string) {
 	r.fallback = true
 	r.Stats.SchemeSwitches++
 	r.spans = append(r.spans, RecoverySpan{
-		Reason: reason, DetectAt: r.c.Eng.Now(), FirstFallbackAt: -1, RestoreAt: -1,
+		Reason: reason, DetectAt: r.eng.Now(), FirstFallbackAt: -1, RestoreAt: -1,
 	})
 	r.event("degrade: " + reason)
 	r.safeguard.Stop()
@@ -329,7 +329,7 @@ func (r *ResilientGroup) degrade(reason string) {
 		r.fallbackSend()
 	}
 	r.consec = 0
-	r.reprobe = r.c.Eng.AfterTimer(r.Opts.ReprobeInterval, r.reprobeTick)
+	r.reprobe = r.eng.AfterTimer(r.Opts.ReprobeInterval, r.reprobeTick)
 }
 
 func (r *ResilientGroup) repairRoutes() {
@@ -354,7 +354,7 @@ func (r *ResilientGroup) fallbackSend() {
 		bc.inflight[i] = true
 		r.Stats.FallbackDeliveries++ // counted at post; delivery is reliable RC
 		if n := len(r.spans); n > 0 && r.spans[n-1].FirstFallbackAt < 0 {
-			r.spans[n-1].FirstFallbackAt = r.c.Eng.Now()
+			r.spans[n-1].FirstFallbackAt = r.eng.Now()
 		}
 		r.fallbackQP(bc.root, i).PostSend(bc.size, nil)
 	}
@@ -393,7 +393,7 @@ func (r *ResilientGroup) reprobeTick() {
 	}
 	defer func() {
 		if r.fallback {
-			r.reprobe = r.c.Eng.AfterTimer(r.Opts.ReprobeInterval, r.reprobeTick)
+			r.reprobe = r.eng.AfterTimer(r.Opts.ReprobeInterval, r.reprobeTick)
 		}
 	}()
 	if r.probing {
@@ -437,7 +437,7 @@ func (r *ResilientGroup) restore() {
 	r.Stats.Restores++
 	r.Stats.SchemeSwitches++
 	if n := len(r.spans); n > 0 {
-		r.spans[n-1].RestoreAt = r.c.Eng.Now()
+		r.spans[n-1].RestoreAt = r.eng.Now()
 	}
 	if r.reprobe != nil {
 		r.reprobe.Stop()
@@ -449,7 +449,7 @@ func (r *ResilientGroup) restore() {
 	// deadline so a second fault during the drain re-degrades instead of
 	// wedging the broadcast.
 	if bc := r.bc; bc != nil && r.Opts.Deadline > 0 {
-		bc.deadline = r.c.Eng.AfterTimer(r.Opts.Deadline, func() {
+		bc.deadline = r.eng.AfterTimer(r.Opts.Deadline, func() {
 			if r.bc == bc && !r.fallback {
 				r.Stats.Deadlines++
 				r.degrade("fallback drain deadline exceeded")

@@ -21,26 +21,20 @@ func fastRecovery() RecoveryOptions {
 // runRBcast drives the engine until the resilient broadcast completes.
 func runRBcast(t *testing.T, c *Cluster, rg *ResilientGroup, root, size int) sim.Time {
 	t.Helper()
-	start := c.Eng.Now()
+	start := c.Now()
 	done := false
 	rg.Bcast(root, size, func() { done = true })
-	for !done {
-		if !c.Eng.Step() || c.Eng.Now()-start > 60*sim.Second {
-			t.Fatalf("resilient bcast of %dB did not complete (t=%v, stats=%+v)",
-				size, c.Eng.Now(), rg.Stats)
-		}
+	if err := c.Run(start+60*sim.Second, func() bool { return done }); err != nil {
+		t.Fatalf("resilient bcast of %dB did not complete (%v, stats=%+v)", size, err, rg.Stats)
 	}
-	return c.Eng.Now() - start
+	return c.Now() - start
 }
 
 // runUntil drives the engine until cond holds or the deadline passes.
 func runUntil(t *testing.T, c *Cluster, cond func() bool, window sim.Time, what string) {
 	t.Helper()
-	limit := c.Eng.Now() + window
-	for !cond() {
-		if !c.Eng.Step() || c.Eng.Now() > limit {
-			t.Fatalf("%s: not reached within %v", what, window)
-		}
+	if err := c.Run(c.Now()+window, cond); err != nil {
+		t.Fatalf("%s: not reached within %v: %v", what, window, err)
 	}
 }
 
@@ -67,8 +61,8 @@ func TestRecoveryFullCycleSwitchCrash(t *testing.T) {
 	// ~5.5ms at 100Gbps; the crash lands at 2ms) and restarts 6ms later
 	// with its MFT wiped.
 	tor := c.Net.Switches[0]
-	in.CrashAt(c.Eng.Now()+2*sim.Millisecond, tor)
-	in.RestartAt(c.Eng.Now()+8*sim.Millisecond, tor)
+	in.CrashAt(c.Now()+2*sim.Millisecond, tor)
+	in.RestartAt(c.Now()+8*sim.Millisecond, tor)
 	runRBcast(t, c, rg, 0, 64<<20)
 
 	if rg.Stats.Trips != 1 {
@@ -119,8 +113,8 @@ func TestRecoveryMidBcastLinkDown(t *testing.T) {
 	in := fault.NewInjector(c.Net)
 
 	link := in.HostLink(3)
-	in.LinkDownAt(c.Eng.Now()+2*sim.Millisecond, link)
-	in.LinkUpAt(c.Eng.Now()+12*sim.Millisecond, link)
+	in.LinkDownAt(c.Now()+2*sim.Millisecond, link)
+	in.LinkUpAt(c.Now()+12*sim.Millisecond, link)
 	runRBcast(t, c, rg, 0, 64<<20)
 
 	if rg.Stats.Trips+rg.Stats.Deadlines == 0 {
@@ -142,6 +136,18 @@ func TestRecoveryMidBcastLinkDown(t *testing.T) {
 	runRBcast(t, c, rg, 0, 1<<20)
 	if rg.Stats.NativeDeliveries != 3 {
 		t.Fatalf("post-restore broadcast not native: %+v", rg.Stats)
+	}
+}
+
+// TestResilientGroupPartitionedErrors: the recovery pipeline needs the
+// sequential engine, and a partitioned cluster must say so with an error
+// instead of dying on the engine it does not have.
+func TestResilientGroupPartitionedErrors(t *testing.T) {
+	c := NewTestbed(4, Options{Workers: 2})
+	defer c.Close()
+	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
+	if err == nil || rg != nil {
+		t.Fatalf("NewResilientGroup on a partitioned cluster = (%v, %v), want an error", rg, err)
 	}
 }
 

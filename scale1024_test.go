@@ -33,32 +33,19 @@ func scale1024Members(n int) []int {
 // pod-level partition with that worker count.
 func scale1024Workload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 	t.Helper()
-	opts := Options{Seed: seed, Workers: 1}
-	if workers > 0 {
-		opts.Workers = workers
-		opts.Partition = true
-		opts.PodPartition = true
-	}
-	c := NewFatTree(16, opts)
+	c := NewFatTree(16, Options{Seed: seed, Workers: workers, PodPartition: true})
 	defer c.Close()
 	members := scale1024Members(64)
 	b, err := c.Broadcaster(SchemeCepheus, members, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	settle := func(d sim.Time) {
-		if c.Par != nil {
-			c.Par.RunUntil(c.Par.Now() + d)
-		} else {
-			c.Eng.RunUntil(c.Eng.Now() + d)
-		}
-	}
-	settle(10 * sim.Millisecond) // drain registration residue
+	c.SettleUntil(c.Now() + 10*sim.Millisecond) // drain registration residue
 	jct, err := c.RunBcastErr(b, members[0], 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	settle(1 * sim.Millisecond) // let trailing feedback land
+	c.SettleUntil(c.Now() + sim.Millisecond) // let trailing feedback land
 	d := simDigest{jct: jct, metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
@@ -94,7 +81,7 @@ func TestScale1024DigestEquivalence(t *testing.T) {
 // fixed virtual horizon.
 func scale1024TraceWorkload(t *testing.T, seed int64, workers int) []byte {
 	t.Helper()
-	c := NewFatTree(16, Options{Seed: seed, Workers: workers, Partition: true, PodPartition: true})
+	c := NewFatTree(16, Options{Seed: seed, Workers: workers, PodPartition: true})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 21)
 	c.EnableAudit()

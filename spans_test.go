@@ -26,7 +26,7 @@ func TestSpanRoundTripTestbed(t *testing.T) {
 			t.Fatalf("size %d: %v", size, err)
 		}
 	}
-	c.SettleUntil(c.Eng.Now() + sim.Millisecond)
+	c.SettleUntil(c.Now() + sim.Millisecond)
 	evs := rec.Events()
 	if rec.Lost() != 0 {
 		t.Fatalf("flight recorder overflowed (lost %d)", rec.Lost())
@@ -85,7 +85,7 @@ func TestSpanRoundTripTestbed(t *testing.T) {
 // canonical event stream — and hence the rendering — must be byte-stable).
 func spanWorkload(t *testing.T, workers int) []byte {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: 1, Workers: workers, Partition: true})
+	c := NewFatTree(8, Options{Seed: 1, Workers: workers})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
 	members := make([]int, 16)
