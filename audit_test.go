@@ -29,8 +29,14 @@ func auditMustBeClean(t *testing.T, c *Cluster) {
 	}
 }
 
+// auditClean is a traced inspect that applies auditMustBeClean.
+func auditClean(t *testing.T) func(*Cluster, []obs.Event) {
+	return func(c *Cluster, _ []obs.Event) { auditMustBeClean(t, c) }
+}
+
 // TestAuditCleanTestbed: a lossless testbed broadcast must audit clean.
 func TestAuditCleanTestbed(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	c.EnableAudit()
@@ -50,6 +56,7 @@ func TestAuditCleanTestbed(t *testing.T) {
 // workload) exercises retransmission, NACKs, MFT wipes and unknown-group
 // drops — all of which are protocol-legal and must not trip any checker.
 func TestAuditCleanLossy(t *testing.T) {
+	t.Parallel()
 	c := NewFatTree(4, Options{Seed: 7})
 	defer c.Close()
 	c.EnableAudit()
@@ -80,6 +87,7 @@ func TestAuditCleanLossy(t *testing.T) {
 // -audit`: a seeded fault storm on a leaf-spine fabric under the resilient
 // broadcast pipeline, audited end to end across three seeds.
 func TestAuditCleanChaos(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("seeded fault storms in -short mode")
 	}
@@ -135,6 +143,7 @@ func TestAuditCleanChaos(t *testing.T) {
 // auditor, first pristine (must be clean), then with a deliberately
 // duplicated DELIVER event — the duplicate must trip the delivery checker.
 func TestAuditCorruptedTrace(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
@@ -191,36 +200,25 @@ func TestAuditCorruptedTrace(t *testing.T) {
 	}
 }
 
-// auditWorkload runs the digest-equivalence fat-tree workload with the
-// auditor attached and returns (events seen, violations).
-func auditWorkload(t *testing.T, workers int) (uint64, uint64) {
+// auditWorkload runs the traced k=8 equivalence workload with the auditor
+// attached and returns (events seen, violations).
+func auditWorkload(t *testing.T, workers int) (seen, violations uint64) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: 1, Workers: workers})
-	defer c.Close()
-	c.EnableAudit()
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i * 8
-	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunBcastErr(b, 0, 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	c.SettleUntil(60 * sim.Millisecond)
-	c.Rec.Barrier()
-	if lost := c.Rec.ShardLost(); lost != 0 {
-		t.Fatalf("workers=%d: %d events lost to shard overflow", workers, lost)
-	}
-	return c.Aud.Seen(), c.Aud.ViolationCount()
+	k8Workload(1, workers, false).traced(t, 1<<20, audited, func(c *Cluster, _ []obs.Event) {
+		c.Rec.Barrier()
+		if lost := c.Rec.ShardLost(); lost != 0 {
+			t.Fatalf("workers=%d: %d events lost to shard overflow", workers, lost)
+		}
+		seen, violations = c.Aud.Seen(), c.Aud.ViolationCount()
+	})
+	return seen, violations
 }
 
 // TestAuditWorkerInvariance: the auditor consumes the canonical stream at
 // the barrier drain, so both its coverage and its verdict must be identical
 // under every PDES worker count.
 func TestAuditWorkerInvariance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}

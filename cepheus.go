@@ -44,35 +44,38 @@ type Options struct {
 	LinkRate  float64
 	PropDelay sim.Time
 
-	// Workers selects the execution mode. 0 (the default) is the sequential
-	// engine: one event queue, Net.Eng, drives the whole fabric. n >= 1
-	// partitions the topology into logical processes (one per switch, or
-	// per pod with PodPartition) and runs them under the conservative
-	// lookahead coordinator, Cluster.Par, on n goroutines (DESIGN.md §9);
-	// Net.Eng is then nil. The partition is fixed by the topology, so every
+	// Workers selects the execution mode. Every cluster runs on the
+	// conservative lookahead coordinator, Cluster.Par, over a partition of
+	// the topology into logical processes (DESIGN.md §9). 0 (the default)
+	// is the one-LP partition: the whole fabric is one event queue, Net.Eng,
+	// and every event is its own barrier, which is the sequential engine.
+	// n >= 1 gives each switch its own LP (or each pod, with PodPartition)
+	// and runs the LPs in lookahead-bounded windows on n goroutines; Net.Eng
+	// is then nil unless the topology has a single switch, whose partition
+	// is one LP at any n. The partition is fixed by the topology, so every
 	// n >= 1 produces byte-identical simulated results and flight-recorder
 	// traces — the knob trades wall-clock speed only. Same-time cross-LP
 	// deliveries are ordered by the coordinator's canonical (time, source
-	// LP, send order) rule, so traces can differ from the sequential
-	// engine's (TestTraceSeqParEquivalence); digests do not.
+	// LP, send order) rule, so traces can differ from the one-LP run's
+	// (TestTraceSeqParEquivalence); digests do not.
 	//
-	// A partitioned cluster returns an error from the APIs whose state is
-	// inherently cross-member or reads live devices mid-run:
+	// A cluster with more than one LP returns an error from the APIs whose
+	// state is inherently cross-member or reads live devices mid-run:
 	//   - Broadcaster for every scheme but SchemeCepheus (AMcast overlays);
 	//   - RunBcastErr for any broadcaster but SchemeCepheus's;
 	//   - NewResilientGroup (the recovery pipeline);
 	//   - EnableSeries (the telemetry sampler).
 	// Runtime fail-stop fault injection (internal/fault) schedules on
-	// Net.Eng and likewise needs Workers 0; gray impairments work in both.
+	// Net.Eng and likewise needs one LP; gray impairments work on any.
 	Workers int
 
 	// PodPartition coarsens the partition to one LP per topology domain
-	// (topo.PartitionPods): on a fat-tree, one LP per pod plus one per core
+	// (topo.Network.Domains): on a fat-tree, one LP per pod plus one per core
 	// group instead of one per switch. Fewer, fatter LPs mean less cross-LP
 	// traffic and per-window overhead at scale; results remain byte-identical
-	// across worker counts for a fixed partition choice. No effect unless the
-	// partitioned coordinator is active (Workers >= 1), or on
-	// topologies without declared domains (falls back to per-switch LPs).
+	// across worker counts for a fixed partition choice. No effect at
+	// Workers 0, or on topologies without declared domains (falls back to
+	// per-switch LPs).
 	PodPartition bool
 
 	// CorePropDelay overrides the propagation delay of the fat-tree's
@@ -85,7 +88,8 @@ type Options struct {
 	// per-worker phase timing, per-LP event loads, and the cross-LP traffic
 	// matrix, read back through Cluster.ExecProfile. Host-side observation
 	// only — simulated results and traces stay byte-identical with the
-	// profiler on or off (DESIGN.md §15). No effect in sequential mode.
+	// profiler on or off (DESIGN.md §15). No effect on one LP, which runs
+	// no windows.
 	Profile bool
 }
 
@@ -112,8 +116,8 @@ func (o *Options) fill() {
 // Cluster is a simulated RoCE datacenter with Cepheus accelerators on every
 // switch.
 type Cluster struct {
-	// Par coordinates a partitioned cluster (Workers >= 1); nil otherwise,
-	// when Net.Eng drives the fabric. Drive either through Run.
+	// Par coordinates the cluster's logical processes; drive it through
+	// Run. Net.Eng is non-nil exactly when Par has one LP.
 	Par    *sim.Parallel
 	Net    *topo.Network
 	RNICs  []*roce.RNIC
@@ -161,22 +165,20 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, opts Options) *Cluster {
 }
 
 func wire(net *topo.Network, opts Options) *Cluster {
-	c := &Cluster{Net: net}
-	if opts.Workers >= 1 {
-		// Partition before attaching RNICs and accelerators, so every layer
-		// built on top picks up its device's LP engine rather than the
-		// build-time scratch engine (which Partition disconnects).
-		c.Par = sim.NewParallel(opts.Seed, opts.Workers)
-		if opts.PodPartition {
-			net.PartitionPods(c.Par)
-		} else {
-			net.Partition(c.Par)
-		}
-		if opts.Profile {
-			// Partition/PartitionPods finalized the LP set; the profiler's
-			// per-LP arrays size off it.
-			c.Par.EnableProfile()
-		}
+	// Partition before attaching RNICs and accelerators, so every layer
+	// built on top picks up its device's LP engine rather than the
+	// build-time scratch engine (which Partition disconnects).
+	var domains [][]*simnet.Switch // nil: one LP per switch
+	switch {
+	case opts.Workers == 0:
+		domains = [][]*simnet.Switch{net.Switches}
+	case opts.PodPartition:
+		domains = net.Domains
+	}
+	c := &Cluster{Net: net, Par: sim.NewParallel(opts.Seed, opts.Workers)}
+	net.Partition(c.Par, domains)
+	if opts.Profile {
+		c.Par.EnableProfile()
 	}
 	for _, h := range net.Hosts {
 		r := roce.NewRNIC(h, *opts.Transport)
@@ -188,11 +190,7 @@ func wire(net *topo.Network, opts Options) *Cluster {
 	}
 	// Fabric counters are always on: each device increments its own LP's
 	// shard (wired after Partition so LP assignments are final).
-	nlp := 1
-	if c.Par != nil {
-		nlp = c.Par.NumLPs()
-	}
-	c.Fab = obs.NewFabric(nlp)
+	c.Fab = obs.NewFabric(c.Par.NumLPs())
 	for _, sw := range net.Switches {
 		sw.SetFabric(c.Fab.LP(sw.Engine().LP()))
 	}
@@ -202,62 +200,42 @@ func wire(net *topo.Network, opts Options) *Cluster {
 	return c
 }
 
-// EventsRun sums executed events across the cluster's engine(s).
-func (c *Cluster) EventsRun() uint64 {
-	if c.Par != nil {
-		return c.Par.EventsRun()
-	}
-	return c.Net.Eng.EventsRun()
-}
+// oneLP reports whether the cluster runs as a single logical process, the
+// sequential engine Net.Eng, which the APIs with cross-member state need.
+func (c *Cluster) oneLP() bool { return c.Net.Eng != nil }
 
-// Now returns the cluster's simulated time: the sequential engine's clock,
-// or the partitioned coordinator's window floor.
-func (c *Cluster) Now() sim.Time {
-	if c.Par != nil {
-		return c.Par.Now()
-	}
-	return c.Net.Eng.Now()
-}
+// EventsRun sums executed events across the cluster's LPs.
+func (c *Cluster) EventsRun() uint64 { return c.Par.EventsRun() }
 
-// Run drives the cluster until done reports true, in either execution mode,
-// and returns an error if the run quiesces or its next event lies past the
-// absolute time limit first. done may be nil (run to quiescence or limit).
-// On the sequential engine done is checked before the first event and after
-// every event, so the run stops on the event that satisfied it. A
-// partitioned cluster checks it at window barriers and runs the windows on
-// the calling goroutine (Parallel.RunSerial), so done may read state that
-// callbacks on any LP write.
+// Now returns the cluster's simulated time: the coordinator's window floor,
+// which on one LP is that LP's clock.
+func (c *Cluster) Now() sim.Time { return c.Par.Now() }
+
+// Run drives the cluster until done reports true and returns an error if
+// the run quiesces or its next event lies past the absolute time limit
+// first. done may be nil (run to quiescence or limit). It is checked at
+// window barriers, which on one LP means before the first event and after
+// every event, so the run stops on the event that satisfied it. The windows
+// run on the calling goroutine (Parallel.RunSerial), so done may read state
+// that callbacks on any LP write.
 func (c *Cluster) Run(limit sim.Time, done func() bool) error {
-	var out sim.Outcome
-	if c.Par != nil {
-		out = c.Par.RunSerial(limit, done)
-	} else {
-		out = c.Net.Eng.Run(limit, done)
-	}
-	if out != sim.Done {
+	if out := c.Par.RunSerial(limit, done); out != sim.Done {
 		return fmt.Errorf("cepheus: run ended %v at %v (limit %v) before done", out, c.Now(), limit)
 	}
 	return nil
 }
 
-// Close releases execution resources (the parallel worker pool). A no-op in
-// sequential mode; safe to call more than once.
-func (c *Cluster) Close() {
-	if c.Par != nil {
-		c.Par.Close()
-	}
-}
+// Close releases execution resources (the parallel worker pool). Safe to
+// call more than once.
+func (c *Cluster) Close() { c.Par.Close() }
 
 // Hosts returns the number of hosts in the cluster.
 func (c *Cluster) Hosts() int { return len(c.Net.Hosts) }
 
 // LPLabels names each logical process after the switches it executes: the
 // first switch's name, with "+n" appended when the LP holds more switches
-// (pod-level partitions). Nil in sequential mode.
+// (pod-level or one-LP partitions).
 func (c *Cluster) LPLabels() []string {
-	if c.Par == nil {
-		return nil
-	}
 	labels := make([]string, c.Par.NumLPs())
 	extra := make([]int, c.Par.NumLPs())
 	for _, sw := range c.Net.Switches {
@@ -281,23 +259,16 @@ func (c *Cluster) LPLabels() []string {
 
 // ExecProfile snapshots the executor-introspection report: per-worker phase
 // breakdown, per-LP load, cross-LP traffic, and the derived scaling
-// diagnosis. Returns nil unless the cluster is partitioned and was built
-// with Options.Profile. Call between runs, not concurrently with one.
+// diagnosis. Returns nil unless the cluster was built with Options.Profile
+// and has more than one LP. Call between runs, not concurrently with one.
 func (c *Cluster) ExecProfile() *obs.ExecReport {
-	if c.Par == nil {
-		return nil
-	}
 	return obs.BuildExecReport(c.Par.ProfileSnapshot(), c.LPLabels())
 }
 
 // ResetExecProfile zeroes the profiler's accumulated counters so a
 // subsequent ExecProfile covers only the runs after the reset — sweeps call
-// it after warmup. A no-op when profiling is off or in sequential mode.
-func (c *Cluster) ResetExecProfile() {
-	if c.Par != nil {
-		c.Par.ResetProfile()
-	}
-}
+// it after warmup. A no-op when profiling is off.
+func (c *Cluster) ResetExecProfile() { c.Par.ResetProfile() }
 
 // NewGroup creates and registers a Cepheus multicast group over the given
 // host indices (members[leader] hosts the controller). It drives the
@@ -317,6 +288,9 @@ const registerLimit = 10 * sim.Second
 // policy to an outcome. The group controller lives on the leader host, so
 // its timers and confirmation accounting run on the leader's engine.
 func (c *Cluster) registerGroup(members []int, leader int, policy core.RegisterPolicy) (*core.Group, error) {
+	if err := c.checkMembers(members, leader); err != nil {
+		return nil, err
+	}
 	var ms []*core.Member
 	var ags []*core.Agent
 	for _, i := range members {
@@ -336,6 +310,29 @@ func (c *Cluster) registerGroup(members []int, leader int, policy core.RegisterP
 	return g, nil
 }
 
+// checkMembers rejects a member list of host indices that no group can be
+// built over: an empty list, a leader index outside it, a host outside the
+// cluster, or a host listed twice.
+func (c *Cluster) checkMembers(members []int, leader int) error {
+	if len(members) == 0 {
+		return fmt.Errorf("cepheus: empty member list")
+	}
+	if leader < 0 || leader >= len(members) {
+		return fmt.Errorf("cepheus: leader index %d outside the %d-member list", leader, len(members))
+	}
+	seen := make(map[int]bool, len(members))
+	for _, h := range members {
+		if h < 0 || h >= c.Hosts() {
+			return fmt.Errorf("cepheus: member host %d outside the cluster's %d hosts", h, c.Hosts())
+		}
+		if seen[h] {
+			return fmt.Errorf("cepheus: host %d listed twice", h)
+		}
+		seen[h] = true
+	}
+	return nil
+}
+
 // Broadcaster builds a broadcaster of the given scheme over the host
 // indices in nodes. For SchemeCepheus this creates and registers a group;
 // baselines get an MPI-communicator-like overlay. slices parameterizes
@@ -348,8 +345,11 @@ func (c *Cluster) Broadcaster(scheme Scheme, nodes []int, slices int) (amcast.Br
 		}
 		return &amcast.Cepheus{Group: g}, nil
 	}
-	if c.Par != nil {
-		return nil, fmt.Errorf("cepheus: scheme %q requires sequential execution (Workers 0): overlay completion accounting is cross-member", scheme)
+	if !c.oneLP() {
+		return nil, fmt.Errorf("cepheus: scheme %q requires one LP (Workers 0): overlay completion accounting is cross-member", scheme)
+	}
+	if err := c.checkMembers(nodes, 0); err != nil {
+		return nil, err
 	}
 	ns := make([]*amcast.Node, len(nodes))
 	for i, j := range nodes {
@@ -390,7 +390,7 @@ const BcastTimeout = 60 * sim.Second
 // means a deadlocked transport or a black-holed route, which callers like
 // long experiment sweeps want to report rather than die on.
 func (c *Cluster) RunBcastErr(b amcast.Broadcaster, root, size int) (sim.Time, error) {
-	if c.Par != nil {
+	if !c.oneLP() {
 		return c.runBcastParallel(b, root, size)
 	}
 	start := c.Now()
@@ -402,25 +402,20 @@ func (c *Cluster) RunBcastErr(b amcast.Broadcaster, root, size int) (sim.Time, e
 	return end - start, nil
 }
 
-// runBcastParallel drives one Cepheus broadcast across the partitioned
+// runBcastParallel drives one Cepheus broadcast across a multi-LP
 // cluster. Completion is tracked through BcastRecord's per-member time
 // slots — each written only by its owning LP — and detected by the window
 // coordinator, whose barrier provides the happens-before edge. JCT is
 // measured from the source LP's clock at post to the latest member delivery,
-// exactly the sequential definition.
+// exactly the one-LP definition.
 func (c *Cluster) runBcastParallel(b amcast.Broadcaster, root, size int) (sim.Time, error) {
 	cb, ok := b.(*amcast.Cepheus)
 	if !ok {
-		return 0, fmt.Errorf("cepheus: parallel execution supports only the cepheus scheme, not %s", b.Name())
+		return 0, fmt.Errorf("cepheus: a multi-LP run supports only the cepheus scheme, not %s", b.Name())
 	}
-	members := cb.Group.Members
-	idx := root
-	if cb.SrcIndex != nil {
-		idx = cb.SrcIndex(root)
-	}
-	start := members[idx].Host.Engine().Now()
-	times := make([]sim.Time, len(members))
-	cb.BcastRecord(root, size, times)
+	times := make([]sim.Time, len(cb.Group.Members))
+	src := cb.BcastRecord(root, size, times)
+	start := times[src]
 	pred := func() bool {
 		for _, t := range times {
 			if t < 0 {

@@ -8,6 +8,7 @@ import (
 )
 
 func TestNewTestbedDefaults(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	if c.Hosts() != 4 {
 		t.Fatalf("hosts = %d", c.Hosts())
@@ -18,6 +19,7 @@ func TestNewTestbedDefaults(t *testing.T) {
 }
 
 func TestNewFatTreeDefaults(t *testing.T) {
+	t.Parallel()
 	c := NewFatTree(4, Options{})
 	if c.Hosts() != 16 {
 		t.Fatalf("hosts = %d", c.Hosts())
@@ -28,6 +30,7 @@ func TestNewFatTreeDefaults(t *testing.T) {
 }
 
 func TestNewGroupRegisters(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
 	if err != nil {
@@ -42,6 +45,7 @@ func TestNewGroupRegisters(t *testing.T) {
 }
 
 func TestEverySchemeRuns(t *testing.T) {
+	t.Parallel()
 	schemes := []Scheme{
 		SchemeCepheus, SchemeBinomial, SchemeChain, SchemeRing,
 		SchemeNUnicast, SchemeRDMC, SchemeLong,
@@ -59,13 +63,46 @@ func TestEverySchemeRuns(t *testing.T) {
 }
 
 func TestUnknownSchemeErrors(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(2, Options{})
 	if _, err := c.Broadcaster("bogus", []int{0, 1}, 0); err == nil {
 		t.Fatal("bogus scheme accepted")
 	}
 }
 
+// TestInvalidMemberLists: a member list no group can be built over is an
+// error from both NewGroup and an overlay Broadcaster, never a panic or a
+// registration timeout.
+func TestInvalidMemberLists(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		name    string
+		members []int
+		leader  int
+	}{
+		{"empty", []int{}, 0},
+		{"leader past the list", []int{0, 1}, 2},
+		{"negative leader", []int{0, 1}, -1},
+		{"host past the cluster", []int{0, 4}, 0},
+		{"negative host", []int{0, -1}, 0},
+		{"duplicate member", []int{0, 0, 1}, 0},
+	}
+	for _, tc := range cases {
+		c := NewTestbed(4, Options{})
+		if g, err := c.NewGroup(tc.members, tc.leader); err == nil || g != nil {
+			t.Errorf("%s: NewGroup = (%v, %v), want an error", tc.name, g, err)
+		}
+		if tc.leader != 0 {
+			continue // overlays have no leader
+		}
+		if b, err := c.Broadcaster(SchemeBinomial, tc.members, 0); err == nil || b != nil {
+			t.Errorf("%s: Broadcaster = (%v, %v), want an error", tc.name, b, err)
+		}
+	}
+}
+
 func TestOptionsOverride(t *testing.T) {
+	t.Parallel()
 	tr := roce.DefaultConfig()
 	tr.MTU = 4096
 	c := NewTestbed(2, Options{Seed: 7, Transport: &tr, LinkRate: 25e9, PropDelay: 2 * sim.Microsecond})
@@ -78,6 +115,7 @@ func TestOptionsOverride(t *testing.T) {
 }
 
 func TestSeedDeterminism(t *testing.T) {
+	t.Parallel()
 	run := func() sim.Time {
 		c := NewTestbed(4, Options{Seed: 42})
 		c.SetLossRate(1e-3)
@@ -93,6 +131,7 @@ func TestSeedDeterminism(t *testing.T) {
 }
 
 func TestLossInjectionThroughAPI(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	c.SetLossRate(0.01)
 	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 0)

@@ -792,10 +792,7 @@ func workerSweep(name string, k, members int, workers []int) {
 		}
 		// The profile should describe the measured reps, not the warmup.
 		c.ResetExecProfile()
-		lps := 1
-		if c.Par != nil {
-			lps = c.Par.NumLPs()
-		}
+		lps := c.Par.NumLPs()
 		jct := runBcast(c, b, nodes[0], 1<<20, fmt.Sprintf("workers=%d", w))
 		prof := c.ExecProfile()
 		c.Close()

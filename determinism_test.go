@@ -1,11 +1,13 @@
 package cepheus
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/amcast"
+	"repro/internal/obs"
 	"repro/internal/roce"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -77,16 +79,15 @@ func fatTreeLossRun(c *Cluster) (simDigest, simnet.Addr, error) {
 	if err != nil {
 		return simDigest{}, 0, err
 	}
-	d := simDigest{jct: jct, events: c.EventsRun(), metrics: c.Metrics().String()}
-	for _, r := range c.RNICs {
-		d.retrans += r.Stats.Retransmits
-	}
+	d := digestOf(c, jct)
+	d.events = c.EventsRun()
 	return d, g.ID, nil
 }
 
 // TestDeterminismSameSeedTwice runs both workloads twice and demands every
 // observable match, event counts included.
 func TestDeterminismSameSeedTwice(t *testing.T) {
+	t.Parallel()
 	for name, run := range map[string]func(*testing.T) simDigest{
 		"testbed": testbedWorkload,
 		"fattree": fatTreeLossWorkload,
@@ -98,42 +99,108 @@ func TestDeterminismSameSeedTwice(t *testing.T) {
 	}
 }
 
-// seqParWorkload runs one 256KB Cepheus broadcast over 16 members spread
-// across the 128-host (k=8) fat-tree, with the given worker count (<=1 =
-// the sequential engine, >=2 = the partitioned parallel path), and returns
-// the digest plus the run's event count.
+// equivWorkload is the workload of every digest- and trace-equivalence
+// test: one 256KB Cepheus broadcast from members[0] over a k-ary fat-tree
+// built with opts.
 //
-// The workload is lossless, so neither mode consumes engine randomness
+// The workload is lossless, so no partition consumes engine randomness
 // (loss injection and ECN marking are the only RNG draws on this path) —
-// the precondition for sequential and partitioned runs to be comparable at
-// all, since the partitioned mode gives every LP its own RNG stream. Both
-// modes settle the fabric to idle before posting and again before reading
-// counters, so the digest is insensitive to where exactly each mode's
-// drive loop stops stepping.
-func seqParWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
-	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
-	defer c.Close()
+// the precondition for one-LP and multi-LP runs to be comparable at all,
+// since every LP has its own RNG stream.
+type equivWorkload struct {
+	k       int
+	members []int
+	opts    Options
+}
+
+// k8Workload spreads 16 members 8 hosts apart over the 128-host (k=8)
+// fat-tree; pods selects the pod partition when workers >= 1.
+func k8Workload(seed int64, workers int, pods bool) equivWorkload {
 	members := make([]int, 16)
 	for i := range members {
 		members[i] = i * 8
 	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
+	return equivWorkload{k: 8, members: members, opts: Options{Seed: seed, Workers: workers, PodPartition: pods}}
+}
+
+// group registers the workload's group on c.
+func (w equivWorkload) group(t *testing.T, c *Cluster) amcast.Broadcaster {
+	t.Helper()
+	b, err := c.Broadcaster(SchemeCepheus, w.members, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return b
+}
+
+// digest runs the broadcast and returns the digest plus the run's event
+// count. It settles the fabric to idle before posting and again before
+// reading counters, so the digest is insensitive to where exactly each
+// partition's drive loop stops stepping.
+func (w equivWorkload) digest(t *testing.T) (simDigest, uint64) {
+	t.Helper()
+	c := NewFatTree(w.k, w.opts)
+	defer c.Close()
+	b := w.group(t, c)
 	c.SettleUntil(c.Now() + 10*sim.Millisecond) // drain registration residue
-	jct, err := c.RunBcastErr(b, 0, 256<<10)
+	jct, err := c.RunBcastErr(b, w.members[0], 256<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.SettleUntil(c.Now() + sim.Millisecond) // let trailing ACK/feedback traffic land
+	return digestOf(c, jct), c.EventsRun()
+}
+
+// digestOf summarizes c's run of a broadcast that took jct.
+func digestOf(c *Cluster, jct sim.Time) simDigest {
 	d := simDigest{jct: jct, metrics: c.Metrics().String()}
 	for _, r := range c.RNICs {
 		d.retrans += r.Stats.Retransmits
 	}
-	return d, c.EventsRun()
+	return d
 }
+
+// traceHorizon is where traced runs cut their trace: every event at or
+// before it executed on every partition.
+const traceHorizon = 60 * sim.Millisecond
+
+// traced runs the broadcast with a capacity-event flight recorder on and
+// settles to traceHorizon. setup, if set, runs on the cluster before the
+// group registers; inspect, if set, gets the cluster and its trace cut at
+// traceHorizon before the cluster closes. It returns the digest at the
+// horizon and the trace in canonical JSONL.
+func (w equivWorkload) traced(t *testing.T, capacity int, setup func(*Cluster), inspect func(*Cluster, []obs.Event)) (simDigest, []byte) {
+	t.Helper()
+	c := NewFatTree(w.k, w.opts)
+	defer c.Close()
+	rec := c.EnableTrace(capacity)
+	if setup != nil {
+		setup(c)
+	}
+	jct, err := c.RunBcastErr(w.group(t, c), w.members[0], 256<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SettleUntil(traceHorizon)
+	evs := rec.EventsUntil(traceHorizon)
+	if len(evs) == 0 {
+		t.Fatal("trace captured nothing")
+	}
+	if rec.Lost() != 0 {
+		t.Fatalf("flight recorder overflowed (lost %d); grow capacity so the comparison sees complete histories", rec.Lost())
+	}
+	if inspect != nil {
+		inspect(c, evs)
+	}
+	var buf bytes.Buffer
+	if err := rec.WriteJSONL(&buf, evs); err != nil {
+		t.Fatal(err)
+	}
+	return digestOf(c, jct), buf.Bytes()
+}
+
+// audited is a traced setup that attaches the protocol auditor.
+func audited(c *Cluster) { c.EnableAudit() }
 
 // TestSeqParDigestEquivalence is the acceptance gate for the partitioned
 // executor: on the same seed, the sequential engine (Workers=0) and the
@@ -146,11 +213,12 @@ func seqParWorkload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
 // modes run different amounts of *post-completion* traffic while agreeing
 // on every result.
 func TestSeqParDigestEquivalence(t *testing.T) {
+	t.Parallel()
 	for _, seed := range []int64{1, 2, 3} {
-		ref, _ := seqParWorkload(t, seed, 0)
+		ref, _ := k8Workload(seed, 0, false).digest(t)
 		var parEvents uint64
 		for _, w := range []int{1, 2, 4, 8} {
-			d, ev := seqParWorkload(t, seed, w)
+			d, ev := k8Workload(seed, w, false).digest(t)
 			if d != ref {
 				t.Errorf("seed %d workers %d: digest diverged from sequential:\n  seq: %+v\n  par: %+v", seed, w, ref, d)
 			}
@@ -168,6 +236,7 @@ func TestSeqParDigestEquivalence(t *testing.T) {
 // counts must reproduce exactly; EventsRun is not pinned across refactors
 // (cancelled timers no longer execute as no-op events).
 func TestGoldenDigests(t *testing.T) {
+	t.Parallel()
 	if a := testbedWorkload(t); a.jct != 26316 || a.metrics != "clean" {
 		t.Errorf("testbed digest drifted: got %v, want jct=26316ns metrics=clean", a)
 	}
@@ -188,6 +257,7 @@ func checkFatTreeGolden(t *testing.T, name string, b simDigest) {
 // own group IDs, so both must register the same McstID — the first one —
 // and reproduce the golden digest.
 func TestConcurrentClusters(t *testing.T) {
+	t.Parallel()
 	const n = 2
 	var built, done sync.WaitGroup
 	built.Add(n)

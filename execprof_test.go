@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Executor profiling promises byte-level neutrality: Options.Profile reads
@@ -13,42 +12,15 @@ import (
 // nothing simulated — not the digest, not a single trace byte — at any
 // worker count. These tests are that promise's acceptance gate.
 
-// profWorkload runs the digest-equivalence workload on the partitioned
-// coordinator with profiling on or off and returns the simulated digest, the
-// canonical trace serialization cut at a fixed horizon, and the profile
-// report (nil when off).
-func profWorkload(t *testing.T, seed int64, workers int, profile bool) (simDigest, []byte, *obs.ExecReport) {
+// profWorkload is the traced k=8 equivalence workload with profiling on or
+// off; it returns the digest, the trace, and the profile report (nil when
+// off).
+func profWorkload(t *testing.T, seed int64, workers int, profile bool) (d simDigest, trace []byte, prof *obs.ExecReport) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers, Profile: profile})
-	defer c.Close()
-	rec := c.EnableTrace(1 << 20)
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i * 8
-	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jct, err := c.RunBcastErr(b, 0, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 60 * sim.Millisecond
-	c.SettleUntil(horizon)
-	evs := rec.EventsUntil(horizon)
-	if rec.Lost() != 0 {
-		t.Fatalf("flight recorder overflowed (lost %d)", rec.Lost())
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	d := simDigest{jct: jct, metrics: c.Metrics().String()}
-	for _, r := range c.RNICs {
-		d.retrans += r.Stats.Retransmits
-	}
-	return d, buf.Bytes(), c.ExecProfile()
+	w := k8Workload(seed, workers, false)
+	w.opts.Profile = profile
+	d, trace = w.traced(t, 1<<20, nil, func(c *Cluster, _ []obs.Event) { prof = c.ExecProfile() })
+	return d, trace, prof
 }
 
 // TestProfileDigestTraceNeutral: with the partitioned coordinator's
@@ -56,6 +28,7 @@ func profWorkload(t *testing.T, seed int64, workers int, profile bool) (simDiges
 // profiled runs at workers {1,2,4,8} must reproduce its digest and its trace
 // byte-for-byte, while still yielding a populated profile report.
 func TestProfileDigestTraceNeutral(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}

@@ -14,6 +14,7 @@ import (
 )
 
 func TestFailoverRegistrationToFallback(t *testing.T) {
+	t.Parallel()
 	acc := core.DefaultAccelConfig()
 	acc.MaxGroups = 1
 	c := NewTestbed(4, Options{Accel: &acc})
@@ -37,6 +38,7 @@ func TestFailoverRegistrationToFallback(t *testing.T) {
 }
 
 func TestFailoverMidStreamCollapse(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
 	if err != nil {
@@ -82,6 +84,7 @@ func TestFailoverMidStreamCollapse(t *testing.T) {
 }
 
 func TestLeafSpineClusterRuns(t *testing.T) {
+	t.Parallel()
 	c := NewLeafSpine(4, 2, 4, Options{})
 	if c.Hosts() != 16 {
 		t.Fatalf("hosts = %d", c.Hosts())

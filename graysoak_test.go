@@ -17,6 +17,7 @@ import (
 // broadcast over the same lossy link via retransmission, and after Repair
 // the re-probe loop restores native multicast.
 func TestSafeguardTripsOnDegradedLink(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err != nil {
@@ -69,6 +70,7 @@ func TestSafeguardTripsOnDegradedLink(t *testing.T) {
 // the pre-fault norm — must trip again instead of adopting the degraded rate
 // as the new normal.
 func TestPrimedSafeguardReTripsOnStillLossyLink(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err != nil {
@@ -171,6 +173,7 @@ func graySoakWorkload(t *testing.T, seed int64, workers int) ([]byte, string) {
 // gray failures: the same gray-only soak yields a byte-identical canonical
 // trace and an identical SLO report at every worker count.
 func TestGraySoakDigestAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-worker leaf-spine soak sweeps in -short mode")
 	}

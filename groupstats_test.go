@@ -16,45 +16,18 @@ import (
 // determinism contract on the attribution itself: the merged snapshot must
 // be identical at every worker count.
 
-// groupWorkload runs the digest-equivalence workload with group attribution
-// on or off and returns the simulated digest, the canonical trace
-// serialization cut at a fixed horizon, and the group snapshot (nil when
-// attribution is off).
-func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (simDigest, []byte, []obs.GroupReport) {
+// groupWorkload is the traced k=8 equivalence workload with group
+// attribution on or off; it returns the digest, the trace, and the group
+// snapshot (nil when attribution is off).
+func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (d simDigest, trace []byte, snap []obs.GroupReport) {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
-	defer c.Close()
-	rec := c.EnableTrace(1 << 20)
+	var setup func(*Cluster)
 	if groups {
-		c.EnableGroupStats(0)
+		setup = func(c *Cluster) { c.EnableGroupStats(0) }
 	}
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i * 8
-	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jct, err := c.RunBcastErr(b, 0, 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 60 * sim.Millisecond
-	c.SettleUntil(horizon)
-	evs := rec.EventsUntil(horizon)
-	if rec.Lost() != 0 {
-		t.Fatalf("flight recorder overflowed (lost %d)", rec.Lost())
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	d := simDigest{jct: jct, metrics: c.Metrics().String()}
-	for _, r := range c.RNICs {
-		d.retrans += r.Stats.Retransmits
-	}
-	return d, buf.Bytes(), c.GroupReports()
+	inspect := func(c *Cluster, _ []obs.Event) { snap = c.GroupReports() }
+	d, trace = k8Workload(seed, workers, false).traced(t, 1<<20, setup, inspect)
+	return d, trace, snap
 }
 
 // TestGroupStatsDigestTraceNeutral: the unattributed workers=1 run is the
@@ -62,6 +35,7 @@ func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (simDiges
 // and its trace byte-for-byte, while yielding a populated — and worker-count
 // independent — group snapshot.
 func TestGroupStatsDigestTraceNeutral(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}
@@ -118,6 +92,7 @@ func TestGroupStatsDigestTraceNeutral(t *testing.T) {
 
 // TestEnableGroupStatsIdempotent: enabling twice returns the same registry.
 func TestEnableGroupStatsIdempotent(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	gs := c.EnableGroupStats(0)
@@ -134,6 +109,7 @@ func TestEnableGroupStatsIdempotent(t *testing.T) {
 // impossible delivery target breaches with a non-empty deterministic
 // timeline.
 func TestGroupStatsSLOEndToEnd(t *testing.T) {
+	t.Parallel()
 	run := func(obj obs.SLOObjective) []obs.SLOResult {
 		c := NewTestbed(8, Options{Seed: 1})
 		defer c.Close()

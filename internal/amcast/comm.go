@@ -272,6 +272,24 @@ type Cepheus struct {
 func (*Cepheus) Name() string { return "cepheus" }
 
 func (c *Cepheus) Bcast(root, size int, done func()) {
+	remaining := len(c.Group.Members) - 1
+	if remaining == 0 {
+		done()
+		return
+	}
+	c.post(root, size, func(int) {
+		remaining--
+		if remaining == 0 {
+			done()
+		}
+	})
+}
+
+// post is the body Bcast and BcastRecord share: it moves the group's source
+// to root's member if it changed, installs delivered(i) as the OnMessage of
+// every other member i, posts size bytes from the source, and returns the
+// source's member index.
+func (c *Cepheus) post(root, size int, delivered func(i int)) int {
 	idx := root
 	if c.SrcIndex != nil {
 		idx = c.SrcIndex(root)
@@ -281,30 +299,21 @@ func (c *Cepheus) Bcast(root, size int, done func()) {
 		c.lastSrc = idx
 	}
 	members := c.Group.Members
-	remaining := len(members) - 1
-	if remaining == 0 {
-		done()
-		return
-	}
 	for i, m := range members {
 		if i == idx {
 			continue
 		}
-		qp := m.QP
-		qp.OnMessage = func(msg roce.Message) {
-			remaining--
-			if remaining == 0 {
-				done()
-			}
-		}
+		m.QP.OnMessage = func(roce.Message) { delivered(i) }
 	}
 	members[idx].QP.PostSend(size, nil)
+	return idx
 }
 
 // BcastRecord starts a broadcast like Bcast but records completions instead
 // of counting them: member i's delivery time is written into times[i] (and
 // the source's slot gets the post time). Non-source slots are reset to -1
-// first, so "done" is times[i] >= 0 for all i.
+// first, so "done" is times[i] >= 0 for all i. It returns the source's
+// member index.
 //
 // This is the parallel-mode entry point: under a partitioned run each
 // member's OnMessage fires on that member's own logical process, so a shared
@@ -313,15 +322,7 @@ func (c *Cepheus) Bcast(root, size int, done func()) {
 // the coordinator reads the slice between windows — where the barrier
 // provides the happens-before edge — making completion detection race-free
 // without any atomics.
-func (c *Cepheus) BcastRecord(root, size int, times []sim.Time) {
-	idx := root
-	if c.SrcIndex != nil {
-		idx = c.SrcIndex(root)
-	}
-	if idx != c.lastSrc {
-		c.Group.SwitchSource(c.lastSrc, idx)
-		c.lastSrc = idx
-	}
+func (c *Cepheus) BcastRecord(root, size int, times []sim.Time) int {
 	members := c.Group.Members
 	if len(times) != len(members) {
 		panic("amcast: BcastRecord times length must equal the member count")
@@ -329,14 +330,7 @@ func (c *Cepheus) BcastRecord(root, size int, times []sim.Time) {
 	for i := range times {
 		times[i] = -1
 	}
-	for i, m := range members {
-		if i == idx {
-			continue
-		}
-		i := i
-		eng := m.RNIC.Engine()
-		m.QP.OnMessage = func(msg roce.Message) { times[i] = eng.Now() }
-	}
+	idx := c.post(root, size, func(i int) { times[i] = members[i].RNIC.Engine().Now() })
 	times[idx] = members[idx].RNIC.Engine().Now()
-	members[idx].QP.PostSend(size, nil)
+	return idx
 }

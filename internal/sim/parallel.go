@@ -360,11 +360,15 @@ func (p *Parallel) AddLP() *Engine {
 
 // Finalize fixes the LP set and the lookahead, sizing every engine's
 // outboxes and dirty lists. lookahead is the conservative window length:
-// the minimum virtual-time distance of any cross-LP interaction. A
-// lookahead <= 0 means no cross-LP links exist and windows are unbounded.
+// the minimum virtual-time distance of any cross-LP interaction. It must be
+// positive when there is more than one LP; a one-LP run has no windows (every
+// event is its own barrier, see Run) and ignores it.
 func (p *Parallel) Finalize(lookahead Time) {
 	if p.finalized {
 		panic("sim: Finalize called twice")
+	}
+	if lookahead <= 0 && len(p.lps) > 1 {
+		panic("sim: Finalize of a multi-LP run needs a positive lookahead")
 	}
 	p.finalized = true
 	p.lookahead = lookahead
@@ -454,9 +458,15 @@ func (p *Parallel) buildPlan(w int) [][]int {
 // windows without synchronization. A nil f removes the hook.
 func (p *Parallel) SetBarrier(f func()) { p.barrier = f }
 
-// Now returns the virtual-time floor: the start of the most recent window.
-// Every LP's local clock is at or beyond it.
-func (p *Parallel) Now() Time { return p.floor }
+// Now returns the virtual-time floor: the start of the most recent window,
+// every LP's local clock being at or beyond it. On one LP, where every event
+// is a barrier, it is that LP's clock.
+func (p *Parallel) Now() Time {
+	if len(p.lps) == 1 {
+		return p.lps[0].now
+	}
+	return p.floor
+}
 
 // EventsRun sums executed events across LPs.
 func (p *Parallel) EventsRun() uint64 {
@@ -671,17 +681,9 @@ func (p *Parallel) gatherMin() (Time, bool, bool) {
 	return m, has, changed
 }
 
-// windowEnd bounds one window starting at m. With no cross-LP links the
-// window is still capped so the caller's predicate and limit are evaluated
-// at a bounded virtual-time stride.
-const unboundedWindow = Time(100 * Microsecond)
-
+// windowEnd bounds one window starting at m by the lookahead.
 func (p *Parallel) windowEnd(m, limit Time) Time {
-	la := p.lookahead
-	if la <= 0 {
-		la = unboundedWindow
-	}
-	end := m + la
+	end := m + p.lookahead
 	if end < m { // overflow
 		end = limit + 1
 	}
@@ -773,6 +775,11 @@ func (p *Parallel) Close() {
 // calling goroutine — participates as worker 0 and owns all cross-window
 // sequencing, so pred may freely read state written by any LP during
 // preceding windows.
+//
+// A one-LP run has no cross-LP traffic to window: every event is its own
+// barrier, so Run is the LP's Engine.Run — pred is checked after every
+// event and a Done run stops on the satisfying event. The barrier hook and
+// the profiler see no windows there.
 func (p *Parallel) Run(limit Time, pred func() bool) Outcome {
 	return p.run(limit, pred, false)
 }
@@ -786,9 +793,29 @@ func (p *Parallel) RunSerial(limit Time, pred func() bool) Outcome {
 	return p.run(limit, pred, true)
 }
 
+// RunUntil is Engine.RunUntil across the partition: it runs every event
+// with timestamp <= t, then advances every LP's clock, and the floor, to at
+// least t (an LP whose last window ran past t keeps its clock). No pending
+// event or buffered cross-LP message lies at or before t once Run has
+// returned, so the advance is safe on any number of LPs.
+func (p *Parallel) RunUntil(t Time) {
+	p.Run(t, nil)
+	for _, e := range p.lps {
+		if e.now < t {
+			e.now = t
+		}
+	}
+	if p.floor < t {
+		p.floor = t
+	}
+}
+
 func (p *Parallel) run(limit Time, pred func() bool, serial bool) Outcome {
 	if !p.finalized {
 		panic("sim: Run before Finalize")
+	}
+	if len(p.lps) == 1 {
+		return p.lps[0].Run(limit, pred)
 	}
 	pr := p.prof
 	if pr == nil {

@@ -203,6 +203,20 @@ func TestParallelOutcomes(t *testing.T) {
 	}
 }
 
+// TestFinalizeNeedsLookahead: windows over more than one LP need a positive
+// lookahead; only a one-LP run, which has no windows, accepts 0.
+func TestFinalizeNeedsLookahead(t *testing.T) {
+	p := NewParallel(1, 1)
+	p.AddLP()
+	p.AddLP()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Finalize(0) over two LPs must panic")
+		}
+	}()
+	p.Finalize(0)
+}
+
 // TestParallelSingleLPMatchesSequential pins the RNG-stream contract: LP 0 of
 // a Parallel run is seeded exactly like a standalone New(seed) engine, so a
 // one-LP partition replays a sequential run event for event.
@@ -228,7 +242,7 @@ func TestParallelSingleLPMatchesSequential(t *testing.T) {
 	p := NewParallel(seed, 4)
 	defer p.Close()
 	lp := p.AddLP()
-	p.Finalize(0) // no cross-LP links: unbounded-lookahead windows
+	p.Finalize(0) // no cross-LP links: every event is a barrier
 	ps := &selfSpawn{left: 1000}
 	lp.ScheduleHandler(0, ps, nil)
 	if out := p.Run(Time(1)<<40, nil); out != Quiescent {

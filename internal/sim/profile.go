@@ -70,13 +70,18 @@ func newExecProf(nLP int) *execProf {
 
 // EnableProfile turns executor introspection on. Call after Finalize and not
 // concurrently with Run; enabling is idempotent. Profiling is host-side only
-// and cannot change simulated results (see the package comment above).
+// and cannot change simulated results (see the package comment above). A
+// one-LP run executes no windows, so there it is a no-op and ProfileSnapshot
+// stays nil.
 func (p *Parallel) EnableProfile() {
 	if p.prof != nil {
 		return
 	}
 	if !p.finalized {
 		panic("sim: EnableProfile before Finalize")
+	}
+	if len(p.lps) == 1 {
+		return
 	}
 	p.prof = newExecProf(len(p.lps))
 	if p.bar != nil {

@@ -55,13 +55,14 @@ func TestFatTreeDomains(t *testing.T) {
 	}
 }
 
-// TestPartitionPodsColocation: every switch lands on its domain's LP (LP i =
-// domain i, in build order) and every host lands on its leaf's LP.
+// TestPartitionPodsColocation: partitioned by Domains, every switch lands on
+// its domain's LP (LP i = domain i, in build order) and every host lands on
+// its leaf's LP.
 func TestPartitionPodsColocation(t *testing.T) {
 	eng := sim.New(1)
 	n := FatTree(eng, 4)
 	par := sim.NewParallel(1, 1)
-	la := n.PartitionPods(par)
+	la := n.Partition(par, n.Domains)
 	if par.NumLPs() != len(n.Domains) {
 		t.Fatalf("NumLPs = %d, want %d", par.NumLPs(), len(n.Domains))
 	}
@@ -90,7 +91,7 @@ func TestPartitionPodsDeterministicNumbering(t *testing.T) {
 		eng := sim.New(1)
 		n := FatTree(eng, 4)
 		par := sim.NewParallel(1, workers)
-		n.PartitionPods(par)
+		n.Partition(par, n.Domains)
 		m := make(map[string]int)
 		for _, sw := range n.Switches {
 			m[sw.Name] = sw.Engine().LP()
@@ -116,14 +117,14 @@ func TestPartitionPodsTrunkLookahead(t *testing.T) {
 	coreProp := 3 * DefaultPropDelay
 	n := FatTreeWithTrunk(eng, 4, DefaultLinkRate, DefaultPropDelay, coreProp)
 	par := sim.NewParallel(1, 1)
-	la := n.PartitionPods(par)
+	la := n.Partition(par, n.Domains)
 	if la != coreProp {
 		t.Fatalf("lookahead = %v, want trunk delay %v", la, coreProp)
 	}
 }
 
 // TestPartitionPodsFallback: a topology without declared domains partitions
-// per switch, exactly as Partition would.
+// per switch, exactly as a nil domain list does.
 func TestPartitionPodsFallback(t *testing.T) {
 	eng := sim.New(1)
 	n := LeafSpine(eng, 2, 2, 4)
@@ -131,7 +132,7 @@ func TestPartitionPodsFallback(t *testing.T) {
 		t.Fatal("leaf-spine unexpectedly declares domains")
 	}
 	par := sim.NewParallel(1, 1)
-	la := n.PartitionPods(par)
+	la := n.Partition(par, n.Domains)
 	if par.NumLPs() != len(n.Switches) {
 		t.Fatalf("fallback NumLPs = %d, want per-switch %d", par.NumLPs(), len(n.Switches))
 	}

@@ -21,6 +21,9 @@ const DefaultPropDelay = 600 * sim.Nanosecond
 
 // Network is a built topology: hosts, switches, and the wiring between them.
 type Network struct {
+	// Eng is the engine that drives the whole fabric: the build-time engine
+	// until Partition, then the LP's engine if the partition has exactly one
+	// LP, and nil if it has more (each device then runs on its own LP).
 	Eng      *sim.Engine
 	Hosts    []*simnet.Host
 	Switches []*simnet.Switch
@@ -31,11 +34,11 @@ type Network struct {
 	PropDelay sim.Time
 
 	// Domains optionally groups switches into coarser partition units for
-	// PartitionPods: every switch in a domain — and every host hanging off
-	// one — shares a logical process, so only inter-domain trunks cross LPs.
+	// Partition: every switch in a domain — and every host hanging off one —
+	// shares a logical process, so only inter-domain trunks cross LPs.
 	// FatTree populates one domain per pod (its edges and aggregations) plus
 	// one per core group; nil for topologies without a natural grouping, in
-	// which case PartitionPods falls back to the per-switch Partition.
+	// which case Partition falls back to one domain per switch.
 	Domains [][]*simnet.Switch
 
 	mcstIDs uint32 // group IDs handed out by AllocMcstID
@@ -108,9 +111,9 @@ func FatTreeWith(eng *sim.Engine, k int, rate float64, prop sim.Time) *Network {
 
 // FatTreeWithTrunk is FatTreeWith with a separate propagation delay for the
 // aggregation↔core trunks. Core trunks are physically longer than in-pod
-// cabling in a real datacenter, and under PartitionPods they are the only
-// cross-LP links — so coreProp sets the conservative lookahead directly,
-// letting scale experiments trade modeled trunk length against
+// cabling in a real datacenter, and when Partition uses Domains they are
+// the only cross-LP links — so coreProp sets the conservative lookahead
+// directly, letting scale experiments trade modeled trunk length against
 // synchronization frequency.
 func FatTreeWithTrunk(eng *sim.Engine, k int, rate float64, prop, coreProp sim.Time) *Network {
 	if k < 2 || k%2 != 0 {
@@ -242,80 +245,43 @@ func LeafSpineWith(eng *sim.Engine, leaves, spines, hostsPerLeaf int, rate float
 	return n
 }
 
-// Partition splits the network into one logical process per switch for a
-// conservative parallel run: each switch — and every host hanging off it —
-// becomes one LP of par, so the only cross-LP links are switch↔switch trunks.
-// That makes the partition's lookahead the minimum trunk propagation delay,
-// which Partition computes, hands to par.Finalize, and returns (0 when the
-// topology has a single switch and thus no cross-LP links at all).
+// Partition splits the network into one logical process per switch domain
+// for a conservative parallel run: every switch of domains[i], and every
+// host hanging off one, lands on LP i of par, so only links between domains
+// cross LPs. The partition's lookahead is the minimum propagation delay of
+// those links, which Partition hands to par.Finalize and returns (0 when
+// there is a single domain and thus no cross-LP link). The caller picks
+// the granularity:
+//   - nil: one domain per switch, in build order;
+//   - Network.Domains: one per pod plus one per core group on a fat-tree,
+//     where only the aggregation↔core trunks cross LPs (nil, and so per
+//     switch, on topologies without a natural grouping);
+//   - [][]*simnet.Switch{n.Switches}: one LP for the whole fabric, the
+//     sequential engine, which Partition then sets as Eng.
 //
-// The assignment is a pure function of the topology — LP i is switch i in
-// build order — never of par's worker count, which is what makes results
-// byte-identical across worker counts (see DESIGN.md §9). Switch weights
-// (ports plus attached hosts) are handed to par.SetLPWeights so the
-// LP→worker plan balances loaded leaves against bare spines — weights steer
-// only which worker runs an LP, never what the LP computes, so they cannot
-// perturb results. Call it on a freshly built network, with a fresh
-// Parallel, before any traffic or timers exist; the network's original
-// engine is disconnected so stray scheduling on it fails loudly instead of
-// silently never running.
-func (n *Network) Partition(par *sim.Parallel) sim.Time {
+// The assignment is a pure function of the topology, never of par's worker
+// count, which is what makes results byte-identical across worker counts
+// (see DESIGN.md §9). Domain weights (ports plus attached hosts) are handed
+// to par.SetLPWeights so the LP→worker plan balances loaded leaves against
+// bare spines; weights steer only which worker runs an LP, never what it
+// computes. Call it on a freshly built network, with a fresh Parallel,
+// before any traffic or timers exist. The build-time engine is disconnected
+// so stray scheduling on it fails loudly instead of silently never running:
+// Eng is the LP's engine when there is exactly one LP, nil otherwise.
+func (n *Network) Partition(par *sim.Parallel, domains [][]*simnet.Switch) sim.Time {
 	if par.NumLPs() != 0 {
 		panic("topo: Partition requires a fresh Parallel")
 	}
-	lps := make([]*sim.Engine, len(n.Switches))
-	idx := make(map[*simnet.Switch]int, len(n.Switches))
-	weights := make([]float64, len(n.Switches))
-	for i, sw := range n.Switches {
-		lps[i] = par.AddLP()
-		idx[sw] = i
-		sw.Rebind(lps[i])
-		weights[i] = float64(len(sw.Ports))
-	}
-	for _, h := range n.Hosts {
-		i := idx[n.LeafOf(h)]
-		h.Rebind(lps[i])
-		weights[i]++ // the host's NIC/stack load rides on its leaf's LP
-	}
-	var la sim.Time
-	for _, sw := range n.Switches {
-		for _, pt := range sw.Ports {
-			if _, ok := pt.Peer.Dev.(*simnet.Switch); ok {
-				if la == 0 || pt.PropDelay < la {
-					la = pt.PropDelay
-				}
-			}
+	if domains == nil {
+		domains = make([][]*simnet.Switch, len(n.Switches))
+		for i := range n.Switches {
+			domains[i] = n.Switches[i : i+1 : i+1]
 		}
 	}
-	par.SetLPWeights(weights)
-	par.Finalize(la)
-	n.Eng = nil
-	return la
-}
-
-// PartitionPods splits the network into one logical process per partition
-// domain (Network.Domains): every switch of a domain, and every host behind
-// one, lands on the same LP. On a fat-tree that means k pod LPs plus k/2
-// core-group LPs, with only the aggregation↔core trunks crossing LPs — far
-// fewer cross-LP messages and a lookahead set by the (typically longer)
-// trunk propagation delay instead of the shortest link anywhere.
-//
-// Like Partition, the assignment is a pure function of the topology: LP i is
-// domain i in build order, regardless of par's worker count, so results stay
-// byte-identical across worker counts. Domain weights (ports plus attached
-// hosts) are handed to par.SetLPWeights so the LP→worker plan balances the
-// heavyweight pod LPs against the lighter core groups. Falls back to the
-// per-switch Partition when the topology declares no domains.
-func (n *Network) PartitionPods(par *sim.Parallel) sim.Time {
-	if len(n.Domains) == 0 {
-		return n.Partition(par)
-	}
-	if par.NumLPs() != 0 {
-		panic("topo: PartitionPods requires a fresh Parallel")
-	}
-	lps := make([]*sim.Engine, len(n.Domains))
+	lps := make([]*sim.Engine, len(domains))
 	dom := make(map[*simnet.Switch]int, len(n.Switches))
-	for d, sws := range n.Domains {
+	weights := make([]float64, len(domains))
+	for d, sws := range domains {
 		lps[d] = par.AddLP()
 		for _, sw := range sws {
 			if _, dup := dom[sw]; dup {
@@ -323,14 +289,11 @@ func (n *Network) PartitionPods(par *sim.Parallel) sim.Time {
 			}
 			dom[sw] = d
 			sw.Rebind(lps[d])
+			weights[d] += float64(len(sw.Ports))
 		}
 	}
 	if len(dom) != len(n.Switches) {
-		panic("topo: Domains must cover every switch")
-	}
-	weights := make([]float64, len(n.Domains))
-	for _, sw := range n.Switches {
-		weights[dom[sw]] += float64(len(sw.Ports))
+		panic("topo: partition domains must cover every switch")
 	}
 	for _, h := range n.Hosts {
 		d := dom[n.LeafOf(h)]
@@ -352,6 +315,9 @@ func (n *Network) PartitionPods(par *sim.Parallel) sim.Time {
 	par.SetLPWeights(weights)
 	par.Finalize(la)
 	n.Eng = nil
+	if len(lps) == 1 {
+		n.Eng = lps[0]
+	}
 	return la
 }
 

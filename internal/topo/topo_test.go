@@ -178,7 +178,7 @@ func TestPartitionAssignment(t *testing.T) {
 	n := FatTree(eng, 4)
 	par := sim.NewParallel(1, 4)
 	defer par.Close()
-	la := n.Partition(par)
+	la := n.Partition(par, nil)
 	if par.NumLPs() != len(n.Switches) {
 		t.Fatalf("LPs = %d, want one per switch (%d)", par.NumLPs(), len(n.Switches))
 	}
@@ -206,11 +206,33 @@ func TestPartitionTestbedSingleLP(t *testing.T) {
 	n := Testbed(eng, 4)
 	par := sim.NewParallel(1, 2)
 	defer par.Close()
-	if la := n.Partition(par); la != 0 {
+	if la := n.Partition(par, nil); la != 0 {
 		t.Fatalf("single-switch lookahead = %v, want 0 (no cross-LP links)", la)
 	}
 	if par.NumLPs() != 1 {
 		t.Fatalf("LPs = %d, want 1", par.NumLPs())
+	}
+	if n.Eng != par.LP(0) {
+		t.Fatal("one-LP partition did not hand its engine to Network.Eng")
+	}
+}
+
+// TestPartitionOneDomain: the whole fabric as one domain is the sequential
+// engine — one LP, no lookahead, every device on it, and Eng set to it.
+func TestPartitionOneDomain(t *testing.T) {
+	n := FatTree(sim.New(1), 4)
+	par := sim.NewParallel(1, 4)
+	defer par.Close()
+	if la := n.Partition(par, [][]*simnet.Switch{n.Switches}); la != 0 {
+		t.Fatalf("one-domain lookahead = %v, want 0", la)
+	}
+	if par.NumLPs() != 1 || n.Eng != par.LP(0) {
+		t.Fatalf("LPs = %d, Eng on LP 0 = %v; want 1 and true", par.NumLPs(), n.Eng == par.LP(0))
+	}
+	for _, h := range n.Hosts {
+		if h.Engine() != n.Eng {
+			t.Fatalf("host %s not on the single LP", h.Name)
+		}
 	}
 }
 
@@ -221,7 +243,7 @@ func TestPartitionDelivery(t *testing.T) {
 	n := FatTree(sim.New(1), 4)
 	par := sim.NewParallel(1, 4)
 	defer par.Close()
-	n.Partition(par)
+	n.Partition(par, nil)
 	from, to := 0, 4 // different pods: 6 links
 	var at sim.Time = -1
 	dstEng := n.Hosts[to].Engine()

@@ -32,6 +32,7 @@ var fcounterField = map[obs.FCounter]string{
 // its Metrics field by exactly one, and the counter set and the Metrics
 // struct stay in one-to-one correspondence.
 func TestMetricsFieldMapping(t *testing.T) {
+	t.Parallel()
 	if got, want := len(fcounterField), int(obs.NumFCounters); got != want {
 		t.Fatalf("mapping table covers %d counters, obs declares %d — update fcounterField and Cluster.Metrics()", got, want)
 	}

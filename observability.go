@@ -22,11 +22,10 @@ const DefaultTraceCapacity = 1 << 20
 // of interest; tracing can only be enabled once per cluster.
 //
 // Devices register switches-first in topology order, so device ids — and
-// therefore the canonical export order — are identical across sequential and
-// partitioned execution of the same topology. In parallel mode the recorder's
-// per-LP shards are merged at every window barrier by the coordinator; in
-// sequential mode everything lives in one shard and merging happens at
-// export.
+// therefore the canonical export order — are identical across every
+// partition of the same topology. The recorder's per-LP shards are merged
+// at every window barrier by the coordinator; on one LP, which has no
+// windows, everything lives in one shard and merging happens at export.
 func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 	if c.Rec != nil {
 		return c.Rec
@@ -34,11 +33,7 @@ func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	nlp := 1
-	if c.Par != nil {
-		nlp = c.Par.NumLPs()
-	}
-	rec := obs.NewRecorder(nlp, capacity)
+	rec := obs.NewRecorder(c.Par.NumLPs(), capacity)
 	for _, sw := range c.Net.Switches {
 		// The switch, its ports, and its attached accelerator share one
 		// device id; the Port field distinguishes egresses.
@@ -49,9 +44,7 @@ func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 		h.NIC.SetTracer(tr)
 		c.RNICs[i].SetTracer(tr)
 	}
-	if c.Par != nil {
-		c.Par.SetBarrier(rec.Barrier)
-	}
+	c.Par.SetBarrier(rec.Barrier)
 	c.Rec = rec
 	return rec
 }
@@ -66,18 +59,14 @@ func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 // Attribution is pure host-side accounting on per-LP shards (one writer
 // each, merged at read time): it schedules no events, mutates no packets,
 // and draws no randomness, so enabling it is digest- and trace-byte-neutral
-// at every worker count — unlike EnableSeries, it works in parallel mode.
+// at every worker count — unlike EnableSeries, it works on any partition.
 // Declare SLO objectives (GS.SetObjective) before the traffic of interest;
 // the delivery-latency threshold is latched at each group's first packet.
 func (c *Cluster) EnableGroupStats(bucket sim.Time) *obs.GroupStats {
 	if c.GS != nil {
 		return c.GS
 	}
-	nlp := 1
-	if c.Par != nil {
-		nlp = c.Par.NumLPs()
-	}
-	gs := obs.NewGroupStats(nlp, bucket)
+	gs := obs.NewGroupStats(c.Par.NumLPs(), bucket)
 	for _, sw := range c.Net.Switches {
 		sw.SetGroupStats(gs.LP(sw.Engine().LP()))
 	}
@@ -105,10 +94,10 @@ func (c *Cluster) GroupFairness() obs.FairnessReport {
 	return obs.Fairness(c.GS.Snapshot())
 }
 
-// auditDrainInterval is how often a sequential cluster drains recorder
-// shards through the auditor. Parallel clusters drain at every window
-// barrier already; sequential ones drain lazily at export, which would let
-// a long run overflow its shard before the auditor ever saw an event.
+// auditDrainInterval is how often a one-LP cluster drains recorder shards
+// through the auditor. Multi-LP clusters drain at every window barrier
+// already; one LP runs no windows and drains lazily at export, which would
+// let a long run overflow its shard before the auditor ever saw an event.
 const auditDrainInterval = sim.Millisecond
 
 // EnableAudit attaches the online protocol auditor to the flight recorder
@@ -130,7 +119,7 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 	}
 	aud := obs.NewAuditor(cfg)
 	rec.Attach(aud.Observe)
-	if c.Par == nil {
+	if c.oneLP() {
 		var drain *sim.Timer
 		drain = c.Net.Eng.NewTimer(func() {
 			rec.Barrier()
@@ -149,15 +138,15 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 // interval 0 selects 100µs; capacity 0 selects 4096 samples (the set
 // decimates and doubles its interval when full).
 //
-// Sampling requires sequential execution: probes read live device state,
-// which under PDES would race with worker goroutines. Partitioned runs
-// should sample offline from the trace instead.
+// Sampling requires one LP (Workers 0): probes read live device state,
+// which under PDES would race with worker goroutines. Multi-LP runs should
+// sample offline from the trace instead.
 func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet, error) {
 	if c.Series != nil {
 		return c.Series, nil
 	}
-	if c.Par != nil {
-		return nil, fmt.Errorf("cepheus: EnableSeries requires sequential execution (Workers 0)")
+	if !c.oneLP() {
+		return nil, fmt.Errorf("cepheus: EnableSeries requires one LP (Workers 0)")
 	}
 	if interval <= 0 {
 		interval = 100 * sim.Microsecond
@@ -306,14 +295,9 @@ func (c *Cluster) QueueDepth() obs.Summary {
 }
 
 // SettleUntil drives the cluster until every event with timestamp <= t has
-// executed (or the run quiesces), in either execution mode. Trace
-// comparisons across modes cut at such a fixed horizon: a partitioned run
-// may execute slightly past it (to its window edge), a sequential run stops
-// exactly on it, and EventsUntil(t) yields the event set both agree on.
-func (c *Cluster) SettleUntil(t sim.Time) {
-	if c.Par != nil {
-		c.Par.Run(t, nil)
-		return
-	}
-	c.Net.Eng.RunUntil(t)
-}
+// executed (or the run quiesces), then stands every LP's clock at t
+// (Parallel.RunUntil). Trace comparisons across partitions cut at such a
+// fixed horizon: a multi-LP run may execute slightly past it (to its window
+// edge), a one-LP run stops exactly on it, and EventsUntil(t) yields the
+// event set both agree on.
+func (c *Cluster) SettleUntil(t sim.Time) { c.Par.RunUntil(t) }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -11,6 +12,7 @@ import (
 // cycle and checks that the sharded fabric counters Metrics() reads agree
 // exactly with a walk over every device's private counters.
 func TestMetricsFabricMatchesWalk(t *testing.T) {
+	t.Parallel()
 	c := NewFatTree(4, Options{Seed: 7})
 	defer c.Close()
 	members := []int{0, 3, 6, 9, 12, 15}
@@ -49,6 +51,7 @@ func TestMetricsFabricMatchesWalk(t *testing.T) {
 // completed broadcast must record one observation per accepted data packet
 // at each receiver, with quantiles bounded by physical limits.
 func TestDeliveryLatencySanity(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3}, 0)
@@ -81,6 +84,7 @@ func TestDeliveryLatencySanity(t *testing.T) {
 
 // TestGroupDeliveryLatency checks the per-group histogram merge.
 func TestGroupDeliveryLatency(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	g, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
@@ -100,47 +104,6 @@ func TestGroupDeliveryLatency(t *testing.T) {
 	}
 }
 
-// traceWorkload runs the digest-equivalence workload with the flight
-// recorder on and returns the canonical JSONL export cut at a fixed virtual
-// horizon — every event at or before it executed in every mode — plus a
-// per-(device, kind) census of the same events. workers 0 selects the
-// sequential engine.
-func traceWorkload(t *testing.T, seed int64, workers int) ([]byte, map[string]int) {
-	t.Helper()
-	c := NewFatTree(8, Options{Seed: seed, Workers: workers})
-	defer c.Close()
-	rec := c.EnableTrace(1 << 20)
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i * 8
-	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunBcastErr(b, 0, 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 60 * sim.Millisecond
-	c.SettleUntil(horizon)
-	evs := rec.EventsUntil(horizon)
-	if len(evs) == 0 {
-		t.Fatal("trace captured nothing")
-	}
-	if rec.Lost() != 0 {
-		t.Fatalf("flight recorder overflowed (lost %d); grow capacity so the comparison sees complete histories", rec.Lost())
-	}
-	census := make(map[string]int)
-	for i := range evs {
-		census[rec.DevName(evs[i].Dev)+"/"+evs[i].Kind.String()]++
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes(), census
-}
-
 // TestTraceSeqParEquivalence is the tracing analogue of the digest test.
 //
 // The canonical trace serialization is the partitioned coordinator's: it
@@ -157,18 +120,27 @@ func traceWorkload(t *testing.T, seed int64, workers int) ([]byte, map[string]in
 // per-(device, kind) event census rather than bytes. DESIGN.md §10 records
 // the distinction.
 func TestTraceSeqParEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}
+	census := func(m map[string]int) func(*Cluster, []obs.Event) {
+		return func(c *Cluster, evs []obs.Event) {
+			for i := range evs {
+				m[c.Rec.DevName(evs[i].Dev)+"/"+evs[i].Kind.String()]++
+			}
+		}
+	}
 	for _, seed := range []int64{1, 2, 3} {
-		ref, refCensus := traceWorkload(t, seed, 1)
+		refCensus, legacyCensus := map[string]int{}, map[string]int{}
+		_, ref := k8Workload(seed, 1, false).traced(t, 1<<20, nil, census(refCensus))
 		for _, w := range []int{2, 4} {
-			got, _ := traceWorkload(t, seed, w)
+			_, got := k8Workload(seed, w, false).traced(t, 1<<20, nil, nil)
 			if !bytes.Equal(ref, got) {
 				t.Errorf("seed %d: workers=%d trace diverges from serial partitioned run (%d vs %d bytes)", seed, w, len(got), len(ref))
 			}
 		}
-		_, legacyCensus := traceWorkload(t, seed, 0)
+		k8Workload(seed, 0, false).traced(t, 1<<20, nil, census(legacyCensus))
 		if len(legacyCensus) != len(refCensus) {
 			t.Errorf("seed %d: legacy engine census has %d (device, kind) classes, partitioned %d", seed, len(legacyCensus), len(refCensus))
 		}

@@ -157,12 +157,13 @@ type bcastState struct {
 // so it succeeds under lossy control planes that would time out Cluster.
 // NewGroup's single attempt.
 //
-// The pipeline needs the sequential engine (Options.Workers 0): degrading
-// rebuilds routes fabric-wide and completes transfers through delivery
-// accounting shared by every member, so a partitioned cluster gets an error.
+// The pipeline needs one LP (Options.Workers 0, or a single-switch
+// fabric): degrading rebuilds routes fabric-wide and completes transfers
+// through delivery accounting shared by every member, so a cluster with
+// more LPs gets an error.
 func (c *Cluster) NewResilientGroup(members []int, leader int, opts RecoveryOptions) (*ResilientGroup, error) {
-	if c.Par != nil {
-		return nil, fmt.Errorf("cepheus: NewResilientGroup requires sequential execution (Workers 0): recovery state is cross-member")
+	if !c.oneLP() {
+		return nil, fmt.Errorf("cepheus: NewResilientGroup requires one LP (Workers 0): recovery state is cross-member")
 	}
 	opts.fill()
 	g, err := c.registerGroup(members, leader, *opts.Policy)

@@ -44,6 +44,7 @@ func runUntil(t *testing.T, c *Cluster, cond func() bool, window sim.Time, what 
 // routes → re-probe re-registers over the restarted switch → native
 // multicast restored — all deliveries byte-exact, asserted via counters.
 func TestRecoveryFullCycleSwitchCrash(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err != nil {
@@ -105,6 +106,7 @@ func TestRecoveryFullCycleSwitchCrash(t *testing.T) {
 // multicast is eventually restored. No delivery may be lost, duplicated, or
 // wrongly sized.
 func TestRecoveryMidBcastLinkDown(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err != nil {
@@ -139,15 +141,28 @@ func TestRecoveryMidBcastLinkDown(t *testing.T) {
 	}
 }
 
-// TestResilientGroupPartitionedErrors: the recovery pipeline needs the
-// sequential engine, and a partitioned cluster must say so with an error
-// instead of dying on the engine it does not have.
+// TestResilientGroupPartitionedErrors: the recovery pipeline needs one LP,
+// and a cluster with more must say so with an error instead of dying on the
+// engine it does not have. The one-switch testbed is one LP at any worker
+// count, so there the pipeline works.
 func TestResilientGroupPartitionedErrors(t *testing.T) {
-	c := NewTestbed(4, Options{Workers: 2})
+	t.Parallel()
+	c := NewLeafSpine(2, 2, 2, Options{Workers: 2})
 	defer c.Close()
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err == nil || rg != nil {
-		t.Fatalf("NewResilientGroup on a partitioned cluster = (%v, %v), want an error", rg, err)
+		t.Fatalf("NewResilientGroup on a multi-LP cluster = (%v, %v), want an error", rg, err)
+	}
+
+	tb := NewTestbed(4, Options{Workers: 2})
+	defer tb.Close()
+	rg, err = tb.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
+	if err != nil {
+		t.Fatalf("NewResilientGroup on a one-LP testbed at Workers 2: %v", err)
+	}
+	runRBcast(t, tb, rg, 0, 256<<10)
+	if rg.Stats.NativeDeliveries != 3 {
+		t.Fatalf("one-LP testbed broadcast: %+v", rg.Stats)
 	}
 }
 
@@ -155,6 +170,7 @@ func TestResilientGroupPartitionedErrors(t *testing.T) {
 // (MRP, confirmations, ACK/NACK/CNP) and requires registration to succeed
 // within the bounded retransmission policy, then a broadcast to complete.
 func TestRegistrationUnderControlLoss(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	c.SetControlLossRate(0.10)
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
@@ -182,6 +198,7 @@ func TestRegistrationUnderControlLoss(t *testing.T) {
 // dropped and NACKed, never forwarded — the sender learns, degrades, and
 // the data flows over unicast until re-registration.
 func TestStaleEpochDataNeverForwarded(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{})
 	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
 	if err != nil {

@@ -3,8 +3,6 @@ package cepheus
 import (
 	"bytes"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 // Paper-scale determinism: the digest and trace byte-equivalence guarantees
@@ -28,43 +26,26 @@ func scale1024Members(n int) []int {
 	return members
 }
 
-// scale1024Workload runs a 256KB Cepheus broadcast to 64 members on the
-// 1024-host fabric. workers=0 selects the sequential engine; otherwise the
+// scale1024Workload is a 256KB Cepheus broadcast to 64 members on the
+// 1024-host fabric. workers=0 selects the one-LP partition; otherwise the
 // pod-level partition with that worker count.
-func scale1024Workload(t *testing.T, seed int64, workers int) (simDigest, uint64) {
-	t.Helper()
-	c := NewFatTree(16, Options{Seed: seed, Workers: workers, PodPartition: true})
-	defer c.Close()
-	members := scale1024Members(64)
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SettleUntil(c.Now() + 10*sim.Millisecond) // drain registration residue
-	jct, err := c.RunBcastErr(b, members[0], 256<<10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.SettleUntil(c.Now() + sim.Millisecond) // let trailing feedback land
-	d := simDigest{jct: jct, metrics: c.Metrics().String()}
-	for _, r := range c.RNICs {
-		d.retrans += r.Stats.Retransmits
-	}
-	return d, c.EventsRun()
+func scale1024Workload(seed int64, workers int) equivWorkload {
+	return equivWorkload{k: 16, members: scale1024Members(64), opts: Options{Seed: seed, Workers: workers, PodPartition: true}}
 }
 
 // TestScale1024DigestEquivalence: on the 1024-host fabric, every pod-
 // partitioned worker count must reproduce the sequential engine's simulated
 // outcomes, and all partitioned runs must execute the same event count.
 func TestScale1024DigestEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("1024-host fat-tree sweep in -short mode")
 	}
 	const seed = 7
-	ref, _ := scale1024Workload(t, seed, 0)
+	ref, _ := scale1024Workload(seed, 0).digest(t)
 	var parEvents uint64
 	for _, w := range []int{1, 2, 4, 8} {
-		d, ev := scale1024Workload(t, seed, w)
+		d, ev := scale1024Workload(seed, w).digest(t)
 		if d != ref {
 			t.Errorf("workers %d: digest diverged from sequential:\n  seq: %+v\n  par: %+v", w, ref, d)
 		}
@@ -76,51 +57,18 @@ func TestScale1024DigestEquivalence(t *testing.T) {
 	}
 }
 
-// scale1024TraceWorkload is scale1024Workload with the flight recorder and
-// protocol auditor attached, returning the canonical JSONL export cut at a
-// fixed virtual horizon.
-func scale1024TraceWorkload(t *testing.T, seed int64, workers int) []byte {
-	t.Helper()
-	c := NewFatTree(16, Options{Seed: seed, Workers: workers, PodPartition: true})
-	defer c.Close()
-	rec := c.EnableTrace(1 << 21)
-	c.EnableAudit()
-	members := scale1024Members(64)
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunBcastErr(b, members[0], 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 60 * sim.Millisecond
-	c.SettleUntil(horizon)
-	evs := rec.EventsUntil(horizon)
-	if len(evs) == 0 {
-		t.Fatal("trace captured nothing")
-	}
-	if rec.Lost() != 0 {
-		t.Fatalf("flight recorder overflowed (lost %d)", rec.Lost())
-	}
-	auditMustBeClean(t, c)
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, evs); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 // TestScale1024TraceEquivalence: the merged 1024-host trace must be byte-
 // identical from serial pod-partitioned execution through workers {2, 4, 8},
 // and every run must audit clean.
 func TestScale1024TraceEquivalence(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("1024-host fat-tree sweep in -short mode")
 	}
 	const seed = 7
-	ref := scale1024TraceWorkload(t, seed, 1)
+	_, ref := scale1024Workload(seed, 1).traced(t, 1<<21, audited, auditClean(t))
 	for _, w := range []int{2, 4, 8} {
-		got := scale1024TraceWorkload(t, seed, w)
+		_, got := scale1024Workload(seed, w).traced(t, 1<<21, audited, auditClean(t))
 		if !bytes.Equal(ref, got) {
 			t.Errorf("workers=%d trace diverges from serial pod run (%d vs %d bytes)", w, len(got), len(ref))
 		}

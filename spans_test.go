@@ -14,6 +14,7 @@ import (
 // two-level testbed every multicast span crosses exactly two hops (origin
 // host NIC + ToR) with one delivery per non-origin member at path length 2.
 func TestSpanRoundTripTestbed(t *testing.T) {
+	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
 	defer c.Close()
 	rec := c.EnableTrace(1 << 20)
@@ -80,39 +81,21 @@ func TestSpanRoundTripTestbed(t *testing.T) {
 	}
 }
 
-// spanWorkload renders the spans of the digest-equivalence fat-tree workload
+// spanWorkload renders the spans of the traced k=8 equivalence workload
 // under a given worker count (partitioned coordinator throughout, so the
 // canonical event stream — and hence the rendering — must be byte-stable).
 func spanWorkload(t *testing.T, workers int) []byte {
 	t.Helper()
-	c := NewFatTree(8, Options{Seed: 1, Workers: workers})
-	defer c.Close()
-	rec := c.EnableTrace(1 << 20)
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i * 8
-	}
-	b, err := c.Broadcaster(SchemeCepheus, members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.RunBcastErr(b, 0, 256<<10); err != nil {
-		t.Fatal(err)
-	}
-	const horizon = 60 * sim.Millisecond
-	c.SettleUntil(horizon)
-	evs := rec.EventsUntil(horizon)
-	if rec.Lost() != 0 {
-		t.Fatalf("flight recorder overflowed (lost %d)", rec.Lost())
-	}
-	spans := obs.BuildSpans(evs)
-	if len(spans) == 0 {
-		t.Fatal("no spans reconstructed from the fat-tree trace")
-	}
 	var buf bytes.Buffer
-	if err := obs.WriteSpans(&buf, spans, rec.DevName); err != nil {
-		t.Fatal(err)
-	}
+	k8Workload(1, workers, false).traced(t, 1<<20, nil, func(c *Cluster, evs []obs.Event) {
+		spans := obs.BuildSpans(evs)
+		if len(spans) == 0 {
+			t.Fatal("no spans reconstructed from the fat-tree trace")
+		}
+		if err := obs.WriteSpans(&buf, spans, c.Rec.DevName); err != nil {
+			t.Fatal(err)
+		}
+	})
 	return buf.Bytes()
 }
 
@@ -120,6 +103,7 @@ func spanWorkload(t *testing.T, workers int) []byte {
 // (time, device, seq) stream, so its rendered output must be byte-identical
 // from serial partitioned execution through any parallel worker count.
 func TestSpanWorkerInvariance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("multi-mode fat-tree sweeps in -short mode")
 	}
