@@ -783,7 +783,7 @@ func workerSweep(name string, k, members int, workers []int) {
 			panic(err)
 		}
 		// One untimed warmup broadcast grows every executor buffer (outboxes,
-		// merge scratch, slabs, event heaps) and ramps DCQCN to its working
+		// merge scratch, slabs, event queues) and ramps DCQCN to its working
 		// point, so the measured row reports steady-state behavior: the alloc
 		// column is worker-invariant delivery bookkeeping instead of plan-
 		// shape-dependent cold growth, and events/s excludes one-time setup.
@@ -873,7 +873,7 @@ func firstHosts(n int) []int {
 // rows, and, with -maxover, fails the run above that fraction.
 //
 // Each iteration times the broadcasts after an untimed warm-up on its
-// cluster: the warm-up absorbs one-time cold costs (event-heap and
+// cluster: the warm-up absorbs one-time cold costs (event-queue and
 // port-buffer growth, DCQCN ramp, first touch of recorder rings or executor
 // buffers) that otherwise land on the instrumented side — the BENCH_pr8
 // "~20%" trace overhead was mostly this artifact — and GC runs before the

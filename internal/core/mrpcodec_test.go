@@ -101,3 +101,27 @@ func TestMRPRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzDecodeMRP: DecodeMRP never panics, and a payload it accepts
+// re-encodes to bytes that decode to the same payload.
+func FuzzDecodeMRP(f *testing.F) {
+	f.Add(EncodeMRP(&MRPPayload{
+		McstID: simnet.MulticastBase + 7, Seq: 1, Total: 3, Epoch: 2,
+		Nodes: []NodeInfo{{IP: 2, QPN: 2}, {IP: 3, QPN: 0xABCDEF, WVA: 0x1000, WRKey: 99}},
+	}), uint32(0x0A000001))
+	f.Add(EncodeMRP(&MRPPayload{McstID: simnet.MulticastBase + 1, Total: 1}), uint32(1))
+	f.Add([]byte{0, 0, 0, 1, 0, 1, 0, 0, 1, 2, 3, 4, 5, 6, 7, 0xFF}, uint32(0))
+	f.Fuzz(func(t *testing.T, in []byte, ctrl uint32) {
+		p, err := DecodeMRP(in, simnet.Addr(ctrl))
+		if err != nil {
+			return
+		}
+		got, err := DecodeMRP(EncodeMRP(p), p.CtrlIP)
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", p, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Fatalf("re-encode changed the payload:\n got %+v\nwant %+v", got, p)
+		}
+	})
+}

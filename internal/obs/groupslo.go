@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -87,13 +88,13 @@ func ParseSLO(spec string) (SLOObjective, SLOWindows, error) {
 			o.DeliveryP99 = d
 		case "goodput":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			if err != nil || !(f >= 0) || math.IsInf(f, 1) {
 				return o, w, fmt.Errorf("slo: goodput: bad bytes/s %q", v)
 			}
 			o.GoodputFloor = f
 		case "drops":
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f <= 0 || f >= 1 {
+			if err != nil || !(f > 0 && f < 1) {
 				return o, w, fmt.Errorf("slo: drops: bad fraction %q (need 0<f<1)", v)
 			}
 			o.DropBudget = f
@@ -114,7 +115,8 @@ func ParseSLO(spec string) (SLOObjective, SLOWindows, error) {
 }
 
 // parseDur parses a simulated duration with an optional ns/us/ms/s suffix
-// (bare numbers are nanoseconds).
+// (bare numbers are nanoseconds). NaN, negative values and durations past
+// sim.MaxTime are errors.
 func parseDur(s string) (sim.Time, error) {
 	mult := sim.Time(1)
 	switch {
@@ -128,7 +130,7 @@ func parseDur(s string) (sim.Time, error) {
 		s, mult = strings.TrimSuffix(s, "s"), sim.Second
 	}
 	n, err := strconv.ParseFloat(s, 64)
-	if err != nil || n < 0 {
+	if err != nil || !(n >= 0) || n*float64(mult) >= float64(sim.MaxTime) {
 		return 0, fmt.Errorf("bad duration %q", s)
 	}
 	return sim.Time(n * float64(mult)), nil

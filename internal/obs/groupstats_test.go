@@ -119,6 +119,55 @@ func TestParseSLO(t *testing.T) {
 	}
 }
 
+// TestParseSLORejectsNonFinite pins the rejection of values that used to
+// parse into an empty or unreachable objective, or a negative window:
+// non-finite numbers and durations that overflow sim.Time.
+func TestParseSLORejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{
+		"p99=NaN", "p99=Inf", "p99=+Inf", "p99=1e300", "p99=1e10s",
+		"p99=9223372036854775807", "drops=NaN", "drops=Inf", "goodput=NaN",
+		"goodput=Inf", "goodput=-Inf", "p99=2ms,window=NaN", "p99=2ms,window=Inf",
+		"p99=2ms,window=1e19",
+	} {
+		if o, w, err := ParseSLO(bad); err == nil {
+			t.Errorf("ParseSLO(%q) = %+v, %+v; want error", bad, o, w)
+		}
+	}
+	// The largest durations that still fit are accepted.
+	if o, _, err := ParseSLO("p99=9e9s"); err != nil || o.DeliveryP99 != 9e9*sim.Second {
+		t.Errorf("ParseSLO(p99=9e9s) = %+v, %v", o, err)
+	}
+}
+
+// FuzzParseSLO: a spec either fails or yields finite, non-negative fields
+// and an objective that renders non-empty.
+func FuzzParseSLO(f *testing.F) {
+	for _, s := range []string{
+		"p99=2ms,goodput=1e9,drops=0.001,window=500us", "p99=NaN",
+		"goodput=Inf", "drops=0.5", "p99=2ms,window=NaN", "p99=1e300", "window=1ms",
+		"p99=0x1p10us", " goodput = 1 ", "p99=1.5",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		o, w, err := ParseSLO(spec)
+		if err != nil {
+			return
+		}
+		for _, v := range []float64{o.GoodputFloor, o.DropBudget, w.Threshold} {
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				t.Fatalf("ParseSLO(%q) = %+v, %+v: field %v not finite and >= 0", spec, o, w, v)
+			}
+		}
+		if o.DeliveryP99 < 0 || w.Short < 0 || w.Long < 0 {
+			t.Fatalf("ParseSLO(%q) = %+v, %+v: negative duration", spec, o, w)
+		}
+		if o.String() == "" {
+			t.Fatalf("ParseSLO(%q) = %+v: accepted with an empty String()", spec, o)
+		}
+	})
+}
+
 // synthReport builds a report whose goodput series is bytes[i] in bucket i
 // (100us buckets), with msgs/slow alongside.
 func synthReport(bytes []int64, slow []uint64) GroupReport {

@@ -10,9 +10,9 @@ import "repro/internal/sim"
 // only filters which CNPs reach the sender (§III-D).
 //
 // The alpha-decay and rate-increase timers are virtual: instead of parking
-// two heap entries per QP that fire every few tens of microseconds whether
+// two queue entries per QP that fire every few tens of microseconds whether
 // or not the QP is active (hundreds of standing scheduler slots on a big
-// group, deepening every sift), each keeps only its next deadline and the
+// group, each one a fire and re-arm), each keeps only its next deadline and the
 // state is caught up in closed form at the points where it is observed —
 // emission pacing, CNP arrival, byte-counter ticks, and Rate() sampling.
 // Catch-up replays the exact per-tick float arithmetic in deadline order,

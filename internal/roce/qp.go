@@ -140,7 +140,7 @@ func newQP(r *RNIC, qpn uint32) *QP {
 		lastNackedPSN: ^uint64(0), lastNackedAt: -1 << 60,
 	}
 	// One re-armable RTO and one emission timer per QP for the connection's
-	// lifetime: re-arming on every ACK or paced send moves the single heap
+	// lifetime: re-arming on every ACK or paced send moves the single queue
 	// entry instead of churning the scheduler.
 	qp.rto = r.eng.NewTimer(qp.onRTO)
 	qp.emitT = r.eng.NewTimer(qp.emit)
@@ -348,9 +348,10 @@ func (qp *QP) trySend() {
 		at = qp.nextTx
 	}
 	qp.sendScheduled = true
-	// Re-arming the one emission timer moves its heap entry in place (and a
-	// pacer firing that immediately re-arms never leaves the heap top), where
-	// scheduling a fresh event per emission would push and pop one each time.
+	// Re-arming the one emission timer relinks its queue entry in place (and
+	// a pacer firing that immediately re-arms never leaves the queue), where
+	// scheduling a fresh event per emission would insert and remove one each
+	// time.
 	qp.emitT.Reset(at - qp.eng.Now())
 }
 
@@ -449,10 +450,10 @@ func (qp *QP) wqeFor(psn uint64) *WQE {
 }
 
 // armRTO moves the logical retransmission deadline to now+timeout. The
-// physical timer is lazy: it only re-keys the heap when it would otherwise
-// fire too late, so the per-ACK and per-send re-arms on the hot path are two
-// field writes. A stale (early) firing defers itself in onRTO — one heap op
-// per timeout period instead of one per packet.
+// physical timer is lazy: it only re-keys its queue entry when it would
+// otherwise fire too late, so the per-ACK and per-send re-arms on the hot
+// path are two field writes. A stale (early) firing defers itself in onRTO —
+// one queue op per timeout period instead of one per packet.
 func (qp *QP) armRTO() {
 	to := qp.curRTO
 	if to <= 0 {
@@ -468,7 +469,7 @@ func (qp *QP) armRTO() {
 
 // stopRTO cancels the logical deadline. An armed physical timer is left to
 // fire once and find nothing due, which is cheaper than removing it from
-// the heap on every full-acknowledgment edge.
+// the queue on every full-acknowledgment edge.
 func (qp *QP) stopRTO() { qp.rtoAt = 0 }
 
 // backoffRTO grows the effective timeout after an expiry, when enabled.

@@ -221,9 +221,10 @@ func (r *taskRing) popFront() cpuTask {
 // behind each other, which bounds message rate the way a real verbs stack
 // and CPU core do.
 //
-// Tasks complete in nondecreasing cpuNext order, so instead of a heap event
-// per task the queue is a FIFO walked by one re-armable timer: only the
-// head task occupies the event heap, and each completion re-arms in place.
+// Tasks complete in nondecreasing cpuNext order, so instead of a scheduled
+// event per task the queue is a FIFO walked by one re-armable timer: only
+// the head task occupies the event queue, and each completion re-arms in
+// place.
 func (r *RNIC) stackDefer(cost sim.Time, fn func()) {
 	start := r.eng.Now()
 	if r.cpuNext > start {

@@ -156,3 +156,34 @@ func TestBridgingPreservesWireValidity(t *testing.T) {
 		t.Fatalf("bridged MR lost: %+v", h)
 	}
 }
+
+// FuzzDecodeHeader: DecodeHeader never panics, and a header it accepts
+// re-encodes to bytes that decode to the same header.
+func FuzzDecodeHeader(f *testing.F) {
+	buf := make([]byte, MaxHeaderBytes)
+	for _, h := range []*WireHeader{
+		{Opcode: OpSendOnly, Src: 0x0A000001, Dst: 0xE0000001, DstQP: 0x123456, PSN: 0xABCDEF, AckReq: true},
+		{Opcode: OpWriteFirst, Src: 1, Dst: 2, DstQP: 7, HasRETH: true, VA: 0xDEADBEEF, RKey: 42, DMALen: 1 << 20},
+		{Opcode: OpAcknowledge, Src: 9, Dst: 8, DstQP: 3, PSN: 77, Nack: true},
+		{Opcode: OpCNP, Src: 5, Dst: 6, DstQP: 1},
+	} {
+		n := EncodeHeader(buf, h)
+		f.Add(append([]byte(nil), buf[:n]...))
+	}
+	f.Add([]byte{0x45})
+	f.Fuzz(func(t *testing.T, in []byte) {
+		h, err := DecodeHeader(in)
+		if err != nil {
+			return
+		}
+		out := make([]byte, MaxHeaderBytes)
+		n := EncodeHeader(out, h)
+		got, err := DecodeHeader(out[:n])
+		if err != nil {
+			t.Fatalf("re-encoded %+v does not decode: %v", h, err)
+		}
+		if *got != *h {
+			t.Fatalf("re-encode changed the header:\n got %+v\nwant %+v", got, h)
+		}
+	})
+}

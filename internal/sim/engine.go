@@ -6,17 +6,21 @@
 // for a given seed. Everything above it — links, switches, RNICs, the Cepheus
 // accelerator — is built as callbacks on this engine.
 //
-// The scheduler is allocation-free on its hot paths: events are pointer-free
-// key records in a hand-rolled 4-ary heap (payloads live in a recycled slot
-// arena, so sifting triggers no GC write barriers), the typed
-// Handler dispatch path carries a receiver plus argument without building a
-// closure per event, and Timers own a single heap slot that Reset re-arms and
-// Stop removes in place — arming and cancelling schedules no garbage. See
-// DESIGN.md §8 for the internals.
+// The scheduler is allocation-free on its hot paths: events wait in an
+// exact-order calendar queue (8 ns buckets, each a list sorted by timestamp
+// then schedule order, found through an occupancy bitmap), so the dense
+// near-future band of a busy fabric costs O(1) per insert and pop instead of
+// a heap's O(log n). Entries live in a recycled slot arena linked by index,
+// so relinking triggers no GC write barriers; the typed Handler dispatch
+// path carries a receiver plus argument without building a closure per
+// event; and Timers own a single entry that Reset relinks and Stop unlinks
+// in place — arming and cancelling schedules no garbage. See DESIGN.md §8
+// for the internals.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 )
 
@@ -66,51 +70,59 @@ type Handler interface {
 	OnEvent(e *Engine, arg any)
 }
 
-// event is one heap key: the ordering fields plus the index of the payload
-// slot. Keys are deliberately pointer-free so sifting them around the heap
-// copies 24 bytes with no GC write barriers — the single hottest operation
-// in the simulator.
-type event struct {
-	at   Time
-	seq  uint64 // tie-break: FIFO among equal timestamps
-	slot int32  // index into Engine.slots
-}
-
-// before orders events by (timestamp, schedule order).
-func (ev *event) before(other *event) bool {
-	if ev.at != other.at {
-		return ev.at < other.at
-	}
-	return ev.seq < other.seq
-}
-
-// eslot is one scheduled callback's payload, parked outside the heap so heap
-// moves never touch pointers. Exactly one of fn, h, or tm is set: fn is the
-// closure path, h the typed-handler path, tm a Timer's slot (the timer tracks
-// its slot index so Stop/Reset can find its heap key in O(1) via heap).
+// eslot is one scheduled entry: its ordering key, its links in a calendar
+// bucket, and its payload. Exactly one of fn, h, or tm is set: fn is the
+// closure path, h the typed-handler path, tm a Timer's entry (the timer
+// tracks its slot index, so Stop/Reset unlink it in O(1)). The links are
+// slot indices rather than pointers, so relinking triggers no GC write
+// barriers.
 type eslot struct {
-	fn   func()
-	h    Handler
-	arg  any
-	tm   *Timer
-	heap int32 // current heap index of this slot's key
+	at         Time
+	seq        uint64 // tie-break: FIFO among equal timestamps
+	next, prev int32  // neighbours in the bucket list, -1 at either end
+	fn         func()
+	h          Handler
+	arg        any
+	tm         *Timer
 }
+
+// bucket is one calendar day's list, sorted by (at, seq); -1 when empty.
+type bucket struct{ head, tail int32 }
+
+const (
+	// dayShift sets the bucket width: a day is 1<<dayShift = 8 ns, about
+	// one 64-byte frame at 100 Gbps, so the dense near-future band of a
+	// busy fabric spreads across buckets a few entries deep.
+	dayShift = 3
+	// minBuckets is the smallest calendar: one occupancy word.
+	minBuckets = 64
+)
 
 // Engine is a single-threaded discrete-event scheduler with a seeded RNG.
 // The zero value is not usable; construct with New.
 //
 // An engine can also be one logical process (LP) of a Parallel run (see
 // parallel.go): it then carries its partition index and per-destination
-// outboxes for cross-LP messages, but its heap, clock, and RNG remain
+// outboxes for cross-LP messages, but its queue, clock, and RNG remain
 // strictly single-threaded — only the owning worker touches them.
 type Engine struct {
-	now    Time
-	seq    uint64
-	events []event // 4-ary min-heap of pointer-free key records
-	slots  []eslot // payload arena, indexed by event.slot
-	free   []int32 // recycled slot indices
-	rng    *rand.Rand
-	nRun   uint64
+	now   Time
+	seq   uint64
+	slots []eslot // entry arena, indexed by slot
+	free  []int32 // recycled slot indices
+	rng   *rand.Rand
+	nRun  uint64
+
+	// Calendar queue. Entry s lives in buckets[(slots[s].at>>dayShift)&mask];
+	// occ has bit b set iff buckets[b] is non-empty. No queued entry's day
+	// (at>>dayShift) is below day, and min caches the earliest entry (-1
+	// when unknown or the queue is empty).
+	buckets []bucket
+	occ     []uint64
+	mask    int64
+	n       int // queued entries
+	day     int64
+	min     int32
 
 	// Parallel-execution identity: nil/0 for a standalone engine.
 	par *Parallel
@@ -130,8 +142,8 @@ type Engine struct {
 
 	// Inbound cross-LP slab: messages injected by the coordinator at window
 	// barriers, kept sorted by (at, seq) and consumed from slabIdx forward.
-	// Slab entries never enter the heap — step merges the two streams on the
-	// fly — so a cross-LP hand-off costs zero heap operations on the
+	// Slab entries never enter the calendar — step merges the two streams
+	// on the fly — so a cross-LP hand-off costs zero queue operations on the
 	// destination. slabScratch is the retired backing array, recycled on the
 	// next merge so steady-state injection allocates nothing.
 	slab        []crossMsg
@@ -142,7 +154,7 @@ type Engine struct {
 // New returns an engine whose RNG is seeded with seed. Two engines built with
 // the same seed and driven by the same code execute identical schedules.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), min: -1}
 }
 
 // Now returns the current virtual time.
@@ -164,20 +176,20 @@ func (e *Engine) Credit(n uint64) { e.nRun += n }
 
 // Pending reports how many events are currently scheduled, including
 // barrier-injected cross-LP slab messages not yet consumed. Stopped timers do
-// not linger here: cancelling removes the heap entry immediately.
-func (e *Engine) Pending() int { return len(e.events) + (len(e.slab) - e.slabIdx) }
+// not linger here: cancelling unlinks the entry immediately.
+func (e *Engine) Pending() int { return e.n + (len(e.slab) - e.slabIdx) }
 
 // LP returns this engine's logical-process index within a Parallel run
 // (0 for a standalone engine).
 func (e *Engine) LP() int { return int(e.lp) }
 
-// NextEventTime returns the timestamp of the earliest pending event — heap or
-// cross-LP slab — and whether one exists.
+// NextEventTime returns the timestamp of the earliest pending event — queued
+// or cross-LP slab — and whether one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
 	t := Time(0)
 	ok := false
-	if len(e.events) > 0 {
-		t, ok = e.events[0].at, true
+	if s := e.first(); s >= 0 {
+		t, ok = e.slots[s].at, true
 	}
 	if e.slabIdx < len(e.slab) {
 		if mt := e.slab[e.slabIdx].at; !ok || mt < t {
@@ -187,13 +199,24 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	return t, ok
 }
 
-// ---- 4-ary heap of pointer-free key records ----
+// ---- Exact-order calendar queue ----
 //
-// A 4-ary layout halves the tree depth of a binary heap and keeps children in
-// one cache line, which is where a discrete-event simulator spends its time.
-// Children of i are 4i+1..4i+4; parent of i is (i-1)/4.
+// Time is cut into 8 ns days, and day d hashes to bucket d&mask. Each
+// bucket is a doubly linked list sorted by (at, seq), so the queue pops in
+// exactly the order a heap would. Inserting walks back from the bucket's
+// tail: O(1) for the common case of the newest seq at or near the bucket's
+// latest time. The pending entries of a busy fabric crowd the next
+// microsecond, so the occupancy bitmap finds the next occupied day in a word
+// or two; entries a full cycle or more ahead share buckets with nearer days
+// and are skipped by comparing their day with the one being scanned.
 
-// allocSlot returns a free payload slot, recycling before growing.
+// before orders entries by (timestamp, schedule order).
+func (e *Engine) before(a, b int32) bool {
+	x, y := &e.slots[a], &e.slots[b]
+	return x.at < y.at || (x.at == y.at && x.seq < y.seq)
+}
+
+// allocSlot returns a free entry slot, recycling before growing.
 func (e *Engine) allocSlot() int32 {
 	if n := len(e.free); n > 0 {
 		s := e.free[n-1]
@@ -204,108 +227,167 @@ func (e *Engine) allocSlot() int32 {
 	return int32(len(e.slots) - 1)
 }
 
-// freeSlot zeroes slot s (dropping callback/arg references for the GC) and
-// recycles it.
-func (e *Engine) freeSlot(s int32) {
-	e.slots[s] = eslot{}
-	e.free = append(e.free, s)
-}
-
-// setEvent writes key ev into heap position i, maintaining the payload's
-// back-pointer.
-func (e *Engine) setEvent(i int, ev event) {
-	e.events[i] = ev
-	e.slots[ev.slot].heap = int32(i)
-}
-
-// siftUp moves the event at slot i toward the root until ordered.
-func (e *Engine) siftUp(i int) {
-	ev := e.events[i]
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !ev.before(&e.events[parent]) {
-			break
-		}
-		e.setEvent(i, e.events[parent])
-		i = parent
+// link queues slot s, whose key is set, in its day's bucket.
+func (e *Engine) link(s int32) {
+	if e.n >= len(e.buckets) {
+		e.grow()
 	}
-	e.setEvent(i, ev)
+	e.n++
+	sl := &e.slots[s]
+	d := int64(sl.at >> dayShift)
+	if e.n == 1 {
+		e.day, e.min = d, s
+	} else {
+		// The cursor must stay at or below every queued day, or the next
+		// scan would start past the new entry.
+		if d < e.day {
+			e.day = d
+		}
+		if e.min >= 0 && e.before(s, e.min) {
+			e.min = s
+		}
+	}
+	b := d & e.mask
+	bk := &e.buckets[b]
+	p := bk.tail
+	if p < 0 {
+		sl.prev, sl.next = -1, -1
+		bk.head, bk.tail = s, s
+		e.occ[b>>6] |= 1 << (b & 63)
+		return
+	}
+	for p >= 0 && e.before(s, p) {
+		p = e.slots[p].prev
+	}
+	sl.prev = p
+	if p < 0 {
+		sl.next = bk.head
+		bk.head = s
+	} else {
+		sl.next = e.slots[p].next
+		e.slots[p].next = s
+	}
+	if sl.next < 0 {
+		bk.tail = s
+	} else {
+		e.slots[sl.next].prev = s
+	}
 }
 
-// siftDown moves the event at slot i toward the leaves until ordered.
-func (e *Engine) siftDown(i int) {
-	n := len(e.events)
-	ev := e.events[i]
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if e.events[c].before(&e.events[best]) {
-				best = c
-			}
-		}
-		if !e.events[best].before(&ev) {
-			break
-		}
-		e.setEvent(i, e.events[best])
-		i = best
+// unlink takes slot s out of the queue. Unlinking the minimum hands the
+// cache to its successor when that shares the day: a day lives in one bucket
+// only, so nothing elsewhere can come between them.
+func (e *Engine) unlink(s int32) {
+	sl := &e.slots[s]
+	b := int64(sl.at>>dayShift) & e.mask
+	bk := &e.buckets[b]
+	if sl.prev < 0 {
+		bk.head = sl.next
+	} else {
+		e.slots[sl.prev].next = sl.next
 	}
-	e.setEvent(i, ev)
+	if sl.next < 0 {
+		bk.tail = sl.prev
+	} else {
+		e.slots[sl.next].prev = sl.prev
+	}
+	if bk.head < 0 {
+		e.occ[b>>6] &^= 1 << (b & 63)
+	}
+	e.n--
+	if e.min == s {
+		e.min = -1
+		if nx := sl.next; nx >= 0 && e.slots[nx].at>>dayShift == sl.at>>dayShift {
+			e.min = nx
+		}
+	}
 }
 
-// push inserts ev into the heap.
-func (e *Engine) push(ev event) {
-	e.events = append(e.events, ev)
-	e.siftUp(len(e.events) - 1)
-}
-
-// pop removes the earliest event, returning its timestamp and payload. The
-// payload slot is recycled before the caller dispatches, so a callback that
-// schedules immediately reuses the slot it just vacated.
-func (e *Engine) pop() (Time, eslot) {
-	top := e.events[0]
-	n := len(e.events) - 1
-	if n > 0 {
-		e.setEvent(0, e.events[n])
-	}
-	e.events = e.events[:n] // keys hold no pointers; no need to zero
-	if n > 1 {
-		e.siftDown(0)
-	}
-	sl := e.slots[top.slot]
+// remove unlinks slot s, disarms its timer if it has one, and recycles it
+// with its callback and argument references dropped for the GC.
+func (e *Engine) remove(s int32) {
+	e.unlink(s)
+	sl := &e.slots[s]
 	if sl.tm != nil {
 		sl.tm.slot = -1
 	}
-	e.freeSlot(top.slot)
-	return top.at, sl
+	sl.fn, sl.h, sl.arg, sl.tm = nil, nil, nil, nil
+	e.free = append(e.free, s)
 }
 
-// remove deletes the event at heap position i (a cancelled timer's entry).
-func (e *Engine) remove(i int) {
-	s := e.events[i].slot
-	if tm := e.slots[s].tm; tm != nil {
-		tm.slot = -1
+// first returns the earliest queued slot, or -1 when the queue is empty.
+// It stays small enough to inline into the per-event path; scan does the
+// work when the cache is cold.
+func (e *Engine) first() int32 {
+	if e.min >= 0 || e.n == 0 {
+		return e.min
 	}
-	e.freeSlot(s)
-	n := len(e.events) - 1
-	moved := e.events[n]
-	e.events = e.events[:n]
-	if i < n {
-		e.setEvent(i, moved)
-		e.siftDown(i)
-		e.siftUp(i)
+	return e.scan()
+}
+
+// scan finds, caches and returns the minimum of a non-empty queue whose
+// cache is cold.
+func (e *Engine) scan() int32 {
+	// Walk the occupied buckets from the cursor's day for one cycle. A
+	// bucket's head is its earliest entry, so the first head whose day is
+	// the day being scanned is the minimum.
+	nb := int64(len(e.buckets))
+	for d, end := e.day, e.day+nb; d < end; d++ {
+		b := d & e.mask
+		w := e.occ[b>>6] >> (b & 63)
+		if w == 0 {
+			d += 63 - b&63 // to the next word's first bucket
+			continue
+		}
+		d += int64(bits.TrailingZeros64(w))
+		if d >= end {
+			break
+		}
+		if h := e.buckets[d&e.mask].head; int64(e.slots[h].at>>dayShift) == d {
+			e.day, e.min = d, h
+			return h
+		}
+	}
+	// Nothing within a cycle: the earliest bucket head is the minimum.
+	best := int32(-1)
+	for i, w := range e.occ {
+		for ; w != 0; w &= w - 1 {
+			h := e.buckets[i<<6+bits.TrailingZeros64(w)].head
+			if best < 0 || e.before(h, best) {
+				best = h
+			}
+		}
+	}
+	e.day, e.min = int64(e.slots[best].at>>dayShift), best
+	return best
+}
+
+// grow doubles the calendar (to minBuckets at first) so it always has at
+// least one bucket per queued entry, and relinks every entry. Old bucket b
+// splits into new buckets b and b+old, and relinking it in order appends at
+// each tail, so the rehash is linear; it also recomputes the cursor and the
+// cached minimum.
+func (e *Engine) grow() {
+	old := e.buckets
+	nb := max(2*len(old), minBuckets)
+	e.buckets = make([]bucket, nb)
+	for i := range e.buckets {
+		e.buckets[i] = bucket{-1, -1}
+	}
+	e.occ = make([]uint64, nb/64)
+	e.mask = int64(nb - 1)
+	e.n = 0
+	for _, ob := range old {
+		for s := ob.head; s >= 0; {
+			next := e.slots[s].next
+			e.link(s)
+			s = next
+		}
 	}
 }
 
-// schedule validates the timestamp, parks the payload in a slot, and pushes
-// its key.
+// schedule validates the timestamp, takes the next seq, and queues the
+// payload.
 func (e *Engine) schedule(at Time, fn func(), h Handler, arg any) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -313,8 +395,8 @@ func (e *Engine) schedule(at Time, fn func(), h Handler, arg any) {
 	e.seq++
 	s := e.allocSlot()
 	sl := &e.slots[s]
-	sl.fn, sl.h, sl.arg = fn, h, arg
-	e.push(event{at: at, seq: e.seq, slot: s})
+	sl.at, sl.seq, sl.fn, sl.h, sl.arg = at, e.seq, fn, h, arg
+	e.link(s)
 }
 
 // Schedule runs fn at absolute time at. It panics if at precedes Now, since a
@@ -339,14 +421,14 @@ func (e *Engine) AfterHandler(d Time, h Handler, arg any) {
 }
 
 // Timer is a cancellable, re-armable scheduled callback. A timer owns at most
-// one heap slot: Reset re-arms it in place and Stop removes it immediately,
+// one queue entry: Reset re-arms it in place and Stop removes it immediately,
 // so arm/cancel churn (RoCE retransmission timers, DCQCN rate timers) neither
 // allocates nor strands dead entries in the scheduler until their deadline.
 // Construct with Engine.NewTimer (reusable across arms) or Engine.AfterTimer.
 type Timer struct {
 	eng   *Engine
 	fn    func()
-	slot  int32 // payload slot while armed, -1 otherwise
+	slot  int32 // entry slot while armed, -1 otherwise
 	fired bool
 }
 
@@ -365,8 +447,8 @@ func (e *Engine) AfterTimer(d Time, fn func()) *Timer {
 }
 
 // Reset (re-)arms the timer to fire d nanoseconds from now, whether it is
-// pending, stopped, or already fired. A pending timer's heap slot is moved in
-// place; no new entry is created.
+// pending, stopped, or already fired. A pending timer's entry is unlinked and
+// relinked under its new key; no new entry is created.
 func (t *Timer) Reset(d Time) {
 	e := t.eng
 	at := e.now + d
@@ -375,18 +457,16 @@ func (t *Timer) Reset(d Time) {
 	}
 	t.fired = false
 	e.seq++
-	if t.slot >= 0 {
-		i := int(e.slots[t.slot].heap)
-		e.events[i].at = at
-		e.events[i].seq = e.seq
-		e.siftDown(i)
-		e.siftUp(i)
-		return
+	s := t.slot
+	if s >= 0 {
+		e.unlink(s)
+	} else {
+		s = e.allocSlot()
+		e.slots[s].tm = t
+		t.slot = s
 	}
-	s := e.allocSlot()
-	e.slots[s].tm = t
-	t.slot = s
-	e.push(event{at: at, seq: e.seq, slot: s})
+	e.slots[s].at, e.slots[s].seq = at, e.seq
+	e.link(s)
 }
 
 // Stop cancels the timer if it is pending, removing its entry from the
@@ -396,7 +476,7 @@ func (t *Timer) Stop() bool {
 	if t.slot < 0 {
 		return false
 	}
-	t.eng.remove(int(t.eng.slots[t.slot].heap))
+	t.eng.remove(t.slot)
 	return true
 }
 
@@ -411,16 +491,17 @@ func (t *Timer) Fired() bool { return t.fired }
 // by event.
 //
 // Two fast paths keep the hot loop cheap. A cross-LP slab message earlier
-// than the heap top dispatches straight from the slab — no heap traffic at
-// all. A timer at the heap top dispatches in place: if its callback re-arms
-// it (the dominant pattern for port serialization chains and QP pacers),
-// Reset re-keys the existing entry and the fire costs one sift instead of a
-// pop/push pair plus slot churn.
+// than the queue's minimum dispatches straight from the slab — no queue
+// traffic at all. A timer at the minimum dispatches in place: if its
+// callback re-arms it (the dominant pattern for port serialization chains
+// and QP pacers), Reset relinks the existing entry instead of a
+// remove/insert pair plus slot churn.
 func (e *Engine) step() {
+	s := e.first()
 	if e.slabIdx < len(e.slab) {
 		m := &e.slab[e.slabIdx]
-		if len(e.events) == 0 || m.at < e.events[0].at ||
-			(m.at == e.events[0].at && m.seq < e.events[0].seq) {
+		if s < 0 || m.at < e.slots[s].at ||
+			(m.at == e.slots[s].at && m.seq < e.slots[s].seq) {
 			e.slabIdx++
 			e.now = m.at
 			e.nRun++
@@ -430,27 +511,27 @@ func (e *Engine) step() {
 			return
 		}
 	}
-	top := e.events[0]
-	if tm := e.slots[top.slot].tm; tm != nil {
-		e.now = top.at
-		e.nRun++
+	sl := &e.slots[s]
+	e.now = sl.at
+	e.nRun++
+	if tm := sl.tm; tm != nil {
 		tm.fired = true
 		tm.fn()
-		if tm.slot == top.slot && tm.fired {
+		if tm.slot == s && tm.fired {
 			// Neither Reset (clears fired; may recycle the same slot) nor
-			// Stop (clears slot) ran in the callback: retire the entry. The
-			// back-pointer finds it even if other heap traffic moved the key.
-			e.remove(int(e.slots[top.slot].heap))
+			// Stop (clears slot) ran in the callback: retire the entry.
+			e.remove(s)
 		}
 		return
 	}
-	at, sl := e.pop()
-	e.now = at
-	e.nRun++
-	if sl.h != nil {
-		sl.h.OnEvent(e, sl.arg)
+	// Retire the entry before dispatching, so a callback that schedules
+	// immediately reuses the slot it just vacated.
+	fn, h, arg := sl.fn, sl.h, sl.arg
+	e.remove(s)
+	if h != nil {
+		h.OnEvent(e, arg)
 	} else {
-		sl.fn()
+		fn()
 	}
 }
 
@@ -550,7 +631,7 @@ func (e *Engine) ScheduleRemote(dst *Engine, at Time, h Handler, arg any) {
 // injectSlab hands this engine one window barrier's worth of inbound cross-LP
 // messages, already sorted by the coordinator's canonical (timestamp, source
 // LP, send order) rule. Each message takes the next local sequence number in
-// that order — exactly the numbering the heap-insertion drain used to assign
+// that order — exactly the numbering an insert-per-message drain would assign
 // — and the batch is merged with any not-yet-consumed slab remainder.
 //
 // The merge only compares timestamps: every remainder entry survived at least

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineSchedule measures raw event throughput: the budget every
 // packet-level experiment spends.
@@ -57,6 +60,34 @@ func BenchmarkTimerReset(b *testing.B) {
 		t.Reset(1000)
 	}
 	t.Stop()
+}
+
+// BenchmarkTimerRearmDense measures the dominant pattern of a busy fabric:
+// hundreds of port timers, each re-arming itself 100-380 ns ahead from its
+// own callback (simnet's rxT chain), so nearly every pending entry lies
+// within the next microsecond. One op is one fire plus its re-arm.
+func BenchmarkTimerRearmDense(b *testing.B) {
+	const timers = 448
+	e := New(1)
+	rng := rand.New(rand.NewSource(1))
+	gaps := make([]Time, 1024)
+	for i := range gaps {
+		gaps[i] = 100 + Time(rng.Intn(281))
+	}
+	fired := 0
+	for i := 0; i < timers; i++ {
+		var tm *Timer
+		tm = e.NewTimer(func() {
+			fired++
+			if fired < b.N {
+				tm.Reset(gaps[fired%len(gaps)])
+			}
+		})
+		tm.Reset(gaps[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run(MaxTime, nil)
 }
 
 // BenchmarkHandlerDispatch measures the typed-handler path ports use per hop.

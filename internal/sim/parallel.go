@@ -1,8 +1,8 @@
 // Conservative parallel discrete-event execution.
 //
 // A Parallel run partitions the simulated world into logical processes
-// (LPs), each an ordinary single-threaded Engine with its own 4-ary heap,
-// clock, and RNG stream. Execution proceeds in time windows bounded by the
+// (LPs), each an ordinary single-threaded Engine with its own calendar
+// queue, clock, and RNG stream. Execution proceeds in time windows bounded by the
 // lookahead — the minimum latency of any cross-LP interaction (in the
 // network model, the smallest propagation delay of a link whose endpoints
 // live in different LPs). Within one window every LP can run independently:
@@ -13,7 +13,7 @@
 // Cross-LP messages travel through double-buffered per-(source, destination)
 // outboxes: during window N the source's worker appends to the parity-N%2
 // buffer, and at the start of window N+1 each destination's own worker
-// merges the parity-N%2 buffers aimed at it into its heap in a fixed
+// merges the parity-N%2 buffers aimed at it into its slab in a fixed
 // (timestamp, source LP, send order) total order — the merge of window N's
 // traffic overlaps window N+1's writes into the opposite parity, so one
 // barrier per window suffices and the entire drain phase parallelizes
@@ -39,7 +39,7 @@ import (
 // absolute timestamp, buffered until the next window's merge. seq is assigned
 // by the destination engine when its worker injects the message into its
 // slab (Engine.injectSlab), giving slab entries the same total order as
-// heap events.
+// queued events.
 type crossMsg struct {
 	at  Time
 	seq uint64
@@ -95,7 +95,7 @@ type workerScratch struct {
 	sorter drainSort
 
 	// End-of-window report: earliest pending timestamp across this worker's
-	// LPs (heap, slab, and freshly written outboxes) and whether any of its
+	// LPs (queue, slab, and freshly written outboxes) and whether any of its
 	// LPs executed an event. Written by the worker, read by the coordinator
 	// at the barrier.
 	min Time
@@ -477,7 +477,7 @@ func (p *Parallel) EventsRun() uint64 {
 	return n
 }
 
-// Pending sums scheduled events across LP heaps (outboxes are empty between
+// Pending sums scheduled events across LP queues and slabs (outboxes are empty between
 // runs; the coordinator drains any residue before Run returns).
 func (p *Parallel) Pending() int {
 	n := 0
@@ -600,7 +600,7 @@ func (p *Parallel) runPhase(w int, end Time) {
 	p.wstate[w].ran = ran
 }
 
-// minPhase records worker w's earliest pending timestamp: heap and slab
+// minPhase records worker w's earliest pending timestamp: queue and slab
 // minima plus the minimum of any cross-LP messages its LPs buffered this
 // window. Aggregating these per-worker reports is how the coordinator finds
 // the next window's start without rescanning every LP.

@@ -97,7 +97,7 @@ type Port struct {
 	// for the train boundary on demand (txArmedAt remembers the deadline it
 	// is armed for, so repeated enqueues on a busy port stay O(1)). flight
 	// holds locally delivered frames from commit until arrival, drained
-	// FIFO by the re-armable rxT chain — one heap entry per busy link
+	// FIFO by the re-armable rxT chain — one queue entry per busy link
 	// instead of one per in-flight frame. Both timers are created lazily on
 	// first use so they bind the port's final (possibly partitioned)
 	// engine, after Rebind.
@@ -320,7 +320,7 @@ type flightEntry struct {
 // flightRing is the FIFO of committed-but-undelivered frames on a local
 // link. Arrival times are nondecreasing (frames of one link serialize
 // back-to-back and share the propagation delay), so one re-armable timer
-// walking the ring replaces a heap entry per in-flight frame.
+// walking the ring replaces a queue entry per in-flight frame.
 type flightRing struct {
 	buf  []flightEntry
 	head int
@@ -679,7 +679,7 @@ func (pt *Port) trySend() {
 
 // armTx schedules the next train formation at the busyUntil boundary.
 // txArmedAt makes re-arming idempotent, so every enqueue on a busy port
-// costs a comparison, not a heap re-key.
+// costs a comparison, not a queue re-key.
 func (pt *Port) armTx(now sim.Time) {
 	if pt.txArmedAt == pt.busyUntil {
 		return
