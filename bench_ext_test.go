@@ -1,18 +1,13 @@
 package cepheus
 
-// Benchmarks for the implemented extensions: IRN loss tolerance (the §V-C
-// recommendation), the many-to-one reduction (the paper's named future
-// work), and the parameter-server training loop from the introduction's
-// motivation.
+// IRN loss tolerance, the §V-C recommendation. The reduce and PS-training
+// extensions live with the paper experiments in internal/paper.
 
 import (
 	"fmt"
-	"math"
 	"testing"
 
-	"repro/internal/amcast"
 	"repro/internal/exp"
-	"repro/internal/ps"
 	"repro/internal/roce"
 	"repro/internal/sim"
 )
@@ -65,105 +60,6 @@ func BenchmarkIRNLossTolerance(b *testing.B) {
 		}
 		if i == 0 {
 			fmt.Print(t)
-		}
-	}
-}
-
-// BenchmarkReduceExtension measures the many-to-one primitive: in-network
-// aggregation vs gather and binomial software reduction, across
-// contribution sizes.
-func BenchmarkReduceExtension(b *testing.B) {
-	const n = 8
-	runCepheus := func(size int) sim.Time {
-		c := NewTestbed(n, Options{})
-		nodes := make([]int, n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		g, err := c.NewGroup(nodes, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		r := &amcast.CepheusReduce{Group: g}
-		// Orient once, then measure steady state.
-		primeDone := false
-		r.Prime(0, func() { primeDone = true })
-		if err := c.Run(sim.MaxTime, func() bool { return primeDone }); err != nil {
-			b.Fatal(err)
-		}
-		return runReducer(b, c, r, size, n)
-	}
-	runBaseline := func(mk func(*amcast.Comm) amcast.Reducer, size int) sim.Time {
-		c := NewTestbed(n, Options{})
-		ns := make([]*amcast.Node, n)
-		for i := range ns {
-			ns[i] = &amcast.Node{Host: c.Net.Hosts[i], RNIC: c.RNICs[i]}
-		}
-		return runReducer(b, c, mk(amcast.NewComm(ns)), size, n)
-	}
-	for i := 0; i < b.N; i++ {
-		t := exp.NewTable("Extension: many-to-one reduction (8 nodes)",
-			"size", "cepheus-reduce", "gather", "binomial-reduce")
-		for _, size := range []int{8 << 10, 1 << 20, 16 << 20} {
-			ceph := runCepheus(size)
-			gather := runBaseline(func(c *amcast.Comm) amcast.Reducer { return amcast.GatherReduce{C: c} }, size)
-			bino := runBaseline(func(c *amcast.Comm) amcast.Reducer { return amcast.BinomialReduce{C: c} }, size)
-			t.Add(exp.FormatBytes(size), ceph.String(), gather.String(), bino.String())
-			if size >= 1<<20 && ceph >= gather {
-				b.Errorf("%s: in-network reduce (%v) not faster than gather (%v)",
-					exp.FormatBytes(size), ceph, gather)
-			}
-		}
-		if i == 0 {
-			fmt.Print(t)
-		}
-	}
-}
-
-func runReducer(b *testing.B, c *Cluster, r amcast.Reducer, size, n int) sim.Time {
-	start := c.Now()
-	var end sim.Time = -1
-	total := math.NaN()
-	r.Reduce(0, size, func(rank int) float64 { return float64(rank + 1) }, func(v float64) {
-		total = v
-		end = c.Now()
-	})
-	if err := c.Run(start+30*sim.Second, func() bool { return end >= 0 }); err != nil {
-		b.Fatalf("%s reduce stalled: %v", r.Name(), err)
-	}
-	if want := float64(n*(n+1)) / 2; total != want {
-		b.Fatalf("%s computed %v, want %v", r.Name(), total, want)
-	}
-	return end - start
-}
-
-// BenchmarkPSTraining runs the parameter-server loop end to end: model
-// multicast down, gradient reduction up, per iteration.
-func BenchmarkPSTraining(b *testing.B) {
-	run := func(scheme ps.Scheme) ps.Result {
-		eng := sim.New(1)
-		c := ps.NewTestbed(eng, ps.DefaultConfig(6), scheme)
-		res := c.Run()
-		for _, got := range res.GradSums {
-			if got != c.ExpectedGradSum() {
-				b.Fatalf("%s: wrong gradient aggregate %v", scheme, got)
-			}
-		}
-		return res
-	}
-	for i := 0; i < b.N; i++ {
-		ceph := run(ps.SchemeCepheus)
-		base := run(ps.SchemeAMcast)
-		if i == 0 {
-			t := exp.NewTable("Extension: PS training, 6 workers, 64MB model (per run of 4 iterations)",
-				"scheme", "JCT", "bcast", "reduce", "compute")
-			t.Add("cepheus", ceph.JCT.String(), ceph.Bcast.String(), ceph.Reduce.String(), ceph.Compute.String())
-			t.Add("amcast", base.JCT.String(), base.Bcast.String(), base.Reduce.String(), base.Compute.String())
-			fmt.Print(t)
-		}
-		b.ReportMetric(float64(base.JCT)/float64(ceph.JCT), "x-jct")
-		if ceph.JCT >= base.JCT {
-			b.Error("cepheus PS loop not faster than the AMcast baseline")
 		}
 	}
 }

@@ -1,9 +1,9 @@
-// cepheus-bench regenerates every table and figure from the paper's
-// evaluation (§V): Fig 1d, Fig 7b, Fig 8, Fig 9, the RDMC comparison,
-// Table I, Fig 10, Fig 11 (+ the large-scale HPL model), Fig 12, Fig 13,
-// Fig 14, and the §V-D safeguard fallback. Absolute numbers come from the
-// simulator; the shapes (who wins, by what factor, where crossovers fall)
-// are the reproduction targets recorded in EXPERIMENTS.md.
+// cepheus-bench prints every table and figure from the paper's evaluation
+// (§V), as defined once in internal/paper, and adds its instrumentation
+// (-trace, -audit, -groups/-slo, -json, -series) to their runs. It also owns
+// the executor and instrumentation perf experiments (pdes, scale1024,
+// fairness, *ov). The shapes (who wins, by what factor, where crossovers
+// fall) are the reproduction targets recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -27,14 +27,11 @@ import (
 
 	cepheus "repro"
 	"repro/internal/amcast"
-	"repro/internal/core"
 	"repro/internal/exp"
-	"repro/internal/hpl"
 	"repro/internal/obs"
-	"repro/internal/ps"
+	"repro/internal/paper"
 	"repro/internal/roce"
 	"repro/internal/sim"
-	"repro/internal/storage"
 )
 
 var (
@@ -176,14 +173,23 @@ func run(only string) int {
 
 	all := []struct {
 		name string
-		run  func()
+		run  func() error
 	}{
-		{"fig1d", fig1d}, {"fig7b", fig7b}, {"fig8", fig8}, {"fig9", fig9},
-		{"rdmc", rdmc}, {"table1", table1}, {"fig10", fig10}, {"fig11", fig11},
-		{"hpl-large", hplLarge}, {"fig12", fig12}, {"fig13", fig13},
+		{"fig1d", func() error { return show(paper.Fig1d(), nil) }},
+		{"fig7b", func() error { t, _ := paper.Fig7b(); return show(t, nil) }},
+		{"fig8", func() error { t, _, err := paper.Fig8(runBcast); return show(t, err) }},
+		{"fig9", func() error { t, _, err := paper.Fig9(runBcast); return show(t, err) }},
+		{"rdmc", func() error { t, _, err := paper.RDMC(runBcast); return show(t, err) }},
+		{"table1", func() error { t, _ := paper.Table1(); return show(t, nil) }},
+		{"fig10", func() error { t, _ := paper.Fig10(); return show(t, nil) }},
+		{"fig11", func() error { t, _ := paper.Fig11(); return show(t, nil) }},
+		{"hpl-large", func() error { t, _ := paper.HPLLarge(); return show(t, nil) }},
+		{"fig12", func() error { t, _, err := paper.Fig12(runBcast, *full); return show(t, err) }},
+		{"fig13", func() error { t, _, err := paper.Fig13(runBcast, *full); return show(t, err) }},
 		{"fig14", fig14}, {"safeguard", safeguard},
-		{"reduce", reduceExt}, {"pstrain", psTrain}, {"pdes", pdes},
-		{"scale1024", scale1024}, {"fairness", fairness},
+		{"reduce", func() error { t, _, err := paper.Reduce(); return show(t, err) }},
+		{"pstrain", func() error { t, _, err := paper.PSTrain(); return show(t, err) }},
+		{"pdes", pdes}, {"scale1024", scale1024}, {"fairness", fairness},
 		{"traceov", traceov}, {"profov", profov}, {"gsov", gsov},
 	}
 	want := map[string]bool{}
@@ -202,7 +208,10 @@ func run(only string) int {
 			continue // overhead gates only run when asked for
 		}
 		curExp = e.name
-		e.run()
+		if err := e.run(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.name, err)
+			return 1
+		}
 		fmt.Println()
 		ran = true
 		delete(want, e.name)
@@ -267,17 +276,36 @@ func auditVerdict(c *cepheus.Cluster, label string) {
 	}
 }
 
-// enableGroups turns per-group attribution on when -groups (or -slo) asks
-// for it, declaring the -slo objective before any traffic so the
+// instrument enables what the flags ask for on c before its traffic: the
+// flight recorder (-trace), the auditor (-audit) and per-group attribution
+// (-groups, or -slo), declaring the -slo objective up front so the
 // delivery-latency threshold latches on every group's first packet.
-func enableGroups(c *cepheus.Cluster) {
-	if !*groupsOn {
-		return
+func instrument(c *cepheus.Cluster) {
+	if *traceOut != "" {
+		c.EnableTrace(*traceCap)
 	}
-	gs := c.EnableGroupStats(0)
-	if sloSet {
-		gs.SetDefaultObjective(sloObj)
+	if *auditOn {
+		c.EnableAudit()
 	}
+	if *groupsOn {
+		gs := c.EnableGroupStats(0)
+		if sloSet {
+			gs.SetDefaultObjective(sloObj)
+		}
+	}
+}
+
+// report writes c's trace (-trace; with several runs the last one wins) and
+// prints its audit and group verdicts.
+func report(c *cepheus.Cluster, label string) error {
+	if *traceOut != "" {
+		if err := c.WriteTraceFile(*traceOut, true); err != nil {
+			return fmt.Errorf("%s: trace export: %w", label, err)
+		}
+	}
+	auditVerdict(c, label)
+	groupVerdict(c, label)
+	return nil
 }
 
 // groupVerdict prints the per-group attribution table — and, with -slo, the
@@ -293,12 +321,15 @@ func groupVerdict(c *cepheus.Cluster, label string) {
 	}
 	fmt.Printf("== groups: %s ==\n", label)
 	obs.WriteGroupTable(os.Stdout, reps)
-	if sloSet {
-		res := obs.EvalSLOs(reps, c.GroupStats().ObjectiveFor, sloWin)
-		if obs.WriteSLOReport(os.Stdout, res) > 0 {
-			fmt.Fprintf(os.Stderr, "%s: SLO %s breached\n", label, sloObj)
-			exitCode = 1
-		}
+	sloVerdict(c, reps, label)
+}
+
+// sloVerdict prints the -slo burn-rate report for reps; any breach fails
+// the run.
+func sloVerdict(c *cepheus.Cluster, reps []obs.GroupReport, label string) {
+	if sloSet && obs.WriteSLOReport(os.Stdout, obs.EvalSLOs(reps, c.GroupStats().ObjectiveFor, sloWin)) > 0 {
+		fmt.Fprintf(os.Stderr, "%s: SLO %s breached\n", label, sloObj)
+		exitCode = 1
 	}
 }
 
@@ -312,17 +343,11 @@ func groupVerdict(c *cepheus.Cluster, label string) {
 // the default.
 var bcastReps = 1
 
-// runBcast drives one broadcast (bcastReps timed repetitions, best kept),
-// records its result for -json, and converts a stalled run into a clean CLI
-// failure instead of a panic.
-func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label string) float64 {
-	if *traceOut != "" {
-		c.EnableTrace(*traceCap)
-	}
-	if *auditOn {
-		c.EnableAudit()
-	}
-	enableGroups(c)
+// runBcast is cepheus-bench's paper.Bcast: it instruments c, drives one
+// broadcast (bcastReps timed repetitions, best kept), records its result for
+// -json, and reports c's trace and verdicts.
+func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label string) (sim.Time, error) {
+	instrument(c)
 	var rec benchRecord
 	for rep := 0; rep < bcastReps; rep++ {
 		var m0, m1 runtime.MemStats
@@ -332,8 +357,7 @@ func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label st
 		jct, err := c.RunBcastErr(b, root, size)
 		wall := time.Since(t0)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s/%s: %v\n", curExp, label, err)
-			os.Exit(1)
+			return 0, fmt.Errorf("%s: %w", label, err)
 		}
 		runtime.ReadMemStats(&m1)
 		ev := c.EventsRun() - ev0
@@ -356,299 +380,35 @@ func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label st
 	rec.P50LatencyNs, rec.P99LatencyNs, rec.P999LatencyNs = lat.P50, lat.P99, lat.P999
 	rec.MaxQueueBytes = qd.Max
 	records = append(records, rec)
-	if *traceOut != "" {
-		if err := c.WriteTraceFile(*traceOut, true); err != nil {
-			fmt.Fprintf(os.Stderr, "%s/%s: trace export: %v\n", curExp, label, err)
-			os.Exit(1)
-		}
-	}
-	auditVerdict(c, label)
-	groupVerdict(c, label)
-	return float64(rec.JCTNs)
+	return sim.Time(rec.JCTNs), report(c, label)
 }
 
-func testbedJCT(scheme cepheus.Scheme, size, cellCap int) float64 {
-	tr := roce.DefaultConfig()
-	if cellCap > 0 {
-		exp.ApplyCell(&tr.MTU, &tr.WindowPkts, size, tr.MTU, cellCap)
+// show prints an experiment's table unless the experiment failed.
+func show(t *exp.Table, err error) error {
+	if err == nil {
+		fmt.Print(t)
 	}
-	c := cepheus.NewTestbed(4, cepheus.Options{Transport: &tr})
-	b, err := c.Broadcaster(scheme, []int{0, 1, 2, 3}, 4)
-	if err != nil {
-		panic(err)
-	}
-	return runBcast(c, b, 0, size, fmt.Sprintf("testbed/%s/%s", scheme, exp.FormatBytes(size)))
+	return err
 }
 
-func fig1d() {
-	t := exp.NewTable("Fig 1d: 1-to-4 multicast analysis",
-		"scheme", "total hops", "sender copies", "stack traversals", "steps")
-	for _, r := range amcast.AnalyzeFig1d(4, 2) {
-		t.Add(r.Scheme, fmt.Sprint(r.TotalHops), fmt.Sprint(r.SenderCopies),
-			fmt.Sprint(r.StackTraversals), fmt.Sprint(r.Steps))
-	}
-	fmt.Print(t)
-}
-
-func fig7b() {
-	per := core.MaxMemoryBytes(64)
-	t := exp.NewTable("Fig 7b: MFT memory model", "quantity", "bytes")
-	t.Add("one group, 64-port switch", fmt.Sprint(per))
-	t.Add("1K groups per switch", fmt.Sprint(1000*per))
-	t.Add("paper bound", "~690000 (0.69MB)")
-	fmt.Print(t)
-}
-
-func sweep(title string, sizes []int, cellCap int, unit float64, unitName string) {
-	t := exp.NewTable(title, "size",
-		"cepheus("+unitName+")", "chain("+unitName+")", "bt("+unitName+")", "vs chain", "vs bt")
-	for _, size := range sizes {
-		ceph := testbedJCT(cepheus.SchemeCepheus, size, cellCap)
-		chain := testbedJCT(cepheus.SchemeChain, size, cellCap)
-		bt := testbedJCT(cepheus.SchemeBinomial, size, cellCap)
-		t.Add(exp.FormatBytes(size),
-			fmt.Sprintf("%.2f", ceph/unit), fmt.Sprintf("%.2f", chain/unit),
-			fmt.Sprintf("%.2f", bt/unit),
-			fmt.Sprintf("%.1fx", chain/ceph), fmt.Sprintf("%.1fx", bt/ceph))
-	}
-	fmt.Print(t)
-}
-
-func fig8() {
-	sweep("Fig 8: MPI-Bcast JCT, small messages (paper: 3-5.2x vs chain, 2.5-3.5x vs BT)",
-		[]int{64, 512, 4 << 10, 64 << 10}, 0, 1e3, "us")
-}
-
-func fig9() {
-	sweep("Fig 9: MPI-Bcast JCT, large messages (paper: 1.3-2.8x vs chain, 2-2.8x vs BT)",
-		[]int{1 << 20, 16 << 20, 128 << 20, 512 << 20}, 4096, 1e6, "ms")
-}
-
-func rdmc() {
-	const size = 256 << 20
-	ceph := testbedJCT(cepheus.SchemeCepheus, size, 4096)
-	r := testbedJCT(cepheus.SchemeRDMC, size, 4096)
-	t := exp.NewTable("§V-A: 256MB multicast vs RDMC", "scheme", "JCT(ms)", "paper(ms)")
-	t.Add("cepheus", fmt.Sprintf("%.1f", ceph/1e6), "24.4")
-	t.Add("rdmc", fmt.Sprintf("%.1f", r/1e6), "~35")
-	fmt.Print(t)
-}
-
-func table1() {
-	paper := map[storage.Mode]string{
-		storage.Unicast1: "1.188", storage.UnicastN: "0.413", storage.CepheusWrite: "1.167",
-	}
-	t := exp.NewTable("Table I: replication writing throughput, 8KB IOs",
-		"scheme", "IOPS(M)", "paper(M)")
-	for _, mode := range []storage.Mode{storage.Unicast1, storage.UnicastN, storage.CepheusWrite} {
-		c := storage.NewCluster(sim.New(1), mode, storage.DefaultConfig())
-		t.Add(mode.String(), fmt.Sprintf("%.3f", c.RunIOPS(8<<10, 64, 20*sim.Millisecond)/1e6), paper[mode])
-	}
-	fmt.Print(t)
-}
-
-func fig10() {
-	t := exp.NewTable("Fig 10: single IO latency",
-		"IO size", "1-unicast", "3-unicasts", "cepheus", "cepheus vs 3-unicasts")
-	for _, size := range []int{4 << 10, 8 << 10, 64 << 10, 256 << 10, 512 << 10} {
-		lat := func(m storage.Mode) sim.Time {
-			return storage.NewCluster(sim.New(1), m, storage.DefaultConfig()).MeasureLatency(size, 10)
-		}
-		u1, u3, ceph := lat(storage.Unicast1), lat(storage.UnicastN), lat(storage.CepheusWrite)
-		t.Add(exp.FormatBytes(size), u1.String(), u3.String(), ceph.String(),
-			fmt.Sprintf("-%.0f%%", 100*(1-float64(ceph)/float64(u3))))
-	}
-	fmt.Print(t)
-}
-
-func fig11() {
-	run := func(p, q int, pb, rs hpl.Alg) hpl.Result {
-		return hpl.NewTestbedCluster(sim.New(1), hpl.DefaultTestbedConfig(p, q), pb, rs).Run()
-	}
-	basePB := run(1, 4, hpl.AlgRing, hpl.AlgLong)
-	accelPB := run(1, 4, hpl.AlgCepheus, hpl.AlgLong)
-	baseRS := run(4, 1, hpl.AlgRing, hpl.AlgLong)
-	accelRS := run(4, 1, hpl.AlgRing, hpl.AlgCepheus)
-	t := exp.NewTable("Fig 11: HPL (paper: JCT -12% PB / -4% RS; comm -67% PB / -18% RS)",
-		"setting", "JCT", "comm", "others", "JCT red.", "comm red.")
-	add := func(name string, base, acc hpl.Result, commBase, commAcc sim.Time) {
-		t.Add(name+"/baseline", base.JCT.String(), base.Comm().String(), base.Others().String(), "-", "-")
-		t.Add(name+"/cepheus", acc.JCT.String(), acc.Comm().String(), acc.Others().String(),
-			fmt.Sprintf("-%.1f%%", 100*(1-float64(acc.JCT)/float64(base.JCT))),
-			fmt.Sprintf("-%.0f%%", 100*(1-float64(commAcc)/float64(commBase))))
-	}
-	add("PB(1x4)", basePB, accelPB, basePB.PB, accelPB.PB)
-	add("RS(4x1)", baseRS, accelRS, baseRS.RS, accelRS.RS)
-	fmt.Print(t)
-}
-
-func hplLarge() {
-	t := exp.NewTable("Large-scale HPL (analytic)", "grid", "baseline(s)", "cepheus(s)", "gain")
-	for _, g := range []int{8, 32, 128} {
-		cfg := hpl.Config{N: 65536, NB: 256, P: g, Q: g, GFlops: 800}
-		base := hpl.Analytic(cfg, hpl.RingModel, hpl.LongModel)
-		acc := hpl.Analytic(cfg, hpl.CepheusModel, hpl.CepheusModel)
-		t.Add(fmt.Sprintf("%dx%d", g, g),
-			fmt.Sprintf("%.2f", base.JCTSeconds), fmt.Sprintf("%.2f", acc.JCTSeconds),
-			fmt.Sprintf("-%.1f%%", 100*(1-acc.JCTSeconds/base.JCTSeconds)))
-	}
-	fmt.Print(t)
-}
-
-func fatTreeJCT(scheme cepheus.Scheme, groupSize, size int, loss float64) float64 {
-	return fatTreeJCTCells(scheme, groupSize, size, loss, 2048)
-}
-
-// fatTreeJCTCells exposes the cell budget: loss experiments use finer
-// cells so per-loss go-back-N recovery cost stays realistic.
-func fatTreeJCTCells(scheme cepheus.Scheme, groupSize, size int, loss float64, maxPackets int) float64 {
-	tr := roce.DefaultConfig()
-	tr.DCQCN = true // the paper's ns-3 setup runs go-back-N + DCQCN
-	exp.ApplyCell(&tr.MTU, &tr.WindowPkts, size, tr.MTU, maxPackets)
-	if loss > 0 {
-		loss *= float64(tr.MTU) / 1024.0
-	}
-	c := cepheus.NewFatTree(16, cepheus.Options{Transport: &tr})
-	nodes := make([]int, groupSize)
-	for i := range nodes {
-		nodes[i] = i
-	}
-	// Chain slices follow the paper's "equal to the number of hosts"
-	// configuration, which is what keeps Chain within ~2x on large flows.
-	b, err := c.Broadcaster(scheme, nodes, groupSize)
-	if err != nil {
-		panic(err)
-	}
-	c.SetLossRate(loss)
-	return runBcast(c, b, 0, size,
-		fmt.Sprintf("fattree/%s/n%d/%s/loss=%g", scheme, groupSize, exp.FormatBytes(size), loss))
-}
-
-func fig12() {
-	sizes := []int{64, 64 << 10, 16 << 20}
-	if *full {
-		sizes = append(sizes, 256<<20, 1<<30)
-	}
-	t := exp.NewTable("Fig 12: 512-scale multicast FCT (paper: up to 164x/4.5x short, 2.1x/8.9x large)",
-		"size", "cepheus", "chain", "bt", "vs chain", "vs bt")
-	for _, size := range sizes {
-		ceph := fatTreeJCT(cepheus.SchemeCepheus, 513, size, 0)
-		chain := fatTreeJCT(cepheus.SchemeChain, 513, size, 0)
-		bt := fatTreeJCT(cepheus.SchemeBinomial, 513, size, 0)
-		t.Add(exp.FormatBytes(size),
-			sim.Time(ceph).String(), sim.Time(chain).String(), sim.Time(bt).String(),
-			fmt.Sprintf("%.1fx", chain/ceph), fmt.Sprintf("%.1fx", bt/ceph))
-	}
-	fmt.Print(t)
-}
-
-func fig13() {
-	size := 128 << 20
-	losses := []float64{0, 1e-6, 1e-5, 1e-4}
-	scales := []int{64}
-	if *full {
-		scales = append(scales, 512)
-	}
-	t := exp.NewTable("Fig 13: 128MB multicast under loss (normalized to lossless)",
-		"scale/loss", "cepheus FCT", "chain FCT", "ceph norm", "chain norm")
-	for _, scale := range scales {
-		var cb, hb float64
-		for _, loss := range losses {
-			ceph := fatTreeJCTCells(cepheus.SchemeCepheus, scale+1, size, loss, 32768)
-			chain := fatTreeJCTCells(cepheus.SchemeChain, scale+1, size, loss, 32768)
-			if loss == 0 {
-				cb, hb = ceph, chain
-			}
-			t.Add(fmt.Sprintf("%d/%.0e", scale, loss),
-				sim.Time(ceph).String(), sim.Time(chain).String(),
-				fmt.Sprintf("%.2f", cb/ceph), fmt.Sprintf("%.2f", hb/chain))
-		}
-	}
-	fmt.Print(t)
-}
-
-func fig14() {
-	tr := roce.DefaultConfig()
-	tr.DCQCN = true
-	tr.MTU = 4096
-	c := cepheus.NewFatTree(4, cepheus.Options{Transport: &tr})
-	if *traceOut != "" {
-		c.EnableTrace(*traceCap)
-	}
-	if *auditOn {
-		c.EnableAudit()
-	}
-	enableGroups(c)
-	members := make([]int, 16)
-	for i := range members {
-		members[i] = i
-	}
-	g, err := c.NewGroup(members, 0)
-	if err != nil {
-		panic(err)
-	}
-	for _, m := range g.Members[1:] {
-		m.QP.OnMessage = func(roce.Message) {}
-	}
-	mk := func(src, dst int) (*roce.QP, *roce.QP) {
-		sq := c.RNICs[src].CreateQP()
-		rq := c.RNICs[dst].CreateQP()
-		sq.Connect(c.Host(dst).IP, rq.QPN)
-		rq.Connect(c.Host(src).IP, sq.QPN)
-		return sq, rq
-	}
-	f2, f2r := mk(1, 2)
-	f3, f3r := mk(3, 4)
-	// -series: sample the three competing flows' DCQCN rates (plus the
-	// default queue-depth and fabric-counter probes) every 100µs — the data
-	// behind the paper's rate-convergence figure.
-	var ser *obs.SeriesSet
+// fig14 runs paper.Fig14 under the flags' instrumentation. -series samples
+// the three competing flows' DCQCN rates (plus the default queue-depth and
+// fabric-counter probes) every 100µs — the data behind the paper's
+// rate-convergence figure.
+func fig14() error {
+	c := paper.NewFig14Cluster()
+	instrument(c)
 	if *seriesOut != "" {
-		var err error
-		if ser, err = c.EnableSeries(0, 0); err != nil {
-			fmt.Fprintf(os.Stderr, "fig14: %v\n", err)
-			os.Exit(1)
+		if _, err := c.EnableSeries(0, 0); err != nil {
+			return err
 		}
-		for _, f := range []struct {
-			name string
-			qp   *roce.QP
-		}{{"rate/f1-mcast", g.Members[0].QP}, {"rate/f2", f2}, {"rate/f3", f3}} {
-			qp := f.qp
-			ser.Track(f.name, func() float64 { return qp.Rate() / 1e9 })
-		}
-		ser.Start()
 	}
-	var stop2, stop3 bool
-	stream := func(qp *roce.QP, stop *bool) {
-		var post func()
-		post = func() {
-			if !*stop {
-				qp.PostSend(1<<20, post)
-			}
-		}
-		post()
+	t, _, err := paper.Fig14(c)
+	if err != nil {
+		return err
 	}
-	stop1 := false
-	stream(g.Members[0].QP, &stop1)
-	eng := c.Net.Eng
-	eng.Schedule(5*sim.Millisecond, func() { stream(f2, &stop2) })
-	eng.Schedule(20*sim.Millisecond, func() { stop2 = true })
-	eng.Schedule(25*sim.Millisecond, func() { stream(f3, &stop3) })
-	probe := g.Members[1].QP
-	t := exp.NewTable("Fig 14: throughput dynamics (Gbps per 1ms)", "t(ms)", "f1 mcast", "f2", "f3")
-	var p1, p2, p3 uint64
-	for tm := sim.Millisecond; tm <= 40*sim.Millisecond; tm += sim.Millisecond {
-		eng.RunUntil(tm)
-		t.Add(fmt.Sprint(tm/sim.Millisecond),
-			fmt.Sprintf("%.1f", float64(probe.GoodputBytes-p1)*8/1e6),
-			fmt.Sprintf("%.1f", float64(f2r.GoodputBytes-p2)*8/1e6),
-			fmt.Sprintf("%.1f", float64(f3r.GoodputBytes-p3)*8/1e6))
-		p1, p2, p3 = probe.GoodputBytes, f2r.GoodputBytes, f3r.GoodputBytes
-	}
-	stop1, stop3 = true, true
-	_ = stop1
 	fmt.Print(t)
-	if ser != nil {
+	if ser := c.Series; ser != nil {
 		ser.Stop()
 		f, err := os.Create(*seriesOut)
 		if err == nil {
@@ -658,90 +418,23 @@ func fig14() {
 			}
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fig14: series export: %v\n", err)
-			os.Exit(1)
+			return fmt.Errorf("series export: %w", err)
 		}
 		fmt.Printf("series: %d samples x %d probes every %v -> %s\n",
 			ser.Samples(), len(ser.Names()), time.Duration(ser.Interval()), *seriesOut)
 	}
-	if *traceOut != "" {
-		if err := c.WriteTraceFile(*traceOut, true); err != nil {
-			fmt.Fprintf(os.Stderr, "fig14: trace export: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	auditVerdict(c, "fig14")
-	groupVerdict(c, "fig14")
+	return report(c, "fig14")
 }
 
-func reduceExt() {
-	const n = 8
-	t := exp.NewTable("Extension: many-to-one reduction (8 nodes, in-network vs software)",
-		"size", "cepheus-reduce", "gather", "binomial-reduce")
-	runOne := func(r amcast.Reducer, c *cepheus.Cluster, size int) sim.Time {
-		start := c.Now()
-		var end sim.Time = -1
-		r.Reduce(0, size, func(rank int) float64 { return float64(rank + 1) }, func(total float64) {
-			if total != float64(n*(n+1))/2 {
-				panic("reduce aggregate wrong")
-			}
-			end = c.Now()
-		})
-		if err := c.Run(sim.MaxTime, func() bool { return end >= 0 }); err != nil {
-			panic("reduce stalled: " + err.Error())
-		}
-		return end - start
+func safeguard() error {
+	s, err := paper.SafeguardFallback(runBcast)
+	if err != nil {
+		return err
 	}
-	for _, size := range []int{8 << 10, 1 << 20, 16 << 20} {
-		cc := cepheus.NewTestbed(n, cepheus.Options{})
-		nodes := make([]int, n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		g, err := cc.NewGroup(nodes, 0)
-		if err != nil {
-			panic(err)
-		}
-		cr := &amcast.CepheusReduce{Group: g}
-		primeDone := false
-		cr.Prime(0, func() { primeDone = true })
-		if err := cc.Run(sim.MaxTime, func() bool { return primeDone }); err != nil {
-			panic(err)
-		}
-		ceph := runOne(cr, cc, size)
-
-		mk := func() (*cepheus.Cluster, *amcast.Comm) {
-			c2 := cepheus.NewTestbed(n, cepheus.Options{})
-			ns := make([]*amcast.Node, n)
-			for i := range ns {
-				ns[i] = &amcast.Node{Host: c2.Net.Hosts[i], RNIC: c2.RNICs[i]}
-			}
-			return c2, amcast.NewComm(ns)
-		}
-		cG, commG := mk()
-		gather := runOne(amcast.GatherReduce{C: commG}, cG, size)
-		cB, commB := mk()
-		bino := runOne(amcast.BinomialReduce{C: commB}, cB, size)
-		t.Add(exp.FormatBytes(size), ceph.String(), gather.String(), bino.String())
-	}
-	fmt.Print(t)
-}
-
-func psTrain() {
-	t := exp.NewTable("Extension: PS training (6 workers, 64MB model, 4 iterations)",
-		"scheme", "JCT", "bcast", "reduce", "compute")
-	for _, scheme := range []ps.Scheme{ps.SchemeCepheus, ps.SchemeAMcast} {
-		eng := sim.New(1)
-		c := ps.NewTestbed(eng, ps.DefaultConfig(6), scheme)
-		res := c.Run()
-		for _, got := range res.GradSums {
-			if got != c.ExpectedGradSum() {
-				panic("gradient aggregate wrong")
-			}
-		}
-		t.Add(string(scheme), res.JCT.String(), res.Bcast.String(), res.Reduce.String(), res.Compute.String())
-	}
-	fmt.Print(t)
+	fmt.Println("== §V-D safeguard fallback ==")
+	fmt.Printf("second registration rejected: %v\n", s.Rejected)
+	fmt.Printf("fallback %s delivered 1MB in %v\n", s.Fallback, s.JCT)
+	return nil
 }
 
 // workerSweep is the shared driver behind pdes and scale1024: a 1MB Cepheus
@@ -754,7 +447,7 @@ func psTrain() {
 // the single-threaded baseline, not a serialized coordinator. Simulated
 // results are byte-identical across rows — the determinism suite enforces
 // it — so the sweep isolates wall-clock scaling of the executor.
-func workerSweep(name string, k, members int, workers []int) {
+func workerSweep(name string, k, members int, workers []int) error {
 	t := exp.NewTable(fmt.Sprintf("%s: pod-partitioned executor scaling (1MB bcast, %d members, k=%d fat-tree, %d hosts, DCQCN)",
 		name, members, k, k*k*k/4),
 		"workers", "lps", "jct", "events", "wall(ms)", "events/s(M)", "speedup", "stall")
@@ -793,7 +486,10 @@ func workerSweep(name string, k, members int, workers []int) {
 		// The profile should describe the measured reps, not the warmup.
 		c.ResetExecProfile()
 		lps := c.Par.NumLPs()
-		jct := runBcast(c, b, nodes[0], 1<<20, fmt.Sprintf("workers=%d", w))
+		jct, err := runBcast(c, b, nodes[0], 1<<20, fmt.Sprintf("workers=%d", w))
+		if err != nil {
+			return err
+		}
 		prof := c.ExecProfile()
 		c.Close()
 		rec := &records[len(records)-1]
@@ -814,25 +510,26 @@ func workerSweep(name string, k, members int, workers []int) {
 		if rec.EventsPerSec > 0 {
 			wallMs = float64(rec.EventsRun) / rec.EventsPerSec * 1e3
 		}
-		t.Add(fmt.Sprint(w), fmt.Sprint(lps), sim.Time(jct).String(), fmt.Sprint(rec.EventsRun),
+		t.Add(fmt.Sprint(w), fmt.Sprint(lps), jct.String(), fmt.Sprint(rec.EventsRun),
 			fmt.Sprintf("%.1f", wallMs),
 			fmt.Sprintf("%.2f", rec.EventsPerSec/1e6),
 			fmt.Sprintf("%.2fx", rec.EventsPerSec/base), stall)
 	}
 	fmt.Print(t)
+	return nil
 }
 
 // pdes sweeps worker counts on the BenchmarkScaleEvents workload: 65 dense
 // members on the 128-host (k=8) fat-tree, 12 pod-partition LPs.
-func pdes() {
-	workerSweep("PDES", 8, 65, []int{1, 2, 4, 8})
+func pdes() error {
+	return workerSweep("PDES", 8, 65, []int{1, 2, 4, 8})
 }
 
 // scale1024 is the paper-scale capstone: a 257-member broadcast on the
 // 1024-host (k=16) fat-tree of §V-C, members spread across all 16 pods
 // (16-17 per pod), 24 pod-partition LPs.
-func scale1024() {
-	workerSweep("scale1024", 16, 257, []int{1, 2, 4, 8})
+func scale1024() error {
+	return workerSweep("scale1024", 16, 257, []int{1, 2, 4, 8})
 }
 
 // overheadExp is one paired off/on overhead experiment on the pdes
@@ -947,7 +644,7 @@ func median(xs []float64) float64 {
 
 // traceov measures the flight recorder's cost on the sequential engine,
 // timing one broadcast per iteration.
-func traceov() {
+func traceov() error {
 	var lost uint64
 	overhead("traceov", overheadExp{
 		title: "Trace overhead: pdes workload, flight recorder off vs on",
@@ -965,6 +662,7 @@ func traceov() {
 		},
 	})
 	fmt.Printf("events lost by recorder: %d\n", lost)
+	return nil
 }
 
 // profov measures the executor profiler's cost under the partitioned
@@ -973,7 +671,7 @@ func traceov() {
 // box (inline path: merge/exec stamps still taken, spin/park zero), and
 // times three broadcasts: the budget is 3% and a ~23ms timed region has
 // more scheduler jitter than that.
-func profov() {
+func profov() error {
 	workers := min(2, runtime.GOMAXPROCS(0))
 	nodes := make([]int, 65)
 	for i := range nodes {
@@ -992,13 +690,14 @@ func profov() {
 			return nil
 		},
 	})
+	return nil
 }
 
 // gsov measures group attribution's cost on the sequential engine. This is
 // attribution's worst case — every delivered packet books into a group cell
 // — and three broadcasts are timed: its cost is a few percent at most, and
 // a single ~20ms timed region has more scheduler jitter than that.
-func gsov() {
+func gsov() error {
 	overhead("gsov", overheadExp{
 		title: "Group-attribution overhead: pdes workload, off vs on",
 		what:  "attribution", pairs: 9, reps: 3, nodes: firstHosts(65),
@@ -1016,6 +715,7 @@ func gsov() {
 			return nil
 		},
 	})
+	return nil
 }
 
 // fairness runs G concurrent multicast groups over a shared k=8 fat-tree
@@ -1028,7 +728,7 @@ func gsov() {
 // fixed 10ms window. One summary record per sweep point carries jain_index /
 // maxmin_ratio / p99_isolation_gap; one record per group carries its goodput
 // bytes and delivery p99.
-func fairness() {
+func fairness() error {
 	t := exp.NewTable("Fairness: concurrent groups on a shared k=8 fat-tree (10ms window, DCQCN)",
 		"groups", "jain", "max/min", "fleet p99", "worst p99", "isolation gap")
 	for _, G := range []int{8, 16, 32} {
@@ -1039,6 +739,7 @@ func fairness() {
 			fmt.Sprintf("%.2fx", f.P99IsolationGap))
 	}
 	fmt.Print(t)
+	return nil
 }
 
 func fairnessOne(G int) obs.FairnessReport {
@@ -1101,27 +802,6 @@ func fairnessOne(G int) obs.FairnessReport {
 		Groups: G, JainIndex: f.JainIndex, MaxMinRatio: f.MaxMinRatio,
 		P99IsolationGap: f.P99IsolationGap,
 	})
-	if sloSet {
-		res := obs.EvalSLOs(reps, gs.ObjectiveFor, sloWin)
-		if obs.WriteSLOReport(os.Stdout, res) > 0 {
-			fmt.Fprintf(os.Stderr, "fairness/G=%d: SLO %s breached\n", G, sloObj)
-			exitCode = 1
-		}
-	}
+	sloVerdict(c, reps, fmt.Sprintf("fairness/G=%d", G))
 	return f
-}
-
-func safeguard() {
-	acc := core.DefaultAccelConfig()
-	acc.MaxGroups = 1
-	c := cepheus.NewTestbed(4, cepheus.Options{Accel: &acc})
-	if _, err := c.NewGroup([]int{0, 1, 2, 3}, 0); err != nil {
-		panic(err)
-	}
-	_, err := c.NewGroup([]int{0, 1, 2, 3}, 0)
-	fmt.Println("== §V-D safeguard fallback ==")
-	fmt.Printf("second registration rejected: %v\n", err)
-	fb, _ := c.Broadcaster(cepheus.SchemeChain, []int{0, 1, 2, 3}, 4)
-	jct := sim.Time(runBcast(c, fb, 0, 1<<20, "fallback/chain/1MB"))
-	fmt.Printf("fallback %s delivered 1MB in %v\n", fb.Name(), jct)
 }

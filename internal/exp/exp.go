@@ -1,6 +1,6 @@
-// Package exp provides the experiment harness shared by the benchmarks and
-// the cmd/cepheus-bench tool: parameter sweeps, table/series formatting,
-// and the flow-size-aware cell sizing rule from DESIGN.md §1.
+// Package exp provides the experiment helpers shared by internal/paper, the
+// root benchmarks and the CLIs: table formatting, byte-size labels, and the
+// flow-size-aware cell sizing rule from DESIGN.md §1.
 package exp
 
 import (
@@ -31,15 +31,6 @@ func NewTable(title string, columns ...string) *Table {
 // Add appends a row of already-formatted cells.
 func (t *Table) Add(label string, cells ...string) {
 	t.rows = append(t.rows, row{label: label, values: cells})
-}
-
-// AddF appends a row of float cells formatted with %.4g.
-func (t *Table) AddF(label string, vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = fmt.Sprintf("%.4g", v)
-	}
-	t.Add(label, cells...)
 }
 
 // Fprint renders the table.
@@ -82,9 +73,6 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// Rows reports how many data rows the table holds.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // FormatBytes renders a byte count the way the paper labels its x-axes
 // (64B, 8KB, 256MB, ...).
 func FormatBytes(n int) string {
@@ -100,16 +88,6 @@ func FormatBytes(n int) string {
 	}
 }
 
-// Sizes returns a doubling sweep from lo to hi inclusive (both powers of
-// two), optionally stepping by more than one doubling.
-func Sizes(lo, hi, doublings int) []int {
-	var out []int
-	for s := lo; s <= hi; s <<= doublings {
-		out = append(out, s)
-	}
-	return out
-}
-
 // CellFor implements the DESIGN.md §1 cell-size rule: large flows are
 // simulated with a bigger packet cell so event counts stay tractable. The
 // cell is the smallest power-of-two multiple of baseMTU that keeps the flow
@@ -120,14 +98,6 @@ func CellFor(flowBytes, baseMTU, maxPackets int) int {
 		cell <<= 1
 	}
 	return cell
-}
-
-// Ratio returns a/b, guarding against division by zero.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }
 
 // ApplyCell configures a transport for a flow simulated at cell

@@ -46,16 +46,15 @@ func (e Event) String() string { return fmt.Sprintf("%v %s %s", e.At, e.Kind, e.
 
 // Stats counts fault transitions, for the root Cluster metrics.
 type Stats struct {
-	LinkDowns       uint64
-	LinkUps         uint64
-	SwitchCrashes   uint64
-	SwitchRestarts  uint64
-	PortFlaps       uint64
-	LinkDegrades    uint64 // gray impairment episodes installed
-	LinkRepairs     uint64 // gray impairment episodes cleared
-	ChaosEvents     uint64 // transitions injected by a chaos schedule
-	RouteRepairs    uint64 // automatic FIB recomputations
-	DroppedInFlight uint64 // unused by the injector itself; reserved
+	LinkDowns      uint64
+	LinkUps        uint64
+	SwitchCrashes  uint64
+	SwitchRestarts uint64
+	PortFlaps      uint64
+	LinkDegrades   uint64 // gray impairment episodes installed
+	LinkRepairs    uint64 // gray impairment episodes cleared
+	ChaosEvents    uint64 // transitions injected by a chaos schedule
+	RouteRepairs   uint64 // automatic FIB recomputations
 }
 
 // Injector drives fail-stop faults into one network. All mutations happen

@@ -164,6 +164,19 @@ func (pt *Port) gsDrop(p *Packet) {
 	}
 }
 
+// faultDrop kills p on a dead or flapped link: it counts the fault drop,
+// attributes it to p's group, records it with queue depth a, and releases
+// p. Callers that drop at enqueue time also count it in Stats.Drops.
+func (pt *Port) faultDrop(p *Packet, a int64) {
+	pt.Stats.FaultDrops++
+	pt.fab.Inc(obs.FFaultDrops)
+	pt.gsDrop(p)
+	if pt.tr.On() {
+		pt.rec(obs.KDrop, obs.RFault, p, a, int64(p.Size()))
+	}
+	p.Release()
+}
+
 // rec captures one packet-scoped flight-recorder event; callers guard with
 // pt.tr.On(). a is the kind-specific payload (usually queue depth in bytes);
 // size is p's wire size, passed in so the hot callers (enqueue/dequeue, which
@@ -214,13 +227,7 @@ func (h *deliverHandler) OnEvent(_ *sim.Engine, arg any) {
 	p := arg.(*Packet)
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
-		p.Release()
+		pt.faultDrop(p, 0)
 		return
 	}
 	peer.Dev.Receive(p, peer)
@@ -238,13 +245,7 @@ func (h *rxHandler) OnEvent(_ *sim.Engine, arg any) {
 	pt := h.pt
 	p := arg.(*Packet)
 	if pt.down {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
-		p.Release()
+		pt.faultDrop(p, 0)
 		return
 	}
 	pt.Dev.Receive(p, pt)
@@ -474,13 +475,7 @@ func (pt *Port) Send(p *Packet) {
 func (pt *Port) SendUrgent(p *Packet) {
 	if pt.down {
 		pt.Stats.Drops++
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
-		}
-		p.Release()
+		pt.faultDrop(p, int64(pt.qBytes))
 		return
 	}
 	p.enqAt = pt.eng.Now()
@@ -497,13 +492,7 @@ func (pt *Port) enqueue(p *Packet, urgent bool) {
 	size := p.Size()
 	if pt.down {
 		pt.Stats.Drops++
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
-		}
-		p.Release()
+		pt.faultDrop(p, int64(pt.qBytes))
 		return
 	}
 	if pt.QueueLimit > 0 && pt.qBytes+size > pt.QueueLimit {
@@ -747,13 +736,7 @@ func (pt *Port) onArrive() {
 	p := fe.p
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.Stats.FaultDrops++
-		pt.fab.Inc(obs.FFaultDrops)
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RFault, p, 0, int64(p.Size()))
-		}
-		p.Release()
+		pt.faultDrop(p, 0)
 		return
 	}
 	peer.Dev.Receive(p, peer)
