@@ -427,11 +427,11 @@ func fig14() error {
 }
 
 func safeguard() error {
+	fmt.Println("== §V-D safeguard fallback ==")
 	s, err := paper.SafeguardFallback(runBcast)
 	if err != nil {
 		return err
 	}
-	fmt.Println("== §V-D safeguard fallback ==")
 	fmt.Printf("second registration rejected: %v\n", s.Rejected)
 	fmt.Printf("fallback %s delivered 1MB in %v\n", s.Fallback, s.JCT)
 	return nil

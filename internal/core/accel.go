@@ -326,7 +326,7 @@ func (a *Accel) routeNode(mft *MFT, n NodeInfo) (port int, direct bool) {
 			return pt.ID, true
 		}
 	}
-	cands := a.sw.FIB[n.IP]
+	cands := a.sw.Route(n.IP)
 	if len(cands) == 0 {
 		panic("core: " + a.sw.Name + " has no route to member " + n.IP.String())
 	}

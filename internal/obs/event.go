@@ -219,7 +219,7 @@ func ParseAddr(s string) (uint32, bool) {
 	start, qi := 0, 0
 	for i := 0; i <= len(s); i++ {
 		if i == len(s) || s[i] == '.' {
-			if qi == 4 || i == start {
+			if qi == 4 || i == start || (i-start > 1 && s[start] == '0') {
 				return 0, false
 			}
 			v := 0

@@ -51,18 +51,20 @@ func (c FCounter) String() string {
 	return "?"
 }
 
-// FabricLP is one logical process's shard of the fabric counters. Every
-// device owned by an LP increments the same shard, so the hot path is a
-// plain (non-atomic) add with no cross-LP cache contention; totals are read
-// only when the simulation is quiescent. The struct is padded to two cache
-// lines so adjacent shards never false-share.
+// FabricLP is one logical process's shard of the fabric counters and of
+// the egress queue-depth histogram. Every device owned by an LP updates the
+// same shard, so the hot path is a plain (non-atomic) add with no cross-LP
+// cache contention; totals are read only when the simulation is quiescent.
+// The struct is padded to a whole number of cache-line pairs so adjacent
+// shards never false-share.
 //
 // A nil *FabricLP is a valid no-op target: devices built outside a Cluster
 // (unit tests, sub-simulations) skip fabric accounting without a branch at
 // every call site.
 type FabricLP struct {
 	c [NumFCounters]uint64
-	_ [48]byte
+	q Histogram // egress queue depth in bytes, observed at every enqueue
+	_ [96]byte  // pads the 160-byte shard to 256 bytes
 }
 
 // Inc adds 1 to counter id. Safe on a nil receiver.
@@ -76,6 +78,14 @@ func (l *FabricLP) Inc(id FCounter) {
 func (l *FabricLP) Add(id FCounter, n uint64) {
 	if l != nil {
 		l.c[id] += n
+	}
+}
+
+// ObserveQueue records an egress queue depth of n bytes. Safe on a nil
+// receiver.
+func (l *FabricLP) ObserveQueue(n int) {
+	if l != nil {
+		l.q.Observe(int64(n))
 	}
 }
 
@@ -112,4 +122,17 @@ func (f *Fabric) Total(id FCounter) uint64 {
 		t += f.lps[i].c[id]
 	}
 	return t
+}
+
+// QueueDepth merges every shard's queue-depth histogram: the distribution,
+// in bytes, of egress queue occupancy at each enqueue across the fabric.
+// Only meaningful while the simulation is quiescent.
+func (f *Fabric) QueueDepth() Summary {
+	var h Histogram
+	if f != nil {
+		for i := range f.lps {
+			h.Merge(&f.lps[i].q)
+		}
+	}
+	return h.Summary()
 }

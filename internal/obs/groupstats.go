@@ -267,8 +267,13 @@ type GroupReport struct {
 // ID returns the small group number (Group - GroupAddrBase).
 func (r *GroupReport) ID() uint32 { return r.Group - GroupAddrBase }
 
-// Hist returns a copy of the merged per-message latency histogram.
-func (r *GroupReport) Hist() Histogram { return r.hist }
+// Hist returns a copy of the merged per-message latency histogram that
+// shares no buckets with the report.
+func (r *GroupReport) Hist() Histogram {
+	var h Histogram
+	h.Merge(&r.hist)
+	return h
+}
 
 // Snapshot merges every shard into one report per group, sorted by group
 // id. Only meaningful while the simulation is quiescent; the merge is

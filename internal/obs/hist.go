@@ -7,8 +7,9 @@ import (
 
 // histSubBits fixes the histogram resolution: each power-of-two octave is
 // split into 2^histSubBits sub-buckets, bounding the relative quantile error
-// at 1/2^histSubBits (~6% for 3 bits). 512 uint64 buckets cover the full
-// non-negative int64 range in 4 KiB per histogram.
+// at 1/2^histSubBits (~6% for 3 bits). histBuckets buckets cover the full
+// non-negative int64 range (4 KiB of uint64); a histogram holds only the
+// octaves up to the highest one it has observed.
 const (
 	histSubBits = 3
 	histSub     = 1 << histSubBits
@@ -47,16 +48,27 @@ func histWidth(i int) int64 {
 }
 
 // Histogram is a log-bucketed (HDR-style) histogram of non-negative int64
-// values — delivery latencies in ns, queue depths in bytes. Observe is
-// allocation-free and O(1); Merge is a bucket-wise add, so merging shards is
-// commutative and order-independent (deterministic regardless of iteration
-// order). The zero value is ready to use.
+// values — delivery latencies in ns, queue depths in bytes. Observe is O(1)
+// and allocation-free once its bucket exists; Merge is a bucket-wise add,
+// so merging shards is commutative and order-independent (deterministic
+// regardless of iteration order). The zero value is ready to use and holds
+// no buckets: the bucket slice grows, in whole octaves, to the highest
+// bucket observed or merged, so its length is a function of the maximum
+// bucket index alone. Copying a Histogram shares its buckets; Merge into a
+// zero Histogram to copy one.
 type Histogram struct {
 	count   uint64
 	sum     int64
 	min     int64
 	max     int64
-	buckets [histBuckets]uint64
+	buckets []uint64
+}
+
+// grow extends the buckets to whole octaves covering index i.
+func (h *Histogram) grow(i int) {
+	b := make([]uint64, (i>>histSubBits+1)<<histSubBits)
+	copy(b, h.buckets)
+	h.buckets = b
 }
 
 // Observe records one value. Negative values clamp to zero.
@@ -72,7 +84,11 @@ func (h *Histogram) Observe(v int64) {
 	}
 	h.count++
 	h.sum += v
-	h.buckets[histIndex(uint64(v))]++
+	i := histIndex(uint64(v))
+	if i >= len(h.buckets) {
+		h.grow(i)
+	}
+	h.buckets[i]++
 }
 
 // Count returns the number of observations.
@@ -94,8 +110,11 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.count += o.count
 	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
+	if len(o.buckets) > len(h.buckets) {
+		h.grow(len(o.buckets) - 1)
+	}
+	for i, n := range o.buckets {
+		h.buckets[i] += n
 	}
 }
 

@@ -1,6 +1,11 @@
 package obs
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/sim"
+)
 
 // Edge cases the main quantile/merge tests don't reach.
 
@@ -83,7 +88,7 @@ func TestHistogramMergeDisjointShards(t *testing.T) {
 	var b Histogram
 	b.Merge(&hi)
 	b.Merge(&lo)
-	if a != b {
+	if !reflect.DeepEqual(a, b) {
 		t.Fatal("merge is not commutative")
 	}
 	if a.Summary() != merged.Summary() {
@@ -93,11 +98,83 @@ func TestHistogramMergeDisjointShards(t *testing.T) {
 		t.Fatalf("merged bounds wrong: %+v", a.Summary())
 	}
 	// Merging an empty or nil histogram is a no-op.
-	before := a
+	var before Histogram
+	before.Merge(&a)
 	a.Merge(nil)
 	var empty Histogram
 	a.Merge(&empty)
-	if a != before {
+	if !reflect.DeepEqual(a, before) {
 		t.Fatal("nil/empty merge changed the histogram")
+	}
+}
+
+// TestHistogramGrowsInOctaves pins the bucket sizing rule: a histogram
+// holds whole octaves up to the highest bucket it observed or merged, so
+// its length depends only on that maximum index and never on the order in
+// which shards of different lengths are merged.
+func TestHistogramGrowsInOctaves(t *testing.T) {
+	var zero Histogram
+	if zero.buckets != nil {
+		t.Fatal("zero histogram must hold no buckets")
+	}
+	want := func(v int64) int { return (histIndex(uint64(v))/histSub + 1) * histSub }
+	var h Histogram
+	for _, v := range []int64{0, 3, 100, 5000, 1 << 30} {
+		h.Observe(v)
+		if len(h.buckets) != want(v) || len(h.buckets)%histSub != 0 {
+			t.Fatalf("after Observe(%d): %d buckets, want %d", v, len(h.buckets), want(v))
+		}
+	}
+	h.Observe(7)
+	if len(h.buckets) != want(1<<30) {
+		t.Fatal("a smaller value shrank or regrew the buckets")
+	}
+
+	// Three shards of different lengths, merged in every order.
+	shards := make([]Histogram, 3)
+	for i, vs := range [][]int64{{1, 2, 3}, {900, 1 << 12}, {1 << 40, 17}} {
+		for _, v := range vs {
+			shards[i].Observe(v)
+		}
+	}
+	var ref Histogram
+	for _, p := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		var m Histogram
+		for _, i := range p {
+			m.Merge(&shards[i])
+		}
+		if len(m.buckets) != want(1<<40) {
+			t.Fatalf("order %v: %d buckets, want %d", p, len(m.buckets), want(1<<40))
+		}
+		if p[0] == 0 && p[1] == 1 {
+			ref = m
+			continue
+		}
+		if !reflect.DeepEqual(m, ref) {
+			t.Fatalf("order %v: merge is not commutative", p)
+		}
+	}
+}
+
+// TestGroupReportHistIsCopy checks that GroupReport.Hist hands out a
+// histogram that shares no buckets with the report.
+func TestGroupReportHistIsCopy(t *testing.T) {
+	gs := NewGroupStats(1, sim.Millisecond)
+	c := gs.LP(0).Cell(GroupAddrBase + 1)
+	c.Message(10, 5000)
+	c.Message(20, 7000)
+	r := gs.Snapshot()[0]
+	var want Histogram
+	want.Merge(&r.hist)
+
+	h := r.Hist()
+	h.Observe(5000) // lands in an existing bucket
+	h.Observe(1 << 20)
+	h.Merge(&want)
+	if !reflect.DeepEqual(r.hist, want) {
+		t.Fatal("mutating the value Hist returned changed the report's histogram")
+	}
+	if r.Latency != want.Summary() {
+		t.Fatalf("report latency %+v, want %+v", r.Latency, want.Summary())
 	}
 }

@@ -3,9 +3,11 @@ package obs
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -84,14 +86,14 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 	m.Merge(&a)
 	m.Merge(&b)
 	m.Merge(nil) // no-op
-	if m != all {
+	if !reflect.DeepEqual(m, all) {
 		t.Fatal("merged histogram differs from combined observation")
 	}
 	// Merge order must not matter.
 	var m2 Histogram
 	m2.Merge(&b)
 	m2.Merge(&a)
-	if m2 != m {
+	if !reflect.DeepEqual(m2, m) {
 		t.Fatal("merge is order-dependent")
 	}
 }
@@ -113,6 +115,24 @@ func TestFabricNilSafeAndTotals(t *testing.T) {
 	}
 	if got := f.Total(FMFTWipes); got != 0 {
 		t.Fatalf("Total(FMFTWipes) = %d, want 0", got)
+	}
+
+	// Queue depth: observed per shard, merged on read.
+	nilLP.ObserveQueue(64)
+	var nilFab *Fabric
+	if q := nilFab.QueueDepth(); q.Count != 0 {
+		t.Fatalf("nil fabric queue depth = %+v, want empty", q)
+	}
+	f.LP(0).ObserveQueue(4096)
+	f.LP(3).ObserveQueue(64)
+	f.LP(3).ObserveQueue(1064)
+	if q := f.QueueDepth(); q.Count != 3 || q.Min != 64 || q.Max != 4096 || q.Mean != (4096+64+1064)/3 {
+		t.Fatalf("QueueDepth = %+v, want 3 samples in [64, 4096]", q)
+	}
+	// Shards sit in one slice: each must fill whole cache-line pairs so
+	// neighbouring LPs never write the same line.
+	if sz := unsafe.Sizeof(FabricLP{}); sz%128 != 0 {
+		t.Fatalf("FabricLP is %d bytes, want a multiple of 128", sz)
 	}
 }
 
@@ -264,4 +284,48 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(int64(i))
 	}
+}
+
+func TestParseAddr(t *testing.T) {
+	for _, c := range []struct {
+		s    string
+		want uint32
+		ok   bool
+	}{
+		{"10.0.0.1", 0x0A000001, true},
+		{"0.0.0.0", 0, true},
+		{"255.255.255.255", 0xFFFFFFFF, true},
+		{"224.0.0.3", 0xE0000003, true},
+		{"01.2.3.4", 0, false},
+		{"1.2.3.004", 0, false},
+		{"000000001.0.0.0", 0, false},
+		{"1.00.2.3", 0, false},
+		{"256.0.0.1", 0, false},
+		{"1.2.3", 0, false},
+		{"1.2.3.4.5", 0, false},
+		{"1..3.4", 0, false},
+		{"1.2.3.4.", 0, false},
+		{"+1.2.3.4", 0, false},
+		{"", 0, false},
+	} {
+		got, ok := ParseAddr(c.s)
+		if ok != c.ok || got != c.want {
+			t.Errorf("ParseAddr(%q) = %#x, %v; want %#x, %v", c.s, got, ok, c.want, c.ok)
+		}
+	}
+}
+
+// FuzzParseAddr: ParseAddr accepts exactly the strings AddrString emits,
+// and inverts it on them.
+func FuzzParseAddr(f *testing.F) {
+	for _, s := range []string{"10.0.0.1", "224.0.0.3", "0.0.0.0", "255.255.255.255",
+		"01.2.3.4", "1.2.3.004", "000000001.0.0.0", "256.1.1.1", "1.2.3", "1.2.3.4.5"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		v, ok := ParseAddr(s)
+		if canon := AddrString(v); ok != (canon == s) {
+			t.Fatalf("ParseAddr(%q) = %#x, %v, but AddrString(%#x) = %q", s, v, ok, v, canon)
+		}
+	})
 }

@@ -428,7 +428,7 @@ func Fig14(c *cepheus.Cluster) (*exp.Table, []Fig14Row, error) {
 	for tm := sim.Millisecond; tm <= 40*sim.Millisecond; tm += sim.Millisecond {
 		eng.RunUntil(tm)
 		r := Fig14Row{T: tm, F1: probe.GoodputBytes - p1, F2: f2r.GoodputBytes - p2, F3: f3r.GoodputBytes - p3}
-		t.Add(fmt.Sprint(tm/sim.Millisecond),
+		t.Add(fmt.Sprint(int64(tm/sim.Millisecond)),
 			fmt.Sprintf("%.1f", float64(r.F1)*8/1e6),
 			fmt.Sprintf("%.1f", float64(r.F2)*8/1e6),
 			fmt.Sprintf("%.1f", float64(r.F3)*8/1e6))

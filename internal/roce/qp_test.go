@@ -17,7 +17,7 @@ type pairEnv struct {
 	qa, qb *QP
 }
 
-func newPairEnv(t *testing.T, cfg Config) *pairEnv {
+func newPairEnv(t testing.TB, cfg Config) *pairEnv {
 	t.Helper()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 2)

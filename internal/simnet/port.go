@@ -125,11 +125,10 @@ type Port struct {
 
 	// Observability. tr is the owning device's flight-recorder handle (nil
 	// while tracing is off — the nil check is the entire disabled cost); fab
-	// is the owning LP's fabric-counter shard (nil-safe); QHist observes the
-	// egress queue depth at every enqueue.
-	tr    *obs.Tracer
-	fab   *obs.FabricLP
-	QHist obs.Histogram
+	// is the owning LP's fabric shard (nil-safe), which counts drops and
+	// observes the egress queue depth at every enqueue.
+	tr  *obs.Tracer
+	fab *obs.FabricLP
 
 	// gs is the owning LP's group-stats shard (nil while group attribution
 	// is off — the nil check is the entire disabled cost). Ports only
@@ -481,7 +480,7 @@ func (pt *Port) SendUrgent(p *Packet) {
 	p.enqAt = pt.eng.Now()
 	pt.queues[qCtrl].pushFront(p)
 	pt.qBytes += p.Size()
-	pt.QHist.Observe(int64(pt.qBytes))
+	pt.fab.ObserveQueue(pt.qBytes)
 	if pt.tr.On() {
 		pt.rec(obs.KEnqueue, obs.RNone, p, int64(pt.qBytes), int64(p.Size()))
 	}
@@ -521,7 +520,7 @@ func (pt *Port) enqueue(p *Packet, urgent bool) {
 	p.enqAt = pt.eng.Now()
 	pt.queues[cls].pushBack(p)
 	pt.qBytes += size
-	pt.QHist.Observe(int64(pt.qBytes))
+	pt.fab.ObserveQueue(pt.qBytes)
 	if pt.tr.On() {
 		pt.rec(obs.KEnqueue, obs.RNone, p, int64(pt.qBytes), int64(size))
 	}

@@ -66,12 +66,13 @@ type Switch struct {
 	Name string
 	PFC  PFCConfig
 
-	// FIB maps a destination address to the set of equal-cost egress ports;
-	// flows are hashed onto one of them. fibDst/fibPorts are Forward's
-	// one-entry lookup cache (fibPorts nil = invalid).
-	FIB      map[Addr][]int
-	fibDst   Addr
-	fibPorts []int
+	// fib is the FIB as a dense table: fib[i] is the set of equal-cost
+	// egress ports toward address fibBase+i (nil: no route), and flows are
+	// hashed onto one of them. Host addresses are dense, so the table spans
+	// the routed hosts with no map; entries for hosts behind one leaf
+	// share one port slice. See Route.
+	fib     [][]int
+	fibBase Addr
 
 	// Hook, when set, sees every packet before unicast forwarding.
 	Hook SwitchHook
@@ -187,7 +188,7 @@ func (sw *Switch) recDrop(r obs.Reason, p *Packet, port int) {
 
 // NewSwitch creates a switch with no ports.
 func NewSwitch(eng *sim.Engine, name string) *Switch {
-	return &Switch{Name: name, eng: eng, FIB: make(map[Addr][]int)}
+	return &Switch{Name: name, eng: eng}
 }
 
 // DeviceName implements Device.
@@ -295,17 +296,7 @@ func (sw *Switch) Receive(p *Packet, in *Port) {
 // Forward routes p by its destination address using the FIB. Packets with
 // no route are counted and dropped, as a real switch would.
 func (sw *Switch) Forward(p *Packet, in *Port) {
-	// One-entry FIB cache: unicast traffic through a switch is heavily
-	// repetitive (one flow's worth of ACKs, one fallback destination), so
-	// the common case is a compare instead of a map access. AddRoute and
-	// ResetFIB invalidate it.
-	ports := sw.fibPorts
-	if p.Dst != sw.fibDst || ports == nil {
-		ports = sw.FIB[p.Dst]
-		if ports != nil {
-			sw.fibDst, sw.fibPorts = p.Dst, ports
-		}
-	}
+	ports := sw.Route(p.Dst)
 	if len(ports) == 0 {
 		sw.NoRouteDrops++
 		sw.fab.Inc(obs.FNoRouteDrops)
@@ -378,25 +369,59 @@ func isLossyControl(t PacketType) bool {
 	return false
 }
 
-// AddRoute appends an equal-cost egress port for dst.
-func (sw *Switch) AddRoute(dst Addr, port int) {
-	sw.FIB[dst] = append(sw.FIB[dst], port)
-	sw.fibDst, sw.fibPorts = 0, nil
+// Route returns the equal-cost egress ports toward dst in FIB order, or
+// nil when the switch has no route to it. The caller must not modify the
+// slice: hosts behind one leaf share it.
+func (sw *Switch) Route(dst Addr) []int {
+	if i := uint32(dst - sw.fibBase); i < uint32(len(sw.fib)) {
+		return sw.fib[i]
+	}
+	return nil
 }
 
-// SetRoutes installs the full equal-cost port set for dst in one map write.
+// maxFIBSpan bounds the address range one dense FIB covers, so routing two
+// far-apart addresses fails loudly instead of allocating gigabytes.
+const maxFIBSpan = 1 << 22
+
+// fibSlot returns dst's FIB entry, widening the table to cover dst.
+func (sw *Switch) fibSlot(dst Addr) *[]int {
+	if len(sw.fib) == 0 {
+		sw.fibBase = dst
+	}
+	lo := min(dst, sw.fibBase)
+	n := max(int(dst-lo)+1, int(sw.fibBase-lo)+len(sw.fib))
+	if n > maxFIBSpan {
+		panic("simnet: " + sw.Name + ": FIB destinations span too many addresses")
+	}
+	if lo < sw.fibBase {
+		sw.fib = append(make([][]int, sw.fibBase-lo, n), sw.fib...)
+		sw.fibBase = lo
+	}
+	if n > len(sw.fib) {
+		sw.fib = append(sw.fib, make([][]int, n-len(sw.fib))...)
+	}
+	return &sw.fib[dst-sw.fibBase]
+}
+
+// AddRoute appends an equal-cost egress port for dst.
+func (sw *Switch) AddRoute(dst Addr, port int) {
+	s := sw.fibSlot(dst)
+	*s = append(*s, port)
+}
+
+// SetRoutes installs the full equal-cost port set for dst in one write.
 // The switch takes ownership of ports without copying; callers that share one
 // slice across destinations must pass it with len == cap so a later AddRoute
 // append reallocates instead of mutating the shared backing array.
 func (sw *Switch) SetRoutes(dst Addr, ports []int) {
-	sw.FIB[dst] = ports
-	sw.fibDst, sw.fibPorts = 0, nil
+	*sw.fibSlot(dst) = ports
 }
 
-// ResetFIB discards every route (and the lookup cache) ahead of a rebuild.
-func (sw *Switch) ResetFIB() {
-	sw.FIB = make(map[Addr][]int)
-	sw.fibDst, sw.fibPorts = 0, nil
+// ResetFIB discards every route ahead of a rebuild and sizes the table for
+// the n destinations starting at lo, so a rebuild that installs them fills
+// it without regrowing. Routes outside that span still install.
+func (sw *Switch) ResetFIB(lo Addr, n int) {
+	sw.fib, sw.fibBase = make([][]int, n), lo
 }
 
 // flowHash spreads flows across ECMP members (FNV-1a over the 5-tuple-ish

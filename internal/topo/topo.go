@@ -334,16 +334,19 @@ func linkUp(pt *simnet.Port) bool {
 	return true
 }
 
-// buildRoutes computes shortest-path ECMP FIB entries for every host
-// destination via BFS across the switch graph. Both the distance field and
-// the resulting (switch, port) route set depend only on the host's leaf
-// (and whether its access link is up), so hosts sharing a leaf compute them
-// once and install the shared per-switch port sets with one map write per
-// switch — on a fat-tree that divides the route-build cost by the
-// hosts-per-leaf count and makes the replay allocation-free, which is what
-// keeps the 1024-host topology's setup cheap. Only the leaf's direct route
-// to the host itself differs per host.
+// buildRoutes discards every switch's FIB and computes shortest-path ECMP
+// entries for every host destination via BFS across the switch graph. Both
+// the distance field and the resulting (switch, port) route set depend only
+// on the host's leaf (and whether its access link is up), so hosts sharing a
+// leaf compute them once and install the shared per-switch port sets with
+// one table write per switch — on a fat-tree that divides the route-build
+// cost by the hosts-per-leaf count and makes the replay allocation-free,
+// which is what keeps the 1024-host topology's setup cheap. Only the leaf's
+// direct route to the host itself differs per host.
 func buildRoutes(n *Network) {
+	for _, sw := range n.Switches {
+		sw.ResetFIB(HostIP(0), len(n.Hosts))
+	}
 	// Map each switch to an index for the BFS arrays.
 	idx := make(map[*simnet.Switch]int, len(n.Switches))
 	for i, sw := range n.Switches {
@@ -446,14 +449,9 @@ func buildRoutes(n *Network) {
 // state, excluding down links and crashed switches. It is the route-repair
 // step of the recovery pipeline: after it runs, unicast fallback traffic and
 // freshly registered MDTs avoid dead elements. Hosts with no surviving path
-// get no FIB entries; forwarding to them panics, so callers should exclude
-// unreachable members before sending.
-func (n *Network) RebuildRoutes() {
-	for _, sw := range n.Switches {
-		sw.ResetFIB()
-	}
-	buildRoutes(n)
-}
+// get no FIB entries; switches drop packets to them as no-route drops, so
+// callers should exclude unreachable members before sending.
+func (n *Network) RebuildRoutes() { buildRoutes(n) }
 
 // PathExists reports whether a usable path currently connects hosts a and b
 // under the fault state (down links, crashed switches). The recovery layer

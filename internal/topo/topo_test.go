@@ -131,11 +131,11 @@ func TestFatTreeECMPPresence(t *testing.T) {
 	// different pod.
 	leaf := n.LeafOf(n.Hosts[0])
 	far := HostIP(len(n.Hosts) - 1)
-	if got := len(leaf.FIB[far]); got != 2 {
+	if got := len(leaf.Route(far)); got != 2 {
 		t.Fatalf("edge switch has %d ECMP uplinks to cross-pod host, want 2", got)
 	}
 	// And exactly 1 port toward its own directly connected host.
-	if got := len(leaf.FIB[HostIP(0)]); got != 1 {
+	if got := len(leaf.Route(HostIP(0))); got != 1 {
 		t.Fatalf("edge switch has %d routes to local host, want 1", got)
 	}
 }
@@ -160,7 +160,7 @@ func TestLeafSpineShape(t *testing.T) {
 	}
 	// Cross-leaf traffic has 2 ECMP spines.
 	leaf := n.LeafOf(n.Hosts[0])
-	if got := len(leaf.FIB[HostIP(31)]); got != 2 {
+	if got := len(leaf.Route(HostIP(31))); got != 2 {
 		t.Fatalf("ECMP width %d, want 2 spines", got)
 	}
 }

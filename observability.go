@@ -277,22 +277,11 @@ func (c *Cluster) MessageLatency() obs.Summary {
 	return h.Summary()
 }
 
-// QueueDepth merges the egress queue-depth histograms of every port in the
-// fabric (switch egresses and host NICs): the distribution, in bytes, of
-// queue occupancy observed at each enqueue. Max is the deepest any queue
-// ever got.
-func (c *Cluster) QueueDepth() obs.Summary {
-	var h obs.Histogram
-	for _, sw := range c.Net.Switches {
-		for _, pt := range sw.Ports {
-			h.Merge(&pt.QHist)
-		}
-	}
-	for _, hst := range c.Net.Hosts {
-		h.Merge(&hst.NIC.QHist)
-	}
-	return h.Summary()
-}
+// QueueDepth merges the per-LP egress queue-depth histograms, which every
+// port in the fabric (switch egresses and host NICs) feeds: the
+// distribution, in bytes, of queue occupancy observed at each enqueue. Max
+// is the deepest any queue ever got.
+func (c *Cluster) QueueDepth() obs.Summary { return c.Fab.QueueDepth() }
 
 // SettleUntil drives the cluster until every event with timestamp <= t has
 // executed (or the run quiesces), then stands every LP's clock at t

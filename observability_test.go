@@ -2,6 +2,7 @@ package cepheus
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -44,6 +45,38 @@ func TestMetricsFabricMatchesWalk(t *testing.T) {
 	}
 	if got.DataDrops == 0 || got.CtrlDrops == 0 {
 		t.Fatalf("workload did not exercise loss counters: %v", got)
+	}
+}
+
+// TestHistogramsWorkerInvariant: the merged histograms — queue depth from
+// the per-LP fabric shards, delivery and message latency from the QPs — and
+// the group reports are identical whether the fabric runs as one LP or as
+// per-switch LPs at any worker count.
+func TestHistogramsWorkerInvariant(t *testing.T) {
+	t.Parallel()
+	type views struct {
+		queue, delivery, message obs.Summary
+		groups                   []obs.GroupReport
+	}
+	run := func(workers int) views {
+		w := k8Workload(1, workers, false)
+		c := NewFatTree(w.k, w.opts)
+		defer c.Close()
+		c.EnableGroupStats(0)
+		if _, err := c.RunBcastErr(w.group(t, c), w.members[0], 256<<10); err != nil {
+			t.Fatal(err)
+		}
+		c.SettleUntil(traceHorizon)
+		return views{c.QueueDepth(), c.DeliveryLatency(), c.MessageLatency(), c.GroupReports()}
+	}
+	ref := run(0)
+	if ref.queue.Count == 0 || ref.delivery.Count == 0 || ref.message.Count == 0 || len(ref.groups) != 1 {
+		t.Fatalf("workload left a view empty: %+v", ref)
+	}
+	for _, workers := range []int{1, 4} {
+		if got := run(workers); !reflect.DeepEqual(got, ref) {
+			t.Errorf("workers=%d: views diverged from workers=0:\n  ref: %+v\n  got: %+v", workers, ref, got)
+		}
 	}
 }
 
