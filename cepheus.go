@@ -78,12 +78,6 @@ type Options struct {
 	// per-switch LPs).
 	PodPartition bool
 
-	// CorePropDelay overrides the propagation delay of the fat-tree's
-	// aggregation↔core trunks (0 = PropDelay). Under PodPartition the trunks
-	// are the only cross-LP links, so this is also the conservative
-	// lookahead. Only NewFatTree consults it.
-	CorePropDelay sim.Time
-
 	// Profile enables executor introspection on the partitioned coordinator:
 	// per-worker phase timing, per-LP event loads, and the cross-LP traffic
 	// matrix, read back through Cluster.ExecProfile. Host-side observation
@@ -150,11 +144,7 @@ func NewTestbed(n int, opts Options) *Cluster {
 // with k^3/4 hosts (k=16 gives the paper's 1024 servers).
 func NewFatTree(k int, opts Options) *Cluster {
 	opts.fill()
-	coreProp := opts.CorePropDelay
-	if coreProp == 0 {
-		coreProp = opts.PropDelay
-	}
-	return wire(topo.FatTreeWithTrunk(sim.New(opts.Seed), k, opts.LinkRate, opts.PropDelay, coreProp), opts)
+	return wire(topo.FatTreeWith(sim.New(opts.Seed), k, opts.LinkRate, opts.PropDelay), opts)
 }
 
 // NewLeafSpine builds a two-tier Clos with the given leaf/spine counts and

@@ -476,7 +476,7 @@ func workerSweep(name string, k, members int, workers []int) error {
 			panic(err)
 		}
 		// One untimed warmup broadcast grows every executor buffer (outboxes,
-		// merge scratch, slabs, event queues) and ramps DCQCN to its working
+		// dirty lists, event queues) and ramps DCQCN to its working
 		// point, so the measured row reports steady-state behavior: the alloc
 		// column is worker-invariant delivery bookkeeping instead of plan-
 		// shape-dependent cold growth, and events/s excludes one-time setup.

@@ -37,6 +37,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -90,14 +92,33 @@ func fatal2(format string, args ...any) {
 	os.Exit(2)
 }
 
-func load(path string) []line {
-	f, err := os.Open(path)
-	if err != nil {
-		fatal2("%v", err)
+// trace is one decoded export: its records as read, which the listing,
+// census and diff print, and the obs events they decode to. Device ids are
+// assigned in first-seen order (the export is already in canonical order, so
+// the numbering — and everything derived from it — is deterministic);
+// names inverts the assignment.
+type trace struct {
+	lines []line
+	evs   []obs.Event
+	names []string
+}
+
+// name renders device id d for the span, timeline and group reports.
+func (t *trace) name(d uint32) string {
+	if int(d) < len(t.names) {
+		return t.names[d]
 	}
-	defer f.Close()
-	var out []line
-	sc := bufio.NewScanner(f)
+	return "?"
+}
+
+// readTrace decodes a JSONL export, one event per line (blank lines are
+// skipped). It rejects what no export can produce: malformed JSON, unknown
+// kind, reason or packet-type names, malformed addresses, a port outside
+// [-1, MaxInt16], a negative time, and an input with no events.
+func readTrace(r io.Reader) (*trace, error) {
+	t := &trace{}
+	ids := make(map[string]uint32)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n := 0
 	for sc.Scan() {
@@ -107,69 +128,80 @@ func load(path string) []line {
 		}
 		var l line
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			fatal2("%s:%d: truncated or corrupt trace: %v", path, n, err)
+			return nil, fmt.Errorf("line %d: truncated or corrupt trace: %v", n, err)
 		}
-		out = append(out, l)
-	}
-	if err := sc.Err(); err != nil {
-		fatal2("%s: truncated trace: %v", path, err)
-	}
-	if len(out) == 0 {
-		fatal2("%s: empty trace (no events)", path)
-	}
-	return out
-}
-
-// toEvents converts JSONL lines back into obs events, assigning device ids
-// in first-seen order (the export is already in canonical order, so the
-// numbering — and everything derived from it — is deterministic). The
-// returned names function inverts the assignment for rendering.
-func toEvents(ls []line) ([]obs.Event, func(uint32) string) {
-	ids := make(map[string]uint32)
-	var names []string
-	evs := make([]obs.Event, 0, len(ls))
-	for i := range ls {
-		l := &ls[i]
+		ev, err := l.event(uint32(len(t.evs)))
+		if err != nil {
+			return nil, fmt.Errorf("line %d: corrupt trace: %v", n, err)
+		}
 		id, ok := ids[l.Dev]
 		if !ok {
-			id = uint32(len(names))
+			id = uint32(len(t.names))
 			ids[l.Dev] = id
-			names = append(names, l.Dev)
+			t.names = append(t.names, l.Dev)
 		}
-		k, ok := obs.KindByName(l.Kind)
-		if !ok {
-			fatal2("line %d: corrupt trace: unknown kind %q", i+1, l.Kind)
-		}
-		r := obs.RNone
-		if l.Reason != "" {
-			if r, ok = obs.ReasonByName(l.Reason); !ok {
-				fatal2("line %d: corrupt trace: unknown reason %q", i+1, l.Reason)
-			}
-		}
-		pt, ok := obs.PktTypeByName(l.PT)
-		if !ok {
-			fatal2("line %d: corrupt trace: unknown packet type %q", i+1, l.PT)
-		}
-		src, ok := obs.ParseAddr(l.Src)
-		if !ok {
-			fatal2("line %d: corrupt trace: bad src address %q", i+1, l.Src)
-		}
-		dstA, ok := obs.ParseAddr(l.Dst)
-		if !ok {
-			fatal2("line %d: corrupt trace: bad dst address %q", i+1, l.Dst)
-		}
-		evs = append(evs, obs.Event{
-			At: sim.Time(l.T), Seq: uint32(i), Dev: id, Port: int16(l.Port),
-			Kind: k, Reason: r, PT: pt, Src: src, Dst: dstA,
-			SrcQP: l.SQP, DstQP: l.DQP, PSN: l.PSN, Msg: l.Msg, A: l.A, B: l.B,
-		})
+		ev.Dev = id
+		t.lines = append(t.lines, l)
+		t.evs = append(t.evs, ev)
 	}
-	return evs, func(d uint32) string {
-		if int(d) < len(names) {
-			return names[d]
-		}
-		return "?"
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("truncated trace: %v", err)
 	}
+	if len(t.evs) == 0 {
+		return nil, fmt.Errorf("empty trace (no events)")
+	}
+	return t, nil
+}
+
+// event decodes one record, all but its device id, as the seq-th event.
+func (l *line) event(seq uint32) (obs.Event, error) {
+	if l.T < 0 {
+		return obs.Event{}, fmt.Errorf("negative time %d", l.T)
+	}
+	if l.Port < -1 || l.Port > math.MaxInt16 {
+		return obs.Event{}, fmt.Errorf("port %d out of range", l.Port)
+	}
+	k, ok := obs.KindByName(l.Kind)
+	if !ok {
+		return obs.Event{}, fmt.Errorf("unknown kind %q", l.Kind)
+	}
+	r := obs.RNone
+	if l.Reason != "" {
+		if r, ok = obs.ReasonByName(l.Reason); !ok {
+			return obs.Event{}, fmt.Errorf("unknown reason %q", l.Reason)
+		}
+	}
+	pt, ok := obs.PktTypeByName(l.PT)
+	if !ok {
+		return obs.Event{}, fmt.Errorf("unknown packet type %q", l.PT)
+	}
+	src, ok := obs.ParseAddr(l.Src)
+	if !ok {
+		return obs.Event{}, fmt.Errorf("bad src address %q", l.Src)
+	}
+	dstA, ok := obs.ParseAddr(l.Dst)
+	if !ok {
+		return obs.Event{}, fmt.Errorf("bad dst address %q", l.Dst)
+	}
+	return obs.Event{
+		At: sim.Time(l.T), Seq: seq, Port: int16(l.Port),
+		Kind: k, Reason: r, PT: pt, Src: src, Dst: dstA,
+		SrcQP: l.SQP, DstQP: l.DQP, PSN: l.PSN, Msg: l.Msg, A: l.A, B: l.B,
+	}, nil
+}
+
+// load reads the trace at path. Unusable input exits 2 (fatal2).
+func load(path string) *trace {
+	f, err := os.Open(path)
+	if err != nil {
+		fatal2("%v", err)
+	}
+	defer f.Close()
+	t, err := readTrace(f)
+	if err != nil {
+		fatal2("%s: %v", path, err)
+	}
+	return t
 }
 
 // parseMsg inverts obs.MsgString ("a.b.c.d#n").
@@ -388,13 +420,13 @@ func cmdSpans(args []string) {
 	if *groupF >= 0 {
 		groupAddr = 0xE0000000 + uint32(*groupF)
 	}
-	evs, names := toEvents(load(fs.Arg(0)))
-	evs = filterEvents(evs, msg, groupAddr, sim.Time(*fromF), sim.Time(*toF))
+	tr := load(fs.Arg(0))
+	evs := filterEvents(tr.evs, msg, groupAddr, sim.Time(*fromF), sim.Time(*toF))
 	spans := obs.BuildSpans(evs)
 	if len(spans) == 0 {
 		fatal2("no spans (trace has no message-tagged events in the selection)")
 	}
-	if err := obs.WriteSpans(os.Stdout, spans, names); err != nil {
+	if err := obs.WriteSpans(os.Stdout, spans, tr.name); err != nil {
 		fatalf("%v", err)
 	}
 }
@@ -426,8 +458,8 @@ func cmdTimeline(args []string) {
 	if *groupF >= 0 {
 		opt.Group = 0xE0000000 + uint32(*groupF)
 	}
-	evs, names := toEvents(load(fs.Arg(0)))
-	if err := obs.WriteTimeline(os.Stdout, evs, names, opt); err != nil {
+	tr := load(fs.Arg(0))
+	if err := obs.WriteTimeline(os.Stdout, tr.evs, tr.name, opt); err != nil {
 		fatalf("%v", err)
 	}
 }
@@ -441,7 +473,7 @@ func cmdDiff(args []string) {
 		fs.PrintDefaults()
 		os.Exit(2)
 	}
-	a, b := load(fs.Arg(0)), load(fs.Arg(1))
+	a, b := load(fs.Arg(0)).lines, load(fs.Arg(1)).lines
 	ds := censusDeltas(a, b)
 	if *jsonF {
 		out := struct {
@@ -554,7 +586,7 @@ func cmdGroups(args []string) {
 		}
 		objFor = func(uint32) (obs.SLOObjective, bool) { return obj, true }
 	}
-	evs, _ := toEvents(load(fs.Arg(0)))
+	evs := load(fs.Arg(0)).evs
 	reps := obs.GroupReportsFromEvents(evs, sim.Time(*bucketF), objFor)
 	if len(reps) == 0 {
 		fatal2("%s: no multicast group traffic in trace (%d events)", fs.Arg(0), len(evs))
@@ -626,10 +658,10 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	ls := filter(load(flag.Arg(0)))
+	ls := filter(load(flag.Arg(0)).lines)
 	switch {
 	case *diff != "":
-		printDiff(ls, filter(load(*diff)), flag.Arg(0), *diff)
+		printDiff(ls, filter(load(*diff).lines), flag.Arg(0), *diff)
 	case *summary:
 		printCensus(ls)
 	default:

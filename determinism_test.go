@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/amcast"
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/roce"
 	"repro/internal/sim"
@@ -283,5 +284,59 @@ func TestConcurrentClusters(t *testing.T) {
 			t.Errorf("cluster %d: group ID %#x, want %#x", i, uint32(ids[i]), uint32(simnet.MulticastBase+1))
 		}
 		checkFatTreeGolden(t, fmt.Sprintf("cluster %d", i), digests[i])
+	}
+}
+
+// backToBackGroupsRound registers 16 eight-member groups back to back on the
+// k=8 fat-tree (group g takes one host per pod), then runs one loss-free
+// round in which every group's source posts 256KB at once, and returns the
+// round's digest and the cluster's event count. Registration leaves most
+// LPs idle while the leader's neighbourhood runs ahead, which is what once
+// let an idle LP's clock lag the window floor.
+func backToBackGroupsRound(t *testing.T, workers int) (simDigest, uint64) {
+	t.Helper()
+	const k, groups = 8, 16
+	perPod := k * k / 4
+	c := NewFatTree(k, Options{Seed: 5, Workers: workers})
+	defer c.Close()
+	var gs []*core.Group
+	for g := 0; g < groups; g++ {
+		members := make([]int, k)
+		for i := range members {
+			members[i] = i*perPod + (g+3*i)%perPod
+		}
+		grp, err := c.NewGroup(members, 0)
+		if err != nil {
+			t.Fatalf("workers %d group %d: %v", workers, g, err)
+		}
+		gs = append(gs, grp)
+	}
+	start := c.Now()
+	end := make([]sim.Time, groups)
+	open := groups
+	for i, g := range gs {
+		eng := g.Members[0].Host.Engine()
+		slot := &end[i]
+		g.Members[0].QP.PostSend(256<<10, func() { *slot = eng.Now(); open-- })
+	}
+	if err := c.Run(start+sim.Second, func() bool { return open == 0 }); err != nil {
+		t.Fatalf("workers %d: %v", workers, err)
+	}
+	last := start
+	for _, at := range end {
+		last = max(last, at)
+	}
+	c.SettleUntil(c.Now() + sim.Millisecond)
+	return digestOf(c, last-start), c.EventsRun()
+}
+
+// TestBackToBackGroupsWorkerInvariance: registering many groups back to
+// back and then running a round gives the same digest and event count at
+// every worker count.
+func TestBackToBackGroupsWorkerInvariance(t *testing.T) {
+	t.Parallel()
+	ref, refEv := backToBackGroupsRound(t, 1)
+	if d, ev := backToBackGroupsRound(t, 4); d != ref || ev != refEv {
+		t.Errorf("workers 4 diverged from workers 1:\n  w1: %+v events=%d\n  w4: %+v events=%d", ref, refEv, d, ev)
 	}
 }

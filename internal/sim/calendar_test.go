@@ -2,14 +2,13 @@ package sim
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 )
 
 // refQueue is the reference model the calendar queue is checked against: a
 // map of pending entries, each keyed by (at, seq), whose minimum is found by
 // a linear scan. It numbers arms itself, one seq per Schedule, Reset or
-// injected message, as the engine does.
+// merged cross-LP message, as the engine does.
 type refQueue struct {
 	t       *testing.T
 	seq     uint64
@@ -227,52 +226,6 @@ func TestCalendarCursorMovesBack(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ran %v, want %v", got, want)
 		}
-	}
-}
-
-// TestCalendarSlabMerge checks step's merge of the queue with the cross-LP
-// slab: messages injected in batches, including ties with queued events at
-// the same instant, run in exact (at, seq) order, where injection numbers
-// each message after everything scheduled before it.
-func TestCalendarSlabMerge(t *testing.T) {
-	e := New(1)
-	rng := rand.New(rand.NewSource(5))
-	ref := newRefQueue(t)
-	h := &idHandler{}
-	h.fn = func(id int) { ref.fire(e, id) }
-	nextID := 0
-	for round := 0; round < 300; round++ {
-		for k := rng.Intn(8); k > 0; k-- {
-			at := e.Now() + refDelay(rng)
-			ref.arm(nextID, at)
-			e.ScheduleHandler(at, h, nextID)
-			nextID++
-		}
-		// Barrier injection: a batch sorted by timestamp, some of it tied
-		// with queued events.
-		var msgs []crossMsg
-		for k := rng.Intn(6); k > 0; k-- {
-			at := e.Now() + Time(rng.Intn(40))
-			if id := ref.min(); id >= 0 && rng.Intn(2) == 0 {
-				at = ref.pending[id].at
-			}
-			msgs = append(msgs, crossMsg{at: at, h: h})
-		}
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].at < msgs[j].at })
-		for i := range msgs {
-			msgs[i].arg = nextID
-			ref.arm(nextID, msgs[i].at)
-			nextID++
-		}
-		e.injectSlab(msgs)
-		ref.check(e)
-		n := rng.Intn(12)
-		e.Run(MaxTime, func() bool { n--; return n < 0 })
-		ref.check(e)
-	}
-	e.Run(MaxTime, nil)
-	if len(ref.pending) != 0 {
-		t.Fatalf("%d reference entries never ran", len(ref.pending))
 	}
 }
 

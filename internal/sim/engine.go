@@ -139,16 +139,6 @@ type Engine struct {
 	out    [2][]outbox
 	dirty  [2][]int32
 	outMin [2]Time
-
-	// Inbound cross-LP slab: messages injected by the coordinator at window
-	// barriers, kept sorted by (at, seq) and consumed from slabIdx forward.
-	// Slab entries never enter the calendar — step merges the two streams
-	// on the fly — so a cross-LP hand-off costs zero queue operations on the
-	// destination. slabScratch is the retired backing array, recycled on the
-	// next merge so steady-state injection allocates nothing.
-	slab        []crossMsg
-	slabIdx     int
-	slabScratch []crossMsg
 }
 
 // New returns an engine whose RNG is seeded with seed. Two engines built with
@@ -174,29 +164,21 @@ func (e *Engine) EventsRun() uint64 { return e.nRun }
 // replaced, so the train credits the difference.
 func (e *Engine) Credit(n uint64) { e.nRun += n }
 
-// Pending reports how many events are currently scheduled, including
-// barrier-injected cross-LP slab messages not yet consumed. Stopped timers do
+// Pending reports how many events are currently scheduled. Stopped timers do
 // not linger here: cancelling unlinks the entry immediately.
-func (e *Engine) Pending() int { return e.n + (len(e.slab) - e.slabIdx) }
+func (e *Engine) Pending() int { return e.n }
 
 // LP returns this engine's logical-process index within a Parallel run
 // (0 for a standalone engine).
 func (e *Engine) LP() int { return int(e.lp) }
 
-// NextEventTime returns the timestamp of the earliest pending event — queued
-// or cross-LP slab — and whether one exists.
+// NextEventTime returns the timestamp of the earliest pending event and
+// whether one exists.
 func (e *Engine) NextEventTime() (Time, bool) {
-	t := Time(0)
-	ok := false
 	if s := e.first(); s >= 0 {
-		t, ok = e.slots[s].at, true
+		return e.slots[s].at, true
 	}
-	if e.slabIdx < len(e.slab) {
-		if mt := e.slab[e.slabIdx].at; !ok || mt < t {
-			t, ok = mt, true
-		}
-	}
-	return t, ok
+	return 0, false
 }
 
 // ---- Exact-order calendar queue ----
@@ -490,27 +472,11 @@ func (t *Timer) Fired() bool { return t.fired }
 // clock to its timestamp. Callers drive the engine through Run, never event
 // by event.
 //
-// Two fast paths keep the hot loop cheap. A cross-LP slab message earlier
-// than the queue's minimum dispatches straight from the slab — no queue
-// traffic at all. A timer at the minimum dispatches in place: if its
-// callback re-arms it (the dominant pattern for port serialization chains
-// and QP pacers), Reset relinks the existing entry instead of a
-// remove/insert pair plus slot churn.
+// A timer at the minimum dispatches in place: if its callback re-arms it
+// (the dominant pattern for port serialization chains and QP pacers), Reset
+// relinks the existing entry instead of a remove/insert pair plus slot churn.
 func (e *Engine) step() {
 	s := e.first()
-	if e.slabIdx < len(e.slab) {
-		m := &e.slab[e.slabIdx]
-		if s < 0 || m.at < e.slots[s].at ||
-			(m.at == e.slots[s].at && m.seq < e.slots[s].seq) {
-			e.slabIdx++
-			e.now = m.at
-			e.nRun++
-			h, arg := m.h, m.arg
-			*m = crossMsg{} // drop refs for the GC
-			h.OnEvent(e, arg)
-			return
-		}
-	}
 	sl := &e.slots[s]
 	e.now = sl.at
 	e.nRun++
@@ -594,8 +560,8 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 // which may be a different logical process of the same Parallel run. Calls
 // targeting the local engine degrade to ScheduleHandler; cross-LP messages
 // are appended to a single-producer outbox of the window's write parity and
-// merged into dst's slab by dst's own worker at the start of the next window
-// in a fixed (time, source LP, send order) total order, so results are
+// scheduled on dst by dst's own worker at the start of the next window in a
+// fixed (time, source LP, send order) total order, so results are
 // independent of how many workers drive the run.
 //
 // The first message to a destination this window also records it in the
@@ -626,47 +592,4 @@ func (e *Engine) ScheduleRemote(dst *Engine, at Time, h Handler, arg any) {
 		e.outMin[wp] = at
 	}
 	e.out[wp][d] = append(box, crossMsg{at: at, h: h, arg: arg})
-}
-
-// injectSlab hands this engine one window barrier's worth of inbound cross-LP
-// messages, already sorted by the coordinator's canonical (timestamp, source
-// LP, send order) rule. Each message takes the next local sequence number in
-// that order — exactly the numbering an insert-per-message drain would assign
-// — and the batch is merged with any not-yet-consumed slab remainder.
-//
-// The merge only compares timestamps: every remainder entry survived at least
-// one full window (its window consumed everything earlier), so its timestamp
-// is at or beyond the window end that every new message's timestamp is also
-// bounded below by, and its sequence number is older. Taking remainder
-// entries first on timestamp ties is therefore (at, seq) order.
-func (e *Engine) injectSlab(msgs []crossMsg) {
-	for i := range msgs {
-		e.seq++
-		msgs[i].seq = e.seq
-	}
-	rem := e.slab[e.slabIdx:]
-	if len(rem) == 0 {
-		e.slab = append(e.slab[:0], msgs...)
-		e.slabIdx = 0
-		return
-	}
-	merged := e.slabScratch[:0]
-	i, j := 0, 0
-	for i < len(rem) && j < len(msgs) {
-		if rem[i].at <= msgs[j].at {
-			merged = append(merged, rem[i])
-			i++
-		} else {
-			merged = append(merged, msgs[j])
-			j++
-		}
-	}
-	merged = append(merged, rem[i:]...)
-	merged = append(merged, msgs[j:]...)
-	for k := range rem {
-		rem[k] = crossMsg{} // old backing array: drop refs for the GC
-	}
-	e.slabScratch = e.slab[:0]
-	e.slab = merged
-	e.slabIdx = 0
 }

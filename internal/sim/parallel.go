@@ -13,15 +13,18 @@
 // Cross-LP messages travel through double-buffered per-(source, destination)
 // outboxes: during window N the source's worker appends to the parity-N%2
 // buffer, and at the start of window N+1 each destination's own worker
-// merges the parity-N%2 buffers aimed at it into its slab in a fixed
-// (timestamp, source LP, send order) total order — the merge of window N's
-// traffic overlaps window N+1's writes into the opposite parity, so one
-// barrier per window suffices and the entire drain phase parallelizes
-// across workers. Because the partition, the per-LP RNG streams, and the
-// merge order are all functions of the topology and seed alone — never of
-// the worker count or wall-clock interleaving — a run produces
-// byte-identical results whether it is driven by one worker, eight, or
-// RunSerial on the coordinator itself. See DESIGN.md §9 and §14.
+// schedules the parity-N%2 messages aimed at it on its calendar queue,
+// source by source in ascending LP order and each box in send order. Each
+// message takes the destination's next sequence number, so the queue's
+// (timestamp, sequence) order is the canonical (timestamp, source LP, send
+// order) total order with no sort. The merge of window N's traffic overlaps
+// window N+1's writes into the opposite parity, so one barrier per window
+// suffices and the entire drain phase parallelizes across workers. Because
+// the partition, the per-LP RNG streams, and the merge order are all
+// functions of the topology and seed alone — never of the worker count or
+// wall-clock interleaving — a run produces byte-identical results whether it
+// is driven by one worker, eight, or RunSerial on the coordinator itself.
+// See DESIGN.md §9 and §14.
 package sim
 
 import (
@@ -36,13 +39,9 @@ import (
 )
 
 // crossMsg is one cross-LP event hand-off: the scheduled handler and its
-// absolute timestamp, buffered until the next window's merge. seq is assigned
-// by the destination engine when its worker injects the message into its
-// slab (Engine.injectSlab), giving slab entries the same total order as
-// queued events.
+// absolute timestamp, buffered until the next window's merge.
 type crossMsg struct {
 	at  Time
-	seq uint64
 	h   Handler
 	arg any
 }
@@ -54,50 +53,15 @@ type crossMsg struct {
 // so no per-message synchronization is needed.
 type outbox []crossMsg
 
-// drainKey orders one incoming message during a merge.
-type drainKey struct {
-	at  Time
-	src int32
-	idx int32
-}
-
-func (a *drainKey) less(b *drainKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.idx < b.idx
-}
-
-// drainSort co-sorts keys and msgs by drainKey order.
-type drainSort struct {
-	keys []drainKey
-	msgs []crossMsg
-}
-
-func (s *drainSort) Len() int           { return len(s.keys) }
-func (s *drainSort) Less(i, j int) bool { return s.keys[i].less(&s.keys[j]) }
-func (s *drainSort) Swap(i, j int) {
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-	s.msgs[i], s.msgs[j] = s.msgs[j], s.msgs[i]
-}
-
-// workerScratch is one worker's private window state: reusable merge
-// buffers (so steady-state windows allocate nothing at any worker count)
-// plus the end-of-window report the coordinator aggregates instead of
-// rescanning every LP. The trailing pad keeps adjacent workers' hot fields
-// off a shared cache line.
+// workerScratch is one worker's private window state: the end-of-window
+// report the coordinator aggregates instead of rescanning every LP, and the
+// worker's phase timings. The trailing pad keeps adjacent workers' hot
+// fields off a shared cache line.
 type workerScratch struct {
-	keys   []drainKey
-	msgs   []crossMsg
-	sorter drainSort
-
 	// End-of-window report: earliest pending timestamp across this worker's
-	// LPs (queue, slab, and freshly written outboxes) and whether any of its
-	// LPs executed an event. Written by the worker, read by the coordinator
-	// at the barrier.
+	// LPs (queues and freshly written outboxes) and whether any of its LPs
+	// executed an event. Written by the worker, read by the coordinator at
+	// the barrier.
 	min Time
 	has bool
 	ran bool
@@ -396,9 +360,6 @@ func (p *Parallel) LP(i int) *Engine { return p.lps[i] }
 // Lookahead returns the window bound fixed by Finalize.
 func (p *Parallel) Lookahead() Time { return p.lookahead }
 
-// Workers returns the configured worker count.
-func (p *Parallel) Workers() int { return p.workers }
-
 // SetLPWeights biases the static LP->worker assignment by expected load
 // (e.g. devices or ports per LP): workers receive LPs by weighted
 // longest-processing-time scheduling instead of round-robin striding. Call
@@ -477,7 +438,7 @@ func (p *Parallel) EventsRun() uint64 {
 	return n
 }
 
-// Pending sums scheduled events across LP queues and slabs (outboxes are empty between
+// Pending sums scheduled events across LP queues (outboxes are empty between
 // runs; the coordinator drains any residue before Run returns).
 func (p *Parallel) Pending() int {
 	n := 0
@@ -514,15 +475,16 @@ func (p *Parallel) transpose(par int) {
 	}
 }
 
-// mergeDst merges destination d's incoming parity-par boxes into its slab in
-// (timestamp, source LP, send order) order, using ws's reusable scratch, and
-// resets the drained boxes. Callers guarantee exclusive access to d and to
-// the listed source boxes: during a window that is d's owning worker (each
-// (source box, destination) cell has exactly one reader), at exit barriers
-// the coordinator.
-func (p *Parallel) mergeDst(ws *workerScratch, d int, srcs []int32, par int) {
-	keys := ws.keys[:0]
-	msgs := ws.msgs[:0]
+// mergeDst schedules destination d's incoming parity-par messages on its
+// queue and resets the drained boxes. srcs is in ascending LP order and each
+// box in send order, so every message taking d's next sequence number gives
+// the canonical (timestamp, source LP, send order) order, and a message tied
+// with a local event runs after it when the event was queued first. Callers
+// guarantee exclusive access to d and to the listed source boxes: during a
+// window that is d's owning worker (each (source box, destination) cell has
+// exactly one reader), at exit barriers the coordinator.
+func (p *Parallel) mergeDst(d int, srcs []int32, par int) {
+	dst := p.lps[d]
 	for _, si := range srcs {
 		src := p.lps[si]
 		box := src.out[par][d]
@@ -532,19 +494,12 @@ func (p *Parallel) mergeDst(ws *workerScratch, d int, srcs []int32, par int) {
 			pr.traffic[int(si)*len(p.lps)+d] += uint64(len(box))
 		}
 		for mi := range box {
-			keys = append(keys, drainKey{at: box[mi].at, src: si, idx: int32(mi)})
-			msgs = append(msgs, box[mi])
-			box[mi] = crossMsg{} // drop handler/arg refs for the GC
+			m := &box[mi]
+			dst.ScheduleHandler(m.at, m.h, m.arg)
+			*m = crossMsg{} // drop handler/arg refs for the GC
 		}
 		src.out[par][d] = box[:0]
 	}
-	ws.sorter.keys, ws.sorter.msgs = keys, msgs
-	sort.Sort(&ws.sorter)
-	p.lps[d].injectSlab(msgs)
-	for i := range msgs {
-		msgs[i] = crossMsg{} // scratch: drop refs for the GC
-	}
-	ws.keys, ws.msgs = keys, msgs // retain grown capacity
 }
 
 // drainAll serially merges every buffered cross-LP message of both parities
@@ -552,11 +507,10 @@ func (p *Parallel) mergeDst(ws *workerScratch, d int, srcs []int32, par int) {
 // remote scheduling done between runs) and before every return, preserving
 // the contract that outboxes are empty whenever Run is not executing.
 func (p *Parallel) drainAll() {
-	ws := &p.wstate[0]
 	for par := 0; par < 2; par++ {
 		p.transpose(par)
 		for _, d := range p.touched {
-			p.mergeDst(ws, int(d), p.incoming[d], par)
+			p.mergeDst(int(d), p.incoming[d], par)
 		}
 	}
 }
@@ -567,10 +521,9 @@ func (p *Parallel) drainAll() {
 // (and each source box column) has exactly one reading worker.
 func (p *Parallel) mergePhase(w int) {
 	par := p.wp ^ 1
-	ws := &p.wstate[w]
 	for _, d := range p.plan[w] {
 		if srcs := p.incoming[d]; len(srcs) > 0 {
-			p.mergeDst(ws, d, srcs, par)
+			p.mergeDst(d, srcs, par)
 		}
 	}
 }
@@ -600,10 +553,10 @@ func (p *Parallel) runPhase(w int, end Time) {
 	p.wstate[w].ran = ran
 }
 
-// minPhase records worker w's earliest pending timestamp: queue and slab
-// minima plus the minimum of any cross-LP messages its LPs buffered this
-// window. Aggregating these per-worker reports is how the coordinator finds
-// the next window's start without rescanning every LP.
+// minPhase records worker w's earliest pending timestamp: queue minima plus
+// the minimum of any cross-LP messages its LPs buffered this window.
+// Aggregating these per-worker reports is how the coordinator finds the next
+// window's start without rescanning every LP.
 func (p *Parallel) minPhase(w int) {
 	var m Time
 	has := false
@@ -622,7 +575,7 @@ func (p *Parallel) minPhase(w int) {
 }
 
 // phase is one worker's whole window: merge inbound traffic, execute, report.
-// With profiling on, the merge+inject and execute+report segments are timed
+// With profiling on, the merge and execute+report segments are timed
 // (two extra monotonic clock reads per worker-window; simulated state never
 // sees them).
 func (p *Parallel) phase(w int) {
@@ -794,19 +747,27 @@ func (p *Parallel) RunSerial(limit Time, pred func() bool) Outcome {
 }
 
 // RunUntil is Engine.RunUntil across the partition: it runs every event
-// with timestamp <= t, then advances every LP's clock, and the floor, to at
+// with timestamp <= t, then advances the floor, and every LP's clock, to at
 // least t (an LP whose last window ran past t keeps its clock). No pending
 // event or buffered cross-LP message lies at or before t once Run has
 // returned, so the advance is safe on any number of LPs.
 func (p *Parallel) RunUntil(t Time) {
 	p.Run(t, nil)
-	for _, e := range p.lps {
-		if e.now < t {
-			e.now = t
-		}
-	}
 	if p.floor < t {
 		p.floor = t
+	}
+	p.raiseClocks()
+}
+
+// raiseClocks advances every LP clock below the floor to it. Every pending
+// event lies at or beyond the floor, so the advance is safe. Without it an
+// idle LP's clock lags the run: a caller scheduling at that LP's Now could
+// then make it send a cross-LP message behind its neighbour's clock.
+func (p *Parallel) raiseClocks() {
+	for _, e := range p.lps {
+		if e.now < p.floor {
+			e.now = p.floor
+		}
 	}
 }
 
@@ -818,13 +779,16 @@ func (p *Parallel) run(limit Time, pred func() bool, serial bool) Outcome {
 		return p.lps[0].Run(limit, pred)
 	}
 	pr := p.prof
-	if pr == nil {
-		return p.runLoop(limit, pred, serial)
+	var t0 int64
+	if pr != nil {
+		t0 = profNow()
 	}
-	t0 := profNow()
 	out := p.runLoop(limit, pred, serial)
-	pr.runNs += uint64(profNow() - t0)
-	pr.runs++
+	p.raiseClocks()
+	if pr != nil {
+		pr.runNs += uint64(profNow() - t0)
+		pr.runs++
+	}
 	return out
 }
 

@@ -125,28 +125,28 @@ type orderProbe struct{ got []int }
 
 func (o *orderProbe) OnEvent(e *Engine, arg any) { o.got = append(o.got, arg.(int)) }
 
-// sendAt emits its prepared batch of cross-LP messages when it fires.
+// sendAt schedules its batch of probe events on dst at time at when it
+// fires: cross-LP messages when dst is another LP, local events when it is
+// the firing LP itself.
 type sendAt struct {
-	dst  *Engine
-	at   Time
-	vals []int
+	dst   *Engine
+	at    Time
+	vals  []int
+	probe *orderProbe
 }
 
 func (s *sendAt) OnEvent(e *Engine, arg any) {
 	for _, v := range s.vals {
-		e.ScheduleRemote(s.dst, s.at, s.probeOf(e), v)
+		e.ScheduleRemote(s.dst, s.at, s.probe, v)
 	}
 }
-
-// probeOf lets the test thread one probe through without a global.
-var testProbe *orderProbe
-
-func (s *sendAt) probeOf(_ *Engine) Handler { return testProbe }
 
 func TestParallelDrainOrder(t *testing.T) {
 	// Two source LPs send same-timestamp messages to LP 0. The merge must
 	// order them (time, source LP, send order) regardless of which worker
-	// finished first, so LP 1's batch precedes LP 2's.
+	// finished first, so LP 1's batch precedes LP 2's. Destination-local
+	// events at the same instant run in queueing order around the merge:
+	// one queued before it runs first, one queued after it runs last.
 	p := NewParallel(3, 4)
 	defer p.Close()
 	dst := p.AddLP()
@@ -154,26 +154,103 @@ func TestParallelDrainOrder(t *testing.T) {
 	s2eng := p.AddLP()
 	p.Finalize(100)
 
-	testProbe = &orderProbe{}
-	defer func() { testProbe = nil }()
+	probe := &orderProbe{}
 	const at = Time(250)
-	s1 := &sendAt{dst: dst, at: at, vals: []int{10, 11}}
-	s2 := &sendAt{dst: dst, at: at, vals: []int{20, 21}}
-	// Mixed earlier/later timestamps must interleave purely by time.
-	s1eng.ScheduleHandler(0, s1, nil)
-	s2eng.ScheduleHandler(0, s2, nil)
-	s2eng.ScheduleHandler(1, &sendAt{dst: dst, at: at + 50, vals: []int{99}}, nil)
+	s1eng.ScheduleHandler(0, &sendAt{dst: dst, at: at, vals: []int{10, 11}, probe: probe}, nil)
+	s2eng.ScheduleHandler(0, &sendAt{dst: dst, at: at, vals: []int{20, 21}, probe: probe}, nil)
+	// Mixed earlier/later timestamps must interleave purely by time: LP 2's
+	// earlier message runs before LP 1's batch, its later one after both.
+	s2eng.ScheduleHandler(1, &sendAt{dst: dst, at: at + 50, vals: []int{99}, probe: probe}, nil)
+	s2eng.ScheduleHandler(2, &sendAt{dst: dst, at: at - 5, vals: []int{5}, probe: probe}, nil)
+	// Queued before the merge, at the messages' instant.
+	dst.ScheduleHandler(at, probe, 1)
+	// The window holding the messages starts at 240, merges them, then runs
+	// this event, which queues the probe at their instant after the merge.
+	dst.ScheduleHandler(at-10, &sendAt{dst: dst, at: at, vals: []int{2}, probe: probe}, nil)
 	if out := p.Run(Time(1_000_000), nil); out != Quiescent {
 		t.Fatalf("outcome = %v, want Quiescent", out)
 	}
-	want := []int{10, 11, 20, 21, 99}
-	if len(testProbe.got) != len(want) {
-		t.Fatalf("got %v, want %v", testProbe.got, want)
+	want := []int{5, 1, 10, 11, 20, 21, 2, 99}
+	if len(probe.got) != len(want) {
+		t.Fatalf("got %v, want %v", probe.got, want)
 	}
 	for i, v := range want {
-		if testProbe.got[i] != v {
-			t.Fatalf("got %v, want %v", testProbe.got, want)
+		if probe.got[i] != v {
+			t.Fatalf("got %v, want %v", probe.got, want)
 		}
+	}
+}
+
+// monoTicker re-arms itself every 10 ns on its LP until stopped and records
+// whether its LP's clock ever moved backwards between two of its events.
+// Events carrying a non-nil arg are cross-LP deliveries and do not re-arm.
+type monoTicker struct {
+	n, remote int
+	stop      bool
+	last      Time
+	backwards bool
+}
+
+func (m *monoTicker) OnEvent(e *Engine, arg any) {
+	if e.Now() < m.last {
+		m.backwards = true
+	}
+	m.last = e.Now()
+	if arg != nil {
+		m.remote++
+		return
+	}
+	m.n++
+	if !m.stop {
+		e.AfterHandler(10, m, nil)
+	}
+}
+
+// remoteSend sends one delivery to dst one lookahead from now.
+type remoteSend struct {
+	dst       *Engine
+	lookahead Time
+	tk        *monoTicker
+}
+
+func (r *remoteSend) OnEvent(e *Engine, arg any) {
+	e.ScheduleRemote(r.dst, e.Now()+r.lookahead, r.tk, true)
+}
+
+// TestParallelIdleLPClockFollowsFloor: a run that returns Done must leave no
+// LP clock below the window floor. Otherwise an event scheduled at an idle
+// LP's Now sends a cross-LP message behind the busy receiver's clock, and
+// the receiver's clock runs backwards.
+func TestParallelIdleLPClockFollowsFloor(t *testing.T) {
+	const lookahead = Time(100)
+	p := NewParallel(1, 1)
+	defer p.Close()
+	busy := p.AddLP()
+	idle := p.AddLP()
+	p.Finalize(lookahead)
+
+	tk := &monoTicker{}
+	busy.ScheduleHandler(0, tk, nil)
+	if out := p.Run(MaxTime, func() bool { return tk.n >= 100 }); out != Done {
+		t.Fatalf("outcome = %v, want Done", out)
+	}
+	floor := p.Now()
+	if idle.Now() < floor {
+		t.Fatalf("idle LP clock %v lags the floor %v after Done", idle.Now(), floor)
+	}
+	idle.ScheduleHandler(idle.Now(), &remoteSend{dst: busy, lookahead: lookahead, tk: tk}, nil)
+	if out := p.Run(MaxTime, func() bool { return tk.remote == 1 }); out != Done {
+		t.Fatalf("second run outcome = %v, want Done", out)
+	}
+	tk.stop = true
+	if out := p.Run(MaxTime, nil); out != Quiescent {
+		t.Fatalf("final run outcome = %v, want Quiescent", out)
+	}
+	if tk.backwards {
+		t.Fatal("the receiving LP's clock moved backwards")
+	}
+	if p.Now() < floor {
+		t.Fatalf("floor moved backwards: %v -> %v", floor, p.Now())
 	}
 }
 
@@ -285,7 +362,7 @@ func (f *fanOut) OnEvent(e *Engine, arg any) {
 }
 
 // TestParallelSteadyStateAllocs pins the executor's steady-state allocation
-// contract: once the merge scratch, dirty lists, and slab buffers have grown
+// contract: once the outboxes, dirty lists, and destination queues have grown
 // to the workload's high-water mark, further windows allocate nothing on the
 // coordinator path. The first run warms every buffer; the measured runs must
 // then be allocation-free (serial path exactly; the worker path gets a small
