@@ -44,46 +44,10 @@ type Options struct {
 	LinkRate  float64
 	PropDelay sim.Time
 
-	// Workers selects the execution mode. Every cluster runs on the
-	// conservative lookahead coordinator, Cluster.Par, over a partition of
-	// the topology into logical processes (DESIGN.md §9). 0 (the default)
-	// is the one-LP partition: the whole fabric is one event queue, Net.Eng,
-	// and every event is its own barrier, which is the sequential engine.
-	// n >= 1 gives each switch its own LP (or each pod, with PodPartition)
-	// and runs the LPs in lookahead-bounded windows on n goroutines; Net.Eng
-	// is then nil unless the topology has a single switch, whose partition
-	// is one LP at any n. The partition is fixed by the topology, so every
-	// n >= 1 produces byte-identical simulated results and flight-recorder
-	// traces — the knob trades wall-clock speed only. Same-time cross-LP
-	// deliveries are ordered by the coordinator's canonical (time, source
-	// LP, send order) rule, so traces can differ from the one-LP run's
-	// (TestTraceSeqParEquivalence); digests do not.
+	// Profile once enabled the multi-LP executor's profiler. Every cluster
+	// now runs on one engine, which has nothing to profile.
 	//
-	// A cluster with more than one LP returns an error from the APIs whose
-	// state is inherently cross-member or reads live devices mid-run:
-	//   - Broadcaster for every scheme but SchemeCepheus (AMcast overlays);
-	//   - RunBcastErr for any broadcaster but SchemeCepheus's;
-	//   - NewResilientGroup (the recovery pipeline);
-	//   - EnableSeries (the telemetry sampler).
-	// Runtime fail-stop fault injection (internal/fault) schedules on
-	// Net.Eng and likewise needs one LP; gray impairments work on any.
-	Workers int
-
-	// PodPartition coarsens the partition to one LP per topology domain
-	// (topo.Network.Domains): on a fat-tree, one LP per pod plus one per core
-	// group instead of one per switch. Fewer, fatter LPs mean less cross-LP
-	// traffic and per-window overhead at scale; results remain byte-identical
-	// across worker counts for a fixed partition choice. No effect at
-	// Workers 0, or on topologies without declared domains (falls back to
-	// per-switch LPs).
-	PodPartition bool
-
-	// Profile enables executor introspection on the partitioned coordinator:
-	// per-worker phase timing, per-LP event loads, and the cross-LP traffic
-	// matrix, read back through Cluster.ExecProfile. Host-side observation
-	// only — simulated results and traces stay byte-identical with the
-	// profiler on or off (DESIGN.md §15). No effect on one LP, which runs
-	// no windows.
+	// Deprecated: ignored; Cluster.ExecProfile always returns nil.
 	Profile bool
 }
 
@@ -110,17 +74,15 @@ func (o *Options) fill() {
 // Cluster is a simulated RoCE datacenter with Cepheus accelerators on every
 // switch.
 type Cluster struct {
-	// Par coordinates the cluster's logical processes; drive it through
-	// Run. Net.Eng is non-nil exactly when Par has one LP.
-	Par    *sim.Parallel
+	// Net is the fabric; Net.Eng is the one engine that drives every
+	// device. Drive it through Run.
 	Net    *topo.Network
 	RNICs  []*roce.RNIC
 	Agents []*core.Agent
 	Accels []*core.Accel
 
-	// Fab holds the cluster's sharded fabric counters (always wired; the
-	// per-LP shards make Metrics a sum over NumLPs cells instead of a walk
-	// over every device). Rec is the flight recorder, nil until EnableTrace;
+	// Fab holds the cluster's fabric counters (always wired, so Metrics
+	// reads them instead of walking every device). Rec is the flight recorder, nil until EnableTrace;
 	// Aud the protocol auditor, nil until EnableAudit; Series the telemetry
 	// sampler, nil until EnableSeries.
 	Fab    *obs.Fabric
@@ -155,110 +117,55 @@ func NewLeafSpine(leaves, spines, hostsPerLeaf int, opts Options) *Cluster {
 }
 
 func wire(net *topo.Network, opts Options) *Cluster {
-	// Partition before attaching RNICs and accelerators, so every layer
-	// built on top picks up its device's LP engine rather than the
-	// build-time scratch engine (which Partition disconnects).
-	var domains [][]*simnet.Switch // nil: one LP per switch
-	switch {
-	case opts.Workers == 0:
-		domains = [][]*simnet.Switch{net.Switches}
-	case opts.PodPartition:
-		domains = net.Domains
-	}
-	c := &Cluster{Net: net, Par: sim.NewParallel(opts.Seed, opts.Workers)}
-	net.Partition(c.Par, domains)
-	if opts.Profile {
-		c.Par.EnableProfile()
-	}
+	c := &Cluster{Net: net, Fab: obs.NewFabric()}
 	for _, h := range net.Hosts {
 		r := roce.NewRNIC(h, *opts.Transport)
 		c.RNICs = append(c.RNICs, r)
 		c.Agents = append(c.Agents, core.NewAgent(r))
+		h.NIC.SetFabric(c.Fab)
 	}
 	for _, sw := range net.Switches {
 		c.Accels = append(c.Accels, core.Attach(sw, *opts.Accel))
-	}
-	// Fabric counters are always on: each device increments its own LP's
-	// shard (wired after Partition so LP assignments are final).
-	c.Fab = obs.NewFabric(c.Par.NumLPs())
-	for _, sw := range net.Switches {
-		sw.SetFabric(c.Fab.LP(sw.Engine().LP()))
-	}
-	for _, h := range net.Hosts {
-		h.NIC.SetFabric(c.Fab.LP(h.Engine().LP()))
+		sw.SetFabric(c.Fab)
 	}
 	return c
 }
 
-// oneLP reports whether the cluster runs as a single logical process, the
-// sequential engine Net.Eng, which the APIs with cross-member state need.
-func (c *Cluster) oneLP() bool { return c.Net.Eng != nil }
+// EventsRun reports how many events the cluster has executed.
+func (c *Cluster) EventsRun() uint64 { return c.Net.Eng.EventsRun() }
 
-// EventsRun sums executed events across the cluster's LPs.
-func (c *Cluster) EventsRun() uint64 { return c.Par.EventsRun() }
-
-// Now returns the cluster's simulated time: the coordinator's window floor,
-// which on one LP is that LP's clock.
-func (c *Cluster) Now() sim.Time { return c.Par.Now() }
+// Now returns the cluster's simulated time.
+func (c *Cluster) Now() sim.Time { return c.Net.Eng.Now() }
 
 // Run drives the cluster until done reports true and returns an error if
 // the run quiesces or its next event lies past the absolute time limit
-// first. done may be nil (run to quiescence or limit). It is checked at
-// window barriers, which on one LP means before the first event and after
-// every event, so the run stops on the event that satisfied it. The windows
-// run on the calling goroutine (Parallel.RunSerial), so done may read state
-// that callbacks on any LP write.
+// first. done may be nil (run to quiescence or limit). It is checked before
+// the first event and after every event, so the run stops on the event that
+// satisfied it.
 func (c *Cluster) Run(limit sim.Time, done func() bool) error {
-	if out := c.Par.RunSerial(limit, done); out != sim.Done {
+	if out := c.Net.Eng.Run(limit, done); out != sim.Done {
 		return fmt.Errorf("cepheus: run ended %v at %v (limit %v) before done", out, c.Now(), limit)
 	}
 	return nil
 }
 
-// Close releases execution resources (the parallel worker pool). Safe to
-// call more than once.
-func (c *Cluster) Close() { c.Par.Close() }
+// Close releases nothing: a cluster holds only memory.
+//
+// Deprecated: kept so existing callers compile.
+func (c *Cluster) Close() {}
 
 // Hosts returns the number of hosts in the cluster.
 func (c *Cluster) Hosts() int { return len(c.Net.Hosts) }
 
-// LPLabels names each logical process after the switches it executes: the
-// first switch's name, with "+n" appended when the LP holds more switches
-// (pod-level or one-LP partitions).
-func (c *Cluster) LPLabels() []string {
-	labels := make([]string, c.Par.NumLPs())
-	extra := make([]int, c.Par.NumLPs())
-	for _, sw := range c.Net.Switches {
-		lp := sw.Engine().LP()
-		if lp < 0 || lp >= len(labels) {
-			continue
-		}
-		if labels[lp] == "" {
-			labels[lp] = sw.Name
-		} else {
-			extra[lp]++
-		}
-	}
-	for lp, n := range extra {
-		if n > 0 {
-			labels[lp] = fmt.Sprintf("%s+%d", labels[lp], n)
-		}
-	}
-	return labels
-}
+// ExecProfile returns nil: one engine has no executor windows to profile.
+//
+// Deprecated: kept so existing callers compile.
+func (c *Cluster) ExecProfile() *obs.ExecReport { return nil }
 
-// ExecProfile snapshots the executor-introspection report: per-worker phase
-// breakdown, per-LP load, cross-LP traffic, and the derived scaling
-// diagnosis. Returns nil unless the cluster was built with Options.Profile
-// and has more than one LP. Call between runs, not concurrently with one.
-func (c *Cluster) ExecProfile() *obs.ExecReport {
-	return obs.BuildExecReport(c.Par.ProfileSnapshot(), c.LPLabels())
-}
-
-// ResetExecProfile zeroes the profiler's accumulated counters so a
-// subsequent ExecProfile covers only the runs after the reset — sweeps call
-// it after warmup. A no-op when profiling is off.
-func (c *Cluster) ResetExecProfile() { c.Par.ResetProfile() }
+// ResetExecProfile does nothing.
+//
+// Deprecated: kept so existing callers compile.
+func (c *Cluster) ResetExecProfile() {}
 
 // NewGroup creates and registers a Cepheus multicast group over the given
 // host indices (members[leader] hosts the controller). It drives the
@@ -335,9 +242,6 @@ func (c *Cluster) Broadcaster(scheme Scheme, nodes []int, slices int) (amcast.Br
 		}
 		return &amcast.Cepheus{Group: g}, nil
 	}
-	if !c.oneLP() {
-		return nil, fmt.Errorf("cepheus: scheme %q requires one LP (Workers 0): overlay completion accounting is cross-member", scheme)
-	}
 	if err := c.checkMembers(nodes, 0); err != nil {
 		return nil, err
 	}
@@ -380,49 +284,11 @@ const BcastTimeout = 60 * sim.Second
 // means a deadlocked transport or a black-holed route, which callers like
 // long experiment sweeps want to report rather than die on.
 func (c *Cluster) RunBcastErr(b amcast.Broadcaster, root, size int) (sim.Time, error) {
-	if !c.oneLP() {
-		return c.runBcastParallel(b, root, size)
-	}
 	start := c.Now()
 	var end sim.Time = -1
 	b.Bcast(root, size, func() { end = c.Now() })
 	if err := c.Run(start+BcastTimeout, func() bool { return end >= 0 }); err != nil {
 		return 0, fmt.Errorf("cepheus: %s bcast of %dB stalled: %w", b.Name(), size, err)
-	}
-	return end - start, nil
-}
-
-// runBcastParallel drives one Cepheus broadcast across a multi-LP
-// cluster. Completion is tracked through BcastRecord's per-member time
-// slots — each written only by its owning LP — and detected by the window
-// coordinator, whose barrier provides the happens-before edge. JCT is
-// measured from the source LP's clock at post to the latest member delivery,
-// exactly the one-LP definition.
-func (c *Cluster) runBcastParallel(b amcast.Broadcaster, root, size int) (sim.Time, error) {
-	cb, ok := b.(*amcast.Cepheus)
-	if !ok {
-		return 0, fmt.Errorf("cepheus: a multi-LP run supports only the cepheus scheme, not %s", b.Name())
-	}
-	times := make([]sim.Time, len(cb.Group.Members))
-	src := cb.BcastRecord(root, size, times)
-	start := times[src]
-	pred := func() bool {
-		for _, t := range times {
-			if t < 0 {
-				return false
-			}
-		}
-		return true
-	}
-	out := c.Par.Run(start+BcastTimeout, pred)
-	if out != sim.Done {
-		return 0, fmt.Errorf("cepheus: %s bcast of %dB stalled in parallel run (%v)", b.Name(), size, out)
-	}
-	end := start
-	for _, t := range times {
-		if t > end {
-			end = t
-		}
 	}
 	return end - start, nil
 }

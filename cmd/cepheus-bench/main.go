@@ -1,8 +1,8 @@
 // cepheus-bench prints every table and figure from the paper's evaluation
 // (§V), as defined once in internal/paper, and adds its instrumentation
 // (-trace, -audit, -groups/-slo, -json, -series) to their runs. It also owns
-// the executor and instrumentation perf experiments (pdes, scale1024,
-// fairness, *ov). The shapes (who wins, by what factor, where crossovers
+// the fairness experiment and the instrumentation overhead gates (traceov,
+// gsov). The shapes (who wins, by what factor, where crossovers
 // fall) are the reproduction targets recorded in EXPERIMENTS.md.
 //
 // Usage:
@@ -11,7 +11,7 @@
 //	cepheus-bench -only fig8      # one experiment
 //	cepheus-bench -full           # include the full Fig 12/13 sweeps
 //	cepheus-bench -name pr3       # also write BENCH_pr3.json for the perf trajectory
-//	cepheus-bench -only pdes -cpuprofile cpu.pb.gz   # profile the parallel executor
+//	cepheus-bench -only fig8 -cpuprofile cpu.pb.gz   # profile one experiment
 package main
 
 import (
@@ -44,10 +44,9 @@ var (
 	traceCap   = flag.Int("tracecap", 0, "flight-recorder capacity in events (0: default)")
 	auditOn    = flag.Bool("audit", false, "run the online protocol auditor on every broadcast; violations fail the run")
 	seriesOut  = flag.String("series", "", "fig14: sample per-flow DCQCN rates and queue depths, write the time series (CSV) here")
-	pdesProf   = flag.String("pdesprof", "", "pdes/scale1024: profile the parallel executor per worker row and write the reports (JSON, cepheus-trace pdes renders them) here")
 	groupsOn   = flag.Bool("groups", false, "enable per-group attribution; print the group table after each broadcast")
 	sloSpec    = flag.String("slo", "", "with -groups (implied): per-group SLO, p99=<dur>,goodput=<bytes/s>,drops=<frac>[,window=<dur>]; breaches fail the run")
-	maxOver    = flag.Float64("maxover", 0, "traceov/profov/gsov: exit nonzero if the measured instrumentation costs more than this fraction of events/s (e.g. 0.03)")
+	maxOver    = flag.Float64("maxover", 0, "traceov/gsov: exit nonzero if the measured instrumentation costs more than this fraction of events/s (e.g. 0.03)")
 )
 
 // -slo parsed once at startup; sloSet gates the evaluation paths.
@@ -80,13 +79,6 @@ type benchRecord struct {
 	// set only on the overhead experiments' "on" rows.
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
 
-	// Executor stall breakdown from -pdesprof (parallel sweep rows only):
-	// the fraction of worker time spent executing events, and the dominant
-	// non-exec phase with its share of total stall time.
-	ExecPct    float64 `json:"exec_pct,omitempty"`
-	StallPhase string  `json:"stall_phase,omitempty"`
-	StallPct   float64 `json:"stall_pct,omitempty"`
-
 	// Host provenance, stamped on the leading {"experiment":"meta"} record
 	// so a BENCH_*.json trajectory records what machine produced each point.
 	GoMaxProcs int    `json:"gomaxprocs,omitempty"`
@@ -110,18 +102,8 @@ var (
 	curExp  string // experiment currently running, for record attribution
 )
 
-// pdesProfEntry is one profiled sweep row in the -pdesprof output file —
-// the unit cepheus-trace pdes renders.
-type pdesProfEntry struct {
-	Experiment string          `json:"experiment"`
-	Workers    int             `json:"workers"`
-	Report     *obs.ExecReport `json:"report"`
-}
-
-var profEntries []pdesProfEntry
-
 func main() {
-	only := flag.String("only", "", "comma-separated experiments to run: fig1d|fig7b|fig8|fig9|rdmc|table1|fig10|fig11|hpl-large|fig12|fig13|fig14|safeguard|reduce|pstrain|pdes|scale1024|fairness|traceov|profov|gsov")
+	only := flag.String("only", "", "comma-separated experiments to run: fig1d|fig7b|fig8|fig9|rdmc|table1|fig10|fig11|hpl-large|fig12|fig13|fig14|safeguard|reduce|pstrain|fairness|traceov|gsov")
 	flag.Parse()
 	os.Exit(run(*only))
 }
@@ -189,8 +171,7 @@ func run(only string) int {
 		{"fig14", fig14}, {"safeguard", safeguard},
 		{"reduce", func() error { t, _, err := paper.Reduce(); return show(t, err) }},
 		{"pstrain", func() error { t, _, err := paper.PSTrain(); return show(t, err) }},
-		{"pdes", pdes}, {"scale1024", scale1024}, {"fairness", fairness},
-		{"traceov", traceov}, {"profov", profov}, {"gsov", gsov},
+		{"fairness", fairness}, {"traceov", traceov}, {"gsov", gsov},
 	}
 	want := map[string]bool{}
 	for _, n := range strings.Split(only, ",") {
@@ -204,7 +185,7 @@ func run(only string) int {
 		if selective && !want[e.name] {
 			continue
 		}
-		if (e.name == "traceov" || e.name == "profov" || e.name == "gsov") && !selective {
+		if (e.name == "traceov" || e.name == "gsov") && !selective {
 			continue // overhead gates only run when asked for
 		}
 		curExp = e.name
@@ -247,18 +228,6 @@ func run(only string) int {
 			return 1
 		}
 	}
-	if *pdesProf != "" {
-		buf, err := json.MarshalIndent(profEntries, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*pdesProf, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "writing %s: %v\n", *pdesProf, err)
-			return 1
-		}
-		fmt.Printf("executor profiles: %d rows -> %s (render with: cepheus-trace pdes %s)\n",
-			len(profEntries), *pdesProf, *pdesProf)
-	}
 	return exitCode
 }
 
@@ -268,7 +237,7 @@ func auditVerdict(c *cepheus.Cluster, label string) {
 	if c.Aud == nil {
 		return
 	}
-	c.Rec.Barrier()
+	c.Rec.Drain()
 	fmt.Printf("%s: %s\n", label, c.Aud.Verdict(c.Rec.ShardLost()))
 	if !c.Aud.Clean() {
 		c.Aud.Report(os.Stderr)
@@ -333,44 +302,29 @@ func sloVerdict(c *cepheus.Cluster, reps []obs.GroupReport, label string) {
 	}
 }
 
-// bcastReps is how many timed repetitions runBcast takes per record, keeping
-// the best events/s. Simulated results are deterministic — every repetition
-// completes in the same JCT (event counts can differ by a handful of
-// post-completion drain events, as the drive loop stops at a slightly
-// different point each rep) — so repeating only filters host scheduler
-// noise out of the wall-clock metric. Sweeps that compare rows against each
-// other (workerSweep's speedup column) raise it; one-shot experiments keep
-// the default.
-var bcastReps = 1
-
-// runBcast is cepheus-bench's paper.Bcast: it instruments c, drives one
-// broadcast (bcastReps timed repetitions, best kept), records its result for
-// -json, and reports c's trace and verdicts.
+// runBcast is cepheus-bench's paper.Bcast: it instruments c, drives and
+// times one broadcast, records its result for -json, and reports c's trace
+// and verdicts.
 func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label string) (sim.Time, error) {
 	instrument(c)
-	var rec benchRecord
-	for rep := 0; rep < bcastReps; rep++ {
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		ev0 := c.EventsRun()
-		t0 := time.Now()
-		jct, err := c.RunBcastErr(b, root, size)
-		wall := time.Since(t0)
-		if err != nil {
-			return 0, fmt.Errorf("%s: %w", label, err)
-		}
-		runtime.ReadMemStats(&m1)
-		ev := c.EventsRun() - ev0
-		eps := 0.0
-		if s := wall.Seconds(); s > 0 {
-			eps = float64(ev) / s
-		}
-		if rep == 0 || eps > rec.EventsPerSec {
-			rec = benchRecord{
-				Experiment: curExp, Case: label, JCTNs: int64(jct),
-				EventsRun: ev, EventsPerSec: eps, Allocs: m1.Mallocs - m0.Mallocs,
-			}
-		}
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	ev0 := c.EventsRun()
+	t0 := time.Now()
+	jct, err := c.RunBcastErr(b, root, size)
+	wall := time.Since(t0)
+	if err != nil {
+		return 0, fmt.Errorf("%s: %w", label, err)
+	}
+	runtime.ReadMemStats(&m1)
+	ev := c.EventsRun() - ev0
+	eps := 0.0
+	if s := wall.Seconds(); s > 0 {
+		eps = float64(ev) / s
+	}
+	rec := benchRecord{
+		Experiment: curExp, Case: label, JCTNs: int64(jct),
+		EventsRun: ev, EventsPerSec: eps, Allocs: m1.Mallocs - m0.Mallocs,
 	}
 	// Per-message latency (first packet emitted to last packet accepted at
 	// each receiver), not per-packet transit: packet transit is a constant
@@ -380,7 +334,7 @@ func runBcast(c *cepheus.Cluster, b amcast.Broadcaster, root, size int, label st
 	rec.P50LatencyNs, rec.P99LatencyNs, rec.P999LatencyNs = lat.P50, lat.P99, lat.P999
 	rec.MaxQueueBytes = qd.Max
 	records = append(records, rec)
-	return sim.Time(rec.JCTNs), report(c, label)
+	return jct, report(c, label)
 }
 
 // show prints an experiment's table unless the experiment failed.
@@ -399,9 +353,7 @@ func fig14() error {
 	c := paper.NewFig14Cluster()
 	instrument(c)
 	if *seriesOut != "" {
-		if _, err := c.EnableSeries(0, 0); err != nil {
-			return err
-		}
+		c.EnableSeries(0, 0)
 	}
 	t, _, err := paper.Fig14(c)
 	if err != nil {
@@ -437,102 +389,7 @@ func safeguard() error {
 	return nil
 }
 
-// workerSweep is the shared driver behind pdes and scale1024: a 1MB Cepheus
-// broadcast to `members` members round-robined across a k-ary fat-tree's
-// pods under DCQCN, swept over worker counts on the pod-level partition
-// (k pod LPs + k/2 core-group LPs). Members land on every pod — member i
-// goes to pod i mod k — so the replication and delivery work parallelizes
-// instead of concentrating on one pod LP. The workers=1 row runs the
-// sequential engine (Options.Workers 0), so the speedup column is against
-// the single-threaded baseline, not a serialized coordinator. Simulated
-// results are byte-identical across rows — the determinism suite enforces
-// it — so the sweep isolates wall-clock scaling of the executor.
-func workerSweep(name string, k, members int, workers []int) error {
-	t := exp.NewTable(fmt.Sprintf("%s: pod-partitioned executor scaling (1MB bcast, %d members, k=%d fat-tree, %d hosts, DCQCN)",
-		name, members, k, k*k*k/4),
-		"workers", "lps", "jct", "events", "wall(ms)", "events/s(M)", "speedup", "stall")
-	// The speedup column compares wall-clock across rows, so each row takes
-	// the best of five timed repetitions — single-shot timings on a shared
-	// host swing enough to invert the ordering.
-	bcastReps = 5
-	defer func() { bcastReps = 1 }()
-	var base float64
-	for _, w := range workers {
-		tr := roce.DefaultConfig()
-		tr.DCQCN = true
-		ow := w
-		if w == 1 {
-			ow = 0
-		}
-		c := cepheus.NewFatTree(k, cepheus.Options{Transport: &tr, Workers: ow, PodPartition: true,
-			Profile: *pdesProf != ""})
-		hostsPerPod := k * k / 4
-		nodes := make([]int, members)
-		for i := range nodes {
-			nodes[i] = (i%k)*hostsPerPod + i/k
-		}
-		b, err := c.Broadcaster(cepheus.SchemeCepheus, nodes, members)
-		if err != nil {
-			panic(err)
-		}
-		// One untimed warmup broadcast grows every executor buffer (outboxes,
-		// dirty lists, event queues) and ramps DCQCN to its working
-		// point, so the measured row reports steady-state behavior: the alloc
-		// column is worker-invariant delivery bookkeeping instead of plan-
-		// shape-dependent cold growth, and events/s excludes one-time setup.
-		if _, err := c.RunBcastErr(b, nodes[0], 1<<20); err != nil {
-			panic(err)
-		}
-		// The profile should describe the measured reps, not the warmup.
-		c.ResetExecProfile()
-		lps := c.Par.NumLPs()
-		jct, err := runBcast(c, b, nodes[0], 1<<20, fmt.Sprintf("workers=%d", w))
-		if err != nil {
-			return err
-		}
-		prof := c.ExecProfile()
-		c.Close()
-		rec := &records[len(records)-1]
-		stall := "-"
-		if prof != nil {
-			profEntries = append(profEntries, pdesProfEntry{Experiment: curExp, Workers: w, Report: prof})
-			rec.ExecPct = 100 * prof.ExecEfficiency
-			rec.StallPhase = string(prof.DominantStall)
-			rec.StallPct = prof.StallPct
-			if prof.DominantStall != "" {
-				stall = fmt.Sprintf("%s %.0f%%", prof.DominantStall, prof.StallPct)
-			}
-		}
-		if w == workers[0] {
-			base = rec.EventsPerSec
-		}
-		wallMs := 0.0
-		if rec.EventsPerSec > 0 {
-			wallMs = float64(rec.EventsRun) / rec.EventsPerSec * 1e3
-		}
-		t.Add(fmt.Sprint(w), fmt.Sprint(lps), jct.String(), fmt.Sprint(rec.EventsRun),
-			fmt.Sprintf("%.1f", wallMs),
-			fmt.Sprintf("%.2f", rec.EventsPerSec/1e6),
-			fmt.Sprintf("%.2fx", rec.EventsPerSec/base), stall)
-	}
-	fmt.Print(t)
-	return nil
-}
-
-// pdes sweeps worker counts on the BenchmarkScaleEvents workload: 65 dense
-// members on the 128-host (k=8) fat-tree, 12 pod-partition LPs.
-func pdes() error {
-	return workerSweep("PDES", 8, 65, []int{1, 2, 4, 8})
-}
-
-// scale1024 is the paper-scale capstone: a 257-member broadcast on the
-// 1024-host (k=16) fat-tree of §V-C, members spread across all 16 pods
-// (16-17 per pod), 24 pod-partition LPs.
-func scale1024() error {
-	return workerSweep("scale1024", 16, 257, []int{1, 2, 4, 8})
-}
-
-// overheadExp is one paired off/on overhead experiment on the pdes
+// overheadExp is one paired off/on overhead experiment on the k=8 DCQCN
 // workload: 1MB Cepheus multicasts to 65 members of the k=8 fat-tree under
 // DCQCN, member 0 the source.
 type overheadExp struct {
@@ -548,12 +405,11 @@ type overheadExp struct {
 	check func(c *cepheus.Cluster) error
 }
 
-// pdesCluster builds the overhead experiments' k=8 DCQCN fat-tree.
-func pdesCluster(opts cepheus.Options) *cepheus.Cluster {
+// overheadCluster builds the overhead experiments' k=8 DCQCN fat-tree.
+func overheadCluster() *cepheus.Cluster {
 	tr := roce.DefaultConfig()
 	tr.DCQCN = true
-	opts.Transport = &tr
-	return cepheus.NewFatTree(8, opts)
+	return cepheus.NewFatTree(8, cepheus.Options{Transport: &tr})
 }
 
 // firstHosts returns hosts 0..n-1, the overhead experiments' group.
@@ -571,8 +427,8 @@ func firstHosts(n int) []int {
 //
 // Each iteration times the broadcasts after an untimed warm-up on its
 // cluster: the warm-up absorbs one-time cold costs (event-queue and
-// port-buffer growth, DCQCN ramp, first touch of recorder rings or executor
-// buffers) that otherwise land on the instrumented side — the BENCH_pr8
+// port-buffer growth, DCQCN ramp, first touch of recorder rings) that
+// otherwise land on the instrumented side — the BENCH_pr8
 // "~20%" trace overhead was mostly this artifact — and GC runs before the
 // timed region so collection lands outside it on both sides. Pairing
 // cancels host steal and thermal drift within each back-to-back pair, and
@@ -583,7 +439,6 @@ func firstHosts(n int) []int {
 func overhead(name string, o overheadExp) {
 	once := func(on bool) float64 {
 		c := o.build(on)
-		defer c.Close()
 		b, err := c.Broadcaster(cepheus.SchemeCepheus, o.nodes, len(o.nodes))
 		if err != nil {
 			panic(err)
@@ -595,7 +450,6 @@ func overhead(name string, o overheadExp) {
 			}
 		}
 		bcast()
-		c.ResetExecProfile()
 		runtime.GC()
 		ev0 := c.EventsRun()
 		t0 := time.Now()
@@ -642,15 +496,14 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-// traceov measures the flight recorder's cost on the sequential engine,
-// timing one broadcast per iteration.
+// traceov measures the flight recorder's cost, timing one broadcast per iteration.
 func traceov() error {
 	var lost uint64
 	overhead("traceov", overheadExp{
-		title: "Trace overhead: pdes workload, flight recorder off vs on",
+		title: "Trace overhead: k=8 DCQCN workload, flight recorder off vs on",
 		what:  "tracing", pairs: 9, reps: 1, nodes: firstHosts(65),
 		build: func(on bool) *cepheus.Cluster {
-			c := pdesCluster(cepheus.Options{})
+			c := overheadCluster()
 			if on {
 				c.EnableTrace(1 << 20)
 			}
@@ -665,44 +518,16 @@ func traceov() error {
 	return nil
 }
 
-// profov measures the executor profiler's cost under the partitioned
-// coordinator (pod partition, members spread over all pods). It uses
-// min(2, GOMAXPROCS) workers so the experiment is meaningful on a 1-CPU CI
-// box (inline path: merge/exec stamps still taken, spin/park zero), and
-// times three broadcasts: the budget is 3% and a ~23ms timed region has
-// more scheduler jitter than that.
-func profov() error {
-	workers := min(2, runtime.GOMAXPROCS(0))
-	nodes := make([]int, 65)
-	for i := range nodes {
-		nodes[i] = (i%8)*16 + i/8 // 16 hosts per pod
-	}
-	overhead("profov", overheadExp{
-		title: fmt.Sprintf("Profiler overhead: pdes workload under the partitioned coordinator (workers=%d)", workers),
-		what:  "profiling", pairs: 7, reps: 3, nodes: nodes,
-		build: func(on bool) *cepheus.Cluster {
-			return pdesCluster(cepheus.Options{Workers: workers, PodPartition: true, Profile: on})
-		},
-		check: func(c *cepheus.Cluster) error {
-			if c.ExecProfile() == nil {
-				return fmt.Errorf("profile missing")
-			}
-			return nil
-		},
-	})
-	return nil
-}
-
-// gsov measures group attribution's cost on the sequential engine. This is
+// gsov measures group attribution's cost. This is
 // attribution's worst case — every delivered packet books into a group cell
 // — and three broadcasts are timed: its cost is a few percent at most, and
 // a single ~20ms timed region has more scheduler jitter than that.
 func gsov() error {
 	overhead("gsov", overheadExp{
-		title: "Group-attribution overhead: pdes workload, off vs on",
+		title: "Group-attribution overhead: k=8 DCQCN workload, off vs on",
 		what:  "attribution", pairs: 9, reps: 3, nodes: firstHosts(65),
 		build: func(on bool) *cepheus.Cluster {
-			c := pdesCluster(cepheus.Options{})
+			c := overheadCluster()
 			if on {
 				c.EnableGroupStats(0)
 			}
@@ -746,7 +571,6 @@ func fairnessOne(G int) obs.FairnessReport {
 	tr := roce.DefaultConfig()
 	tr.DCQCN = true
 	c := cepheus.NewFatTree(8, cepheus.Options{Transport: &tr})
-	defer c.Close()
 	gs := c.EnableGroupStats(0)
 	if sloSet {
 		gs.SetDefaultObjective(sloObj)

@@ -18,10 +18,6 @@
 //	    fixed-width per-device lifelines over a time window
 //	cepheus-trace diff [-json] a.jsonl b.jsonl
 //	    census deltas between two runs; exits 1 when they differ (CI gate)
-//	cepheus-trace pdes [-workers N] [-experiment pdes] [-json] prof.json
-//	    render executor profiles written by cepheus-bench -pdesprof:
-//	    per-worker phase breakdown, hottest LPs, heaviest cross-LP edges,
-//	    and the scaling diagnosis
 //	cepheus-trace groups [-json] [-slo spec] [-series] trace.jsonl
 //	    per-multicast-group attribution rebuilt from the trace: delivered/
 //	    dropped/retransmitted bytes, latency percentiles, fairness report
@@ -497,70 +493,6 @@ func cmdDiff(args []string) {
 	}
 }
 
-// profEntry mirrors cepheus-bench's -pdesprof output element.
-type profEntry struct {
-	Experiment string          `json:"experiment"`
-	Workers    int             `json:"workers"`
-	Report     *obs.ExecReport `json:"report"`
-}
-
-func cmdPdes(args []string) {
-	fs := flag.NewFlagSet("pdes", flag.ExitOnError)
-	workersF := fs.Int("workers", 0, "only rows with this worker count (0: all)")
-	expF := fs.String("experiment", "", "only rows of this experiment (pdes, scale1024)")
-	jsonF := fs.Bool("json", false, "re-emit the selected reports as JSON instead of text")
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: cepheus-trace pdes [flags] prof.json")
-		fs.PrintDefaults()
-		os.Exit(2)
-	}
-	buf, err := os.ReadFile(fs.Arg(0))
-	if err != nil {
-		fatal2("%v", err)
-	}
-	if len(buf) == 0 {
-		fatal2("%s: empty profile file", fs.Arg(0))
-	}
-	var entries []profEntry
-	if err := json.Unmarshal(buf, &entries); err != nil {
-		fatal2("%s: truncated or corrupt profile: %v", fs.Arg(0), err)
-	}
-	var keep []profEntry
-	for _, e := range entries {
-		if e.Report == nil {
-			continue
-		}
-		if *workersF > 0 && e.Workers != *workersF {
-			continue
-		}
-		if *expF != "" && e.Experiment != *expF {
-			continue
-		}
-		keep = append(keep, e)
-	}
-	if len(keep) == 0 {
-		fatal2("%s: no executor profiles match the selection (%d entries in file)", fs.Arg(0), len(entries))
-	}
-	if *jsonF {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(keep); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
-	for i, e := range keep {
-		if i > 0 {
-			fmt.Println()
-		}
-		fmt.Printf("-- %s, workers=%d --\n", e.Experiment, e.Workers)
-		if err := obs.WriteExecReport(os.Stdout, e.Report); err != nil {
-			fatalf("%v", err)
-		}
-	}
-}
-
 // cmdGroups rebuilds per-group attribution from the trace: the offline
 // twin of Cluster.EnableGroupStats, so any existing JSONL export can answer
 // "who got what" and "did anyone breach" after the fact.
@@ -643,9 +575,6 @@ func main() {
 		case "diff":
 			cmdDiff(os.Args[2:])
 			return
-		case "pdes":
-			cmdPdes(os.Args[2:])
-			return
 		case "groups":
 			cmdGroups(os.Args[2:])
 			return
@@ -654,7 +583,7 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cepheus-trace [flags] trace.jsonl")
-		fmt.Fprintln(os.Stderr, "       cepheus-trace spans|timeline|diff|pdes|groups -h")
+		fmt.Fprintln(os.Stderr, "       cepheus-trace spans|timeline|diff|groups -h")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}

@@ -10,12 +10,9 @@
 //	faultsim -scenario linkdown       # ToR→host access link dies mid-broadcast
 //	faultsim -scenario chaos -events 8 -seed 3   # seeded fail-stop storm
 //	faultsim -soak -episodes 24 -bench BENCH_pr6.json   # gray+fail-stop SLO soak
-//	faultsim -soak -workers 4         # gray-only soak, partitioned (digest mode)
 package main
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -41,7 +38,6 @@ var (
 	audit    = flag.Bool("audit", false, "run the online protocol auditor; violations fail the run")
 	soak     = flag.Bool("soak", false, "run the recovery-SLO soak (composed fail-stop + gray episodes)")
 	episodes = flag.Int("episodes", 24, "soak: episodes to inject")
-	workers  = flag.Int("workers", 0, "soak: PDES worker count for the gray-only digest mode (0: sequential composed soak)")
 	bench    = flag.String("bench", "", "soak: write the per-episode SLO report as a JSON benchmark file")
 	groups   = flag.Bool("groups", false, "enable per-group attribution; print the group table at the end of the run")
 	slo      = flag.String("slo", "", "with -groups (implied): per-group SLO, p99=<dur>,goodput=<bytes/s>,drops=<frac>[,window=<dur>]; breaches fail the run")
@@ -98,11 +94,7 @@ func main() {
 		*groups = true // an SLO is meaningless without attribution
 	}
 	if *soak {
-		if *workers > 0 {
-			runSoakPDES()
-		} else {
-			runSoak()
-		}
+		runSoak()
 		return
 	}
 	switch *scenario {
@@ -213,35 +205,15 @@ func soakHorizon() sim.Time {
 	return h
 }
 
-// soakHorizonPDES is the digest-mode injection window: the PDES soak keeps
-// the broadcast pipeline saturated across the whole window (so every episode
-// overlaps live traffic) and exports the complete trace for byte comparison,
-// so the window must stay small enough for the flight-recorder ring.
-func soakHorizonPDES() sim.Time {
-	if h := sim.Time(*horizon); h > 0 {
-		return h
-	}
-	h := sim.Time(*episodes) * 500 * sim.Microsecond
-	if h < 10*sim.Millisecond {
-		h = 10 * sim.Millisecond
-	}
-	return h
-}
-
-// soakConfig assembles the episode schedule parameters shared by both soak
-// modes. grayOnly drops the fail-stop candidates (PDES runs cannot flip
-// both ends of a link mid-run).
-func soakConfig(c *cepheus.Cluster, grayOnly bool, h sim.Time) fault.SoakConfig {
-	cfg := fault.SoakConfig{
+// soakConfig assembles the soak's episode schedule parameters.
+func soakConfig(c *cepheus.Cluster, h sim.Time) fault.SoakConfig {
+	return fault.SoakConfig{
 		Seed: *seed, Episodes: *episodes, Horizon: h,
 		MinDuration: 2 * sim.Millisecond, MaxDuration: 8 * sim.Millisecond,
-		GrayLinks: append(trunkLinks(c), hostNICs(c)...),
+		GrayLinks:     append(trunkLinks(c), hostNICs(c)...),
+		FailStopLinks: trunkLinks(c),
+		Switches:      c.Net.Switches[2:],
 	}
-	if !grayOnly {
-		cfg.FailStopLinks = trunkLinks(c)
-		cfg.Switches = c.Net.Switches[2:]
-	}
-	return cfg
 }
 
 func printPlan(plan []fault.Episode) {
@@ -364,7 +336,7 @@ func runSoak() {
 
 	in := fault.NewInjector(c.Net)
 	in.OnEvent = func(ev fault.Event) { fmt.Printf("%12v  fault: %s %s\n", ev.At, ev.Kind, ev.Target) }
-	plan, err := in.Soak(soakConfig(c, false, h))
+	plan, err := in.Soak(soakConfig(c, h))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "soak config rejected: %v\n", err)
 		os.Exit(2)
@@ -423,7 +395,7 @@ func runSoak() {
 
 	auditClean := true
 	if *audit {
-		c.Rec.Barrier()
+		c.Rec.Drain()
 		fmt.Println(c.Aud.Verdict(c.Rec.ShardLost()))
 		auditClean = c.Aud.Clean()
 	}
@@ -433,84 +405,6 @@ func runSoak() {
 	if !auditClean {
 		c.Aud.Report(os.Stderr)
 		os.Exit(1)
-	}
-}
-
-// runSoakPDES is the partitioned gray-only soak: the same seeded schedule
-// restricted to PDES-safe impairments, run at -workers worker threads. Its
-// trace digest and SLO report are byte-identical at every worker count —
-// the property the chaos-soak CI job diffs.
-func runSoakPDES() {
-	c := cepheus.NewLeafSpine(2, 2, 4, cepheus.Options{
-		Seed: *seed, Workers: *workers, Transport: soakTransport(),
-	})
-	defer c.Close()
-	cap := *tracecap
-	if cap == 0 {
-		cap = 1 << 22 // the digest compares the full window; default ring is too small
-	}
-	rec := c.EnableTrace(cap)
-	if *audit {
-		c.EnableAudit()
-	}
-	groupSetup(c)
-	sz := soakSize()
-	h := soakHorizonPDES()
-	fmt.Printf("soak(pdes) seed=%d workers=%d episodes=%d horizon=%v size=%dB\n", *seed, *workers, *episodes, h, sz)
-
-	in := fault.NewInjector(c.Net)
-	plan, err := in.Soak(soakConfig(c, true, h))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "soak config rejected: %v\n", err)
-		os.Exit(2)
-	}
-
-	members := make([]int, c.Hosts())
-	for i := range members {
-		members[i] = i
-	}
-	b, err := c.Broadcaster(cepheus.SchemeCepheus, members, 0)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "registration failed: %v\n", err)
-		os.Exit(1)
-	}
-	// Broadcast back-to-back until the injection window closes (at least
-	// -bcasts of them), so every episode overlaps live traffic. The loop
-	// bound is the root's LP-local virtual clock — identical at every worker
-	// count (the cluster-wide engine is nil under the partitioned coordinator).
-	rootClock := c.Net.Hosts[0].Engine()
-	for i := 0; i < *bcasts || rootClock.Now() < h; i++ {
-		if _, err := c.RunBcastErr(b, 0, sz); err != nil {
-			fmt.Fprintf(os.Stderr, "broadcast %d failed: %v\n", i, err)
-			os.Exit(1)
-		}
-	}
-	cut := h + 20*sim.Millisecond
-	c.SettleUntil(cut)
-	evs := rec.EventsUntil(cut)
-	if rec.Lost() != 0 {
-		fmt.Fprintf(os.Stderr, "flight recorder overflowed (lost %d); raise -tracecap\n", rec.Lost())
-		os.Exit(1)
-	}
-	var buf bytes.Buffer
-	if err := rec.WriteJSONL(&buf, evs); err != nil {
-		fmt.Fprintf(os.Stderr, "trace export failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("soak digest: %x\n", sha256.Sum256(buf.Bytes()))
-
-	report := fault.ComputeSLO(plan, nil)
-	fault.AttachGoodput(report.PerEpisode, evs)
-	printSLO(report)
-	groupVerdict(c)
-
-	if *audit {
-		rec.Barrier()
-		fmt.Println(c.Aud.Verdict(rec.ShardLost()))
-		if !c.Aud.Clean() {
-			c.Aud.Report(os.Stderr)
-			os.Exit(1)
-		}
 	}
 }
 
@@ -579,7 +473,7 @@ func run(c *cepheus.Cluster, inject func(*cepheus.Cluster, *fault.Injector) sim.
 		fmt.Printf("trace:    %s (%d events, %d lost)\n", *trace, len(c.Rec.Events()), c.Rec.Lost())
 	}
 	if *audit {
-		c.Rec.Barrier() // flush the shard residue through the auditor
+		c.Rec.Drain() // flush the shard residue through the auditor
 		fmt.Println(c.Aud.Verdict(c.Rec.ShardLost()))
 		if !c.Aud.Clean() {
 			c.Aud.Report(os.Stderr)

@@ -10,83 +10,67 @@ import (
 )
 
 // Group attribution promises byte-level neutrality: it books per-group
-// counters on host-side shards and nothing else, so enabling it must change
-// nothing simulated — not the digest, not a single trace byte — at any
-// worker count. These tests are that promise's acceptance gate, plus the
-// determinism contract on the attribution itself: the merged snapshot must
-// be identical at every worker count.
+// counters host-side and nothing else, so enabling it must change nothing
+// simulated — not the digest, not a single trace byte.
 
-// groupWorkload is the traced k=8 equivalence workload with group
-// attribution on or off; it returns the digest, the trace, and the group
-// snapshot (nil when attribution is off).
-func groupWorkload(t *testing.T, seed int64, workers int, groups bool) (d simDigest, trace []byte, snap []obs.GroupReport) {
+// groupWorkload is the traced k=8 workload with group attribution on or
+// off; it returns the digest, the trace, and the group snapshot (nil when
+// attribution is off).
+func groupWorkload(t *testing.T, seed int64, groups bool) (d simDigest, trace []byte, snap []obs.GroupReport) {
 	t.Helper()
 	var setup func(*Cluster)
 	if groups {
 		setup = func(c *Cluster) { c.EnableGroupStats(0) }
 	}
 	inspect := func(c *Cluster, _ []obs.Event) { snap = c.GroupReports() }
-	d, trace = k8Workload(seed, workers, false).traced(t, 1<<20, setup, inspect)
+	d, trace = k8Workload(seed).traced(t, 1<<20, setup, inspect)
 	return d, trace, snap
 }
 
-// TestGroupStatsDigestTraceNeutral: the unattributed workers=1 run is the
-// reference; attributed runs at workers {1,2,4,8} must reproduce its digest
-// and its trace byte-for-byte, while yielding a populated — and worker-count
-// independent — group snapshot.
+// TestGroupStatsDigestTraceNeutral: the unattributed run is the reference;
+// the attributed run must reproduce its digest and its trace byte-for-byte,
+// while yielding a populated group snapshot.
 func TestGroupStatsDigestTraceNeutral(t *testing.T) {
 	t.Parallel()
-	if testing.Short() {
-		t.Skip("multi-mode fat-tree sweeps in -short mode")
-	}
 	const seed = 1
-	refD, refTrace, refSnap := groupWorkload(t, seed, 1, false)
+	refD, refTrace, refSnap := groupWorkload(t, seed, false)
 	if refSnap != nil {
 		t.Fatalf("GroupReports non-nil with attribution off: %d groups", len(refSnap))
 	}
-	var snap1 []obs.GroupReport
-	for _, w := range []int{1, 2, 4, 8} {
-		d, trace, snap := groupWorkload(t, seed, w, true)
-		if d != refD {
-			t.Errorf("workers=%d attributed: digest diverged:\n  ref: %+v\n  got: %+v", w, refD, d)
-		}
-		if !bytes.Equal(trace, refTrace) {
-			t.Errorf("workers=%d attributed: trace diverged from unattributed reference (%d vs %d bytes)",
-				w, len(trace), len(refTrace))
-		}
-		if len(snap) != 1 {
-			t.Fatalf("workers=%d: got %d groups, want 1", w, len(snap))
-		}
-		r := &snap[0]
-		if r.Group < obs.GroupAddrBase {
-			t.Errorf("workers=%d: group %#x below multicast base", w, r.Group)
-		}
-		// 15 receivers (every member but the root) each accept the full
-		// 256 KiB message.
-		if want := uint64(15); r.Messages != want {
-			t.Errorf("workers=%d: messages = %d, want %d", w, r.Messages, want)
-		}
-		if want := int64(15 * (256 << 10)); r.DeliveredBytes != want {
-			t.Errorf("workers=%d: delivered bytes = %d, want %d", w, r.DeliveredBytes, want)
-		}
-		if r.Latency.Count != r.Messages || r.Latency.P99 <= 0 {
-			t.Errorf("workers=%d: latency summary inconsistent: %+v", w, r.Latency)
-		}
-		if len(r.Series) == 0 {
-			t.Errorf("workers=%d: empty goodput series", w)
-		}
-		var serBytes int64
-		for _, p := range r.Series {
-			serBytes += p.Bytes
-		}
-		if serBytes != r.DeliveredBytes {
-			t.Errorf("workers=%d: series bytes %d != delivered bytes %d", w, serBytes, r.DeliveredBytes)
-		}
-		if w == 1 {
-			snap1 = snap
-		} else if !reflect.DeepEqual(snap, snap1) {
-			t.Errorf("workers=%d: group snapshot diverged from workers=1", w)
-		}
+	d, trace, snap := groupWorkload(t, seed, true)
+	if d != refD {
+		t.Errorf("attributed digest diverged:\n  ref: %+v\n  got: %+v", refD, d)
+	}
+	if !bytes.Equal(trace, refTrace) {
+		t.Errorf("attributed trace diverged from unattributed reference (%d vs %d bytes)", len(trace), len(refTrace))
+	}
+	if len(snap) != 1 {
+		t.Fatalf("got %d groups, want 1", len(snap))
+	}
+	r := &snap[0]
+	if r.Group < obs.GroupAddrBase {
+		t.Errorf("group %#x below multicast base", r.Group)
+	}
+	// 15 receivers (every member but the root) each accept the full
+	// 256 KiB message.
+	if want := uint64(15); r.Messages != want {
+		t.Errorf("messages = %d, want %d", r.Messages, want)
+	}
+	if want := int64(15 * (256 << 10)); r.DeliveredBytes != want {
+		t.Errorf("delivered bytes = %d, want %d", r.DeliveredBytes, want)
+	}
+	if r.Latency.Count != r.Messages || r.Latency.P99 <= 0 {
+		t.Errorf("latency summary inconsistent: %+v", r.Latency)
+	}
+	if len(r.Series) == 0 {
+		t.Error("empty goodput series")
+	}
+	var serBytes int64
+	for _, p := range r.Series {
+		serBytes += p.Bytes
+	}
+	if serBytes != r.DeliveredBytes {
+		t.Errorf("series bytes %d != delivered bytes %d", serBytes, r.DeliveredBytes)
 	}
 }
 
@@ -94,7 +78,6 @@ func TestGroupStatsDigestTraceNeutral(t *testing.T) {
 func TestEnableGroupStatsIdempotent(t *testing.T) {
 	t.Parallel()
 	c := NewTestbed(4, Options{Seed: 1})
-	defer c.Close()
 	gs := c.EnableGroupStats(0)
 	if gs == nil || c.EnableGroupStats(sim.Millisecond) != gs {
 		t.Fatal("EnableGroupStats not idempotent")
@@ -112,7 +95,6 @@ func TestGroupStatsSLOEndToEnd(t *testing.T) {
 	t.Parallel()
 	run := func(obj obs.SLOObjective) []obs.SLOResult {
 		c := NewTestbed(8, Options{Seed: 1})
-		defer c.Close()
 		gs := c.EnableGroupStats(0)
 		gs.SetDefaultObjective(obj)
 		b, err := c.Broadcaster(SchemeCepheus, []int{0, 1, 2, 3, 4, 5, 6, 7}, 0)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/roce"
-	"repro/internal/sim"
 	"repro/internal/simnet"
 )
 
@@ -277,19 +276,6 @@ func (c *Cepheus) Bcast(root, size int, done func()) {
 		done()
 		return
 	}
-	c.post(root, size, func(int) {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	})
-}
-
-// post is the body Bcast and BcastRecord share: it moves the group's source
-// to root's member if it changed, installs delivered(i) as the OnMessage of
-// every other member i, posts size bytes from the source, and returns the
-// source's member index.
-func (c *Cepheus) post(root, size int, delivered func(i int)) int {
 	idx := root
 	if c.SrcIndex != nil {
 		idx = c.SrcIndex(root)
@@ -303,34 +289,12 @@ func (c *Cepheus) post(root, size int, delivered func(i int)) int {
 		if i == idx {
 			continue
 		}
-		m.QP.OnMessage = func(roce.Message) { delivered(i) }
+		m.QP.OnMessage = func(roce.Message) {
+			remaining--
+			if remaining == 0 {
+				done()
+			}
+		}
 	}
 	members[idx].QP.PostSend(size, nil)
-	return idx
-}
-
-// BcastRecord starts a broadcast like Bcast but records completions instead
-// of counting them: member i's delivery time is written into times[i] (and
-// the source's slot gets the post time). Non-source slots are reset to -1
-// first, so "done" is times[i] >= 0 for all i. It returns the source's
-// member index.
-//
-// This is the parallel-mode entry point: under a partitioned run each
-// member's OnMessage fires on that member's own logical process, so a shared
-// decrement counter (Bcast's done accounting) would race across workers.
-// Here every slot of times is written only by its owning member's LP, and
-// the coordinator reads the slice between windows — where the barrier
-// provides the happens-before edge — making completion detection race-free
-// without any atomics.
-func (c *Cepheus) BcastRecord(root, size int, times []sim.Time) int {
-	members := c.Group.Members
-	if len(times) != len(members) {
-		panic("amcast: BcastRecord times length must equal the member count")
-	}
-	for i := range times {
-		times[i] = -1
-	}
-	idx := c.post(root, size, func(i int) { times[i] = members[i].RNIC.Engine().Now() })
-	times[idx] = members[idx].RNIC.Engine().Now()
-	return idx
 }

@@ -83,9 +83,8 @@ type Injector struct {
 	// overlapping episodes on the same element reference-count their holds,
 	// so a repair only revives the element when the LAST overlapping episode
 	// releases it, and a fail-stop repair can never strip a still-active
-	// degradation. Maps are populated at scheduling time (before the run
-	// under PDES); the scheduled callbacks touch only the per-element
-	// structs.
+	// degradation. Maps are populated at scheduling time; the scheduled
+	// callbacks touch only the per-element structs.
 	linkHolds map[string]*linkHold
 	swHolds   map[*simnet.Switch]*swHold
 	grays     map[*simnet.Port]*grayStack

@@ -7,16 +7,12 @@ import (
 
 // Gray-failure injection: layered on simnet's per-port Impairment, the
 // injector adds episode scheduling, both-direction application, overlap
-// bookkeeping and fault-event recording. Unlike fail-stop faults, gray
-// episodes are PDES-safe: each direction's transition is scheduled on the
-// owning port's engine and mutates only port-local state, so a partitioned
-// run applies them at exactly the same points in each LP's history as a
-// sequential run does.
+// bookkeeping and fault-event recording. Each direction's transition
+// mutates only port-local state.
 
 // peerSeedMix separates the two directions' impairment RNG streams (and
 // successive episodes on the same port) without the caller having to manage
-// seeds; the constant is the same odd 64-bit mixer the PDES coordinator uses
-// for per-LP streams.
+// seeds; the constant is the 64-bit golden ratio, an odd mixer.
 const peerSeedMix = int64(-7046029254386353131)
 
 // grayEntry is one scheduled impairment episode on one egress direction.
@@ -61,18 +57,10 @@ func (in *Injector) grayFor(pt *simnet.Port) *grayStack {
 	return gs
 }
 
-// grayRecord books a gray transition. Under PDES the injector has no engine
-// (episodes are scheduled pre-run directly on port engines) and per-LP
-// callbacks must not touch shared injector state, so recording is sequential-
-// only; stats are counted at scheduling time instead.
-func (in *Injector) grayRecord(kind Kind, pt *simnet.Port) {
-	if in.eng == nil {
-		return
-	}
-	in.record(kind, linkName(pt))
-}
+// grayRecord books a gray transition on pt's link.
+func (in *Injector) grayRecord(kind Kind, pt *simnet.Port) { in.record(kind, linkName(pt)) }
 
-// degradeDir schedules one direction's episode on that port's own engine.
+// degradeDir schedules one direction's episode.
 // Only the primary direction records fault events (one LinkDegrade/
 // LinkRepair pair per link-level episode, like LinkDown/LinkUp).
 func (in *Injector) degradeDir(pt *simnet.Port, at, until sim.Time, imp simnet.Impairment, seed int64, primary bool) {
@@ -98,9 +86,7 @@ func (in *Injector) degradeDir(pt *simnet.Port, at, until sim.Time, imp simnet.I
 
 // DegradeEpisode schedules a gray impairment on both directions of pt's link
 // over [at, until). seed derives the episode's private loss/jitter RNG
-// streams (the peer direction gets an independent stream). Safe to call
-// before a partitioned run: transitions are scheduled on each port's owning
-// engine and touch only port-local state.
+// streams (the peer direction gets an independent stream).
 func (in *Injector) DegradeEpisode(pt *simnet.Port, at, until sim.Time, imp simnet.Impairment, seed int64) {
 	in.Stats.LinkDegrades++
 	in.Stats.LinkRepairs++
@@ -111,7 +97,7 @@ func (in *Injector) DegradeEpisode(pt *simnet.Port, at, until sim.Time, imp simn
 }
 
 // Degrade installs a gray impairment on both directions of pt's link now,
-// until Repair. Immediate mutation, so sequential runs only (like LinkDown).
+// until Repair.
 func (in *Injector) Degrade(pt *simnet.Port, imp simnet.Impairment, seed int64) {
 	in.Stats.LinkDegrades++
 	for i, p := range []*simnet.Port{pt, pt.Peer} {

@@ -163,10 +163,7 @@ func grayImpair(kind EpisodeKind, cfg *SoakConfig, rng *rand.Rand) simnet.Impair
 
 // Soak plans and schedules a composed fail-stop + gray episode sequence,
 // returning the plan sorted by start time. Fail-stop episodes use the
-// hold-counted DownEpisode/CrashEpisode (sequential runs only); gray
-// episodes use DegradeEpisode and are PDES-safe. A gray-only soak (no
-// fail-stop candidates) can therefore run partitioned at any worker count
-// with a byte-identical trace.
+// hold-counted DownEpisode/CrashEpisode; gray episodes use DegradeEpisode.
 func (in *Injector) Soak(cfg SoakConfig) ([]Episode, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -360,8 +357,7 @@ func ComputeSLO(plan []Episode, marks []RecoveryMark) *SLOReport {
 
 // AttachGoodput fills each episode's GoodputBytes from a recorded trace:
 // the payload bytes delivered anywhere in the fabric during the episode's
-// window. The canonical event stream is identical across worker counts, so
-// so is this reduction.
+// window.
 func AttachGoodput(slos []EpisodeSLO, evs []obs.Event) {
 	for i := range slos {
 		slos[i].GoodputBytes = obs.DeliveredBytes(evs, slos[i].Start, slos[i].End)

@@ -31,8 +31,8 @@ import (
 //
 // Determinism: every checker is keyed per device (flows, ports, tables live
 // on one device), and a device's events reach the drain in its own record
-// order under every execution mode — so the auditor's verdict and violation
-// list are identical across worker counts. The auditor assumes tracing was
+// order at every drain cadence — so the auditor's verdict and violation
+// list are a function of the simulated history. The auditor assumes tracing was
 // enabled before the traffic of interest; attaching mid-run can misread
 // pre-existing flow state as a violation.
 type Auditor struct {

@@ -269,7 +269,7 @@ func TestAuditPSNSyncResets(t *testing.T) {
 	}
 }
 
-// TestAuditBatchCadenceInvariance feeds the same stream in different barrier
+// TestAuditBatchCadenceInvariance feeds the same stream in different drain
 // batch sizes; the auditor is per-event streaming, so cadence cannot change
 // the verdict.
 func TestAuditBatchCadenceInvariance(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package obs is the unified observability layer: a flight recorder of typed
-// trace events (allocation-free, per-LP, merged deterministically), sharded
-// fabric counters that replace hand-summed metric walks, and log-bucketed
+// trace events (allocation-free, exported in a canonical order), fabric
+// counters that replace hand-summed metric walks, and log-bucketed
 // histograms for latency and queue-depth distributions.
 //
 // The package sits below simnet/roce/core in the dependency order (it imports
@@ -250,10 +250,7 @@ func ParseAddr(s string) (uint32, bool) {
 // A and B carry kind-specific values (documented per Kind above). Seq is a
 // per-device sequence number: together with Dev it identifies an event
 // uniquely, and the canonical (At, Dev, Seq) order it induces is a pure
-// function of the simulated history — independent of worker count and of
-// sequential-vs-partitioned execution. LP records which logical process
-// captured the event; it is an execution artifact and is deliberately
-// excluded from exports.
+// function of the simulated history.
 // Msg identifies the message a data frame belongs to. Message ids are
 // globally unique — the originating host's address in the high 32 bits, a
 // per-host counter in the low 32 — so a span reconstructor can follow one
@@ -277,7 +274,6 @@ type Event struct {
 	SrcQP  uint32
 	DstQP  uint32
 	Port   int16
-	LP     int16
 	Kind   Kind
 	Reason Reason
 	PT     uint8 // simnet.PacketType of the frame involved, if any

@@ -1,404 +1,13 @@
 package obs
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-	"sort"
-
-	"repro/internal/sim"
-)
-
-// Executor-profiling report: the derived, human- and machine-readable view of
-// sim.ExecStats. The sim layer counts (phase nanoseconds, per-LP events,
-// cross-LP messages); this layer ranks and diagnoses (load imbalance, the
-// dominant stall phase, the hottest LPs and LP-pair edges) — the evidence a
-// scaling investigation starts from. See DESIGN.md §15.
-
-// ExecPhase names one wall-clock phase of a PDES window.
-type ExecPhase string
-
-const (
-	PhaseExec  ExecPhase = "exec"  // executing events
-	PhaseMerge ExecPhase = "merge" // merging + injecting cross-LP traffic
-	PhaseSpin  ExecPhase = "spin"  // barrier wait, spinning
-	PhasePark  ExecPhase = "park"  // barrier wait, parked
-	PhaseSeq   ExecPhase = "seq"   // coordinator-only sequential section
-)
-
-// ExecWorker is one worker's share of the run, phases plus assigned load.
-type ExecWorker struct {
-	Worker  int     `json:"worker"`
-	LPs     int     `json:"lps"`
-	Windows uint64  `json:"windows"`
-	ExecNs  uint64  `json:"exec_ns"`
-	MergeNs uint64  `json:"merge_ns"`
-	SpinNs  uint64  `json:"spin_ns"`
-	ParkNs  uint64  `json:"park_ns"`
-	SeqNs   uint64  `json:"seq_ns,omitempty"`
-	Events  uint64  `json:"events"`
-	Weight  float64 `json:"weight,omitempty"`
-	// ExecPct is the worker's useful-work fraction: exec over the sum of
-	// all its phases.
-	ExecPct float64 `json:"exec_pct"`
-}
-
-// ExecLP is one logical process's load line.
-type ExecLP struct {
-	LP        int     `json:"lp"`
-	Label     string  `json:"label,omitempty"`
-	Worker    int     `json:"worker"`
-	Weight    float64 `json:"weight,omitempty"`
-	Events    uint64  `json:"events"`
-	Windows   uint64  `json:"windows"`
-	MaxWindow uint64  `json:"max_window"`
-}
-
-// ExecEdge is one cross-LP traffic matrix cell.
-type ExecEdge struct {
-	Src      int    `json:"src"`
-	SrcLabel string `json:"src_label,omitempty"`
-	Dst      int    `json:"dst"`
-	DstLabel string `json:"dst_label,omitempty"`
-	Msgs     uint64 `json:"msgs"`
-}
-
-// ExecReport is the full executor-introspection report, serialized by
-// cepheus-bench -pdesprof and rendered by cepheus-trace pdes.
+// ExecReport is the executor report Cluster.ExecProfile returns. Every
+// cluster runs on one engine, which has no windows to profile, so the report
+// is always nil; the type remains for callers that read it.
+//
+// Deprecated: there is no multi-LP executor to profile.
 type ExecReport struct {
-	Workers     int   `json:"workers"`
-	LPs         int   `json:"lps"`
-	LookaheadNs int64 `json:"lookahead_ns"`
-	Inline      bool  `json:"inline"`
-
-	WallNs      uint64 `json:"wall_ns"`
-	Runs        uint64 `json:"runs"`
-	TotalEvents uint64 `json:"total_events"`
-	Windows     uint64 `json:"windows"`
-	CrossMsgs   uint64 `json:"cross_msgs"`
-
-	// Window shape: how hard the conservative synchronization works.
-	EventsPerWindow float64 `json:"events_per_window"`
-	MsgsPerWindow   float64 `json:"msgs_per_window"`
-	// BarriersPerVirtualMs is the barrier frequency: windows per simulated
-	// millisecond of advance.
-	BarriersPerVirtualMs float64 `json:"barriers_per_virtual_ms"`
-	// SaturatedPct is the share of windows whose start advanced by at most
-	// the lookahead — back-to-back windows, the executor's maximum barrier
-	// cadence. Low saturation means idle skips (lookahead slack to spare).
-	SaturatedPct float64 `json:"saturated_pct"`
-	AvgAdvanceNs float64 `json:"avg_advance_ns"`
-	MaxAdvanceNs int64   `json:"max_advance_ns"`
-
-	Workers_ []ExecWorker `json:"worker_phases"`
-	LPLoads  []ExecLP     `json:"lp_loads"`
-	TopEdges []ExecEdge   `json:"top_edges"`
-
-	// Scaling diagnosis.
-	DominantStall ExecPhase `json:"dominant_stall"`
-	// StallPct is the dominant stall's share of total non-exec worker time.
-	StallPct float64 `json:"stall_pct"`
-	// ExecEfficiency is summed exec time over workers x wall: the fraction
-	// of the run's CPU budget doing useful event execution.
+	// ExecEfficiency was the useful-work fraction of the workers' time.
 	ExecEfficiency float64 `json:"exec_efficiency"`
-	// EventImbalance is max/mean of per-worker executed events — how far
-	// the realized load diverges from perfect balance.
-	EventImbalance float64 `json:"event_imbalance"`
-	// WeightImbalance is max/mean of per-worker LPT weight — how good the
-	// static assignment was against its own weight model.
-	WeightImbalance float64  `json:"weight_imbalance"`
-	Diagnosis       []string `json:"diagnosis"`
-}
-
-// execTopK bounds the hot-LP and heavy-edge lists in the report.
-const execTopK = 12
-
-// BuildExecReport derives the report from a raw snapshot. labels optionally
-// names LPs (labels[i] for LP i; shorter slices or nil fall back to "lp<i>").
-// Returns nil when st is nil (profiling was off).
-func BuildExecReport(st *sim.ExecStats, labels []string) *ExecReport {
-	if st == nil {
-		return nil
-	}
-	label := func(lp int) string {
-		if lp < len(labels) && labels[lp] != "" {
-			return labels[lp]
-		}
-		return fmt.Sprintf("lp%d", lp)
-	}
-	r := &ExecReport{
-		Workers:     st.Workers,
-		LPs:         st.LPs,
-		LookaheadNs: int64(st.Lookahead),
-		Inline:      st.Inline,
-		WallNs:      st.RunNs,
-		Runs:        st.Runs,
-		Windows:     st.Windows,
-		CrossMsgs:   st.CrossMsgs,
-	}
-
-	// Per-worker realized load (events, weight) from the LP assignment.
-	wEvents := make([]uint64, st.Workers)
-	wWeight := make([]float64, st.Workers)
-	for lp, ev := range st.LPEvents {
-		r.TotalEvents += ev
-		if lp < len(st.LPWorker) && st.LPWorker[lp] < st.Workers {
-			wEvents[st.LPWorker[lp]] += ev
-		}
-	}
-	for lp, w := range st.LPWeights {
-		if lp < len(st.LPWorker) && st.LPWorker[lp] < st.Workers {
-			wWeight[st.LPWorker[lp]] += w
-		}
-	}
-
-	if st.Windows > 0 {
-		r.EventsPerWindow = float64(r.TotalEvents) / float64(st.Windows)
-		r.MsgsPerWindow = float64(st.CrossMsgs) / float64(st.Windows)
-		r.SaturatedPct = 100 * float64(st.SaturatedWindows) / float64(st.Windows)
-		r.AvgAdvanceNs = float64(st.VirtualAdvance) / float64(st.Windows)
-	}
-	if st.VirtualAdvance > 0 {
-		r.BarriersPerVirtualMs = float64(st.Windows) / (float64(st.VirtualAdvance) / 1e6)
-	}
-	r.MaxAdvanceNs = int64(st.MaxWindowAdvance)
-
-	// Phase totals and per-worker lines.
-	var phaseTotal [5]uint64 // exec, merge, spin, park, seq
-	for _, ph := range st.Phases {
-		w := ExecWorker{
-			Worker: ph.Worker, LPs: ph.LPs, Windows: ph.Windows,
-			ExecNs: ph.ExecNs, MergeNs: ph.MergeNs,
-			SpinNs: ph.SpinNs, ParkNs: ph.ParkNs, SeqNs: ph.SeqNs,
-		}
-		if ph.Worker < len(wEvents) {
-			w.Events = wEvents[ph.Worker]
-		}
-		if ph.Worker < len(wWeight) {
-			w.Weight = wWeight[ph.Worker]
-		}
-		if tot := ph.ExecNs + ph.MergeNs + ph.SpinNs + ph.ParkNs + ph.SeqNs; tot > 0 {
-			w.ExecPct = 100 * float64(ph.ExecNs) / float64(tot)
-		}
-		phaseTotal[0] += ph.ExecNs
-		phaseTotal[1] += ph.MergeNs
-		phaseTotal[2] += ph.SpinNs
-		phaseTotal[3] += ph.ParkNs
-		phaseTotal[4] += ph.SeqNs
-		r.Workers_ = append(r.Workers_, w)
-	}
-	if st.RunNs > 0 && st.Workers > 0 {
-		r.ExecEfficiency = float64(phaseTotal[0]) / (float64(st.RunNs) * float64(st.Workers))
-	}
-
-	// Dominant stall: the largest non-exec phase.
-	stallNames := []ExecPhase{PhaseMerge, PhaseSpin, PhasePark, PhaseSeq}
-	var stallTotal uint64
-	best := 0
-	for i, v := range phaseTotal[1:] {
-		stallTotal += v
-		if v > phaseTotal[1:][best] {
-			best = i
-		}
-	}
-	if stallTotal > 0 {
-		r.DominantStall = stallNames[best]
-		r.StallPct = 100 * float64(phaseTotal[1:][best]) / float64(stallTotal)
-	}
-
-	// Imbalance ratios (max/mean over workers).
-	r.EventImbalance = maxMeanRatioU(wEvents)
-	r.WeightImbalance = maxMeanRatioF(wWeight)
-
-	// Full per-LP load list, hottest first.
-	for lp := 0; lp < st.LPs; lp++ {
-		l := ExecLP{LP: lp, Label: label(lp)}
-		if lp < len(st.LPWorker) {
-			l.Worker = st.LPWorker[lp]
-		}
-		if lp < len(st.LPWeights) {
-			l.Weight = st.LPWeights[lp]
-		}
-		if lp < len(st.LPEvents) {
-			l.Events = st.LPEvents[lp]
-		}
-		if lp < len(st.LPWindows) {
-			l.Windows = st.LPWindows[lp]
-		}
-		if lp < len(st.LPMaxWindow) {
-			l.MaxWindow = st.LPMaxWindow[lp]
-		}
-		r.LPLoads = append(r.LPLoads, l)
-	}
-	sort.SliceStable(r.LPLoads, func(i, j int) bool { return r.LPLoads[i].Events > r.LPLoads[j].Events })
-	if len(r.LPLoads) > execTopK {
-		r.LPLoads = r.LPLoads[:execTopK]
-	}
-
-	// Heaviest cross-LP edges.
-	for s := 0; s < st.LPs; s++ {
-		for d := 0; d < st.LPs; d++ {
-			if i := s*st.LPs + d; i < len(st.Traffic) && st.Traffic[i] > 0 {
-				r.TopEdges = append(r.TopEdges, ExecEdge{
-					Src: s, SrcLabel: label(s), Dst: d, DstLabel: label(d), Msgs: st.Traffic[i],
-				})
-			}
-		}
-	}
-	sort.SliceStable(r.TopEdges, func(i, j int) bool { return r.TopEdges[i].Msgs > r.TopEdges[j].Msgs })
-	if len(r.TopEdges) > execTopK {
-		r.TopEdges = r.TopEdges[:execTopK]
-	}
-
-	r.Diagnosis = diagnose(r)
-	return r
-}
-
-func maxMeanRatioU(xs []uint64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, max uint64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return float64(max) * float64(len(xs)) / float64(sum)
-}
-
-func maxMeanRatioF(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum, max float64
-	for _, x := range xs {
-		sum += x
-		if x > max {
-			max = x
-		}
-	}
-	if sum == 0 {
-		return 0
-	}
-	return max * float64(len(xs)) / sum
-}
-
-// diagnose turns the derived numbers into the report's plain-language
-// scaling verdicts. Deterministic: same stats, same strings.
-func diagnose(r *ExecReport) []string {
-	var out []string
-	if r.Inline {
-		out = append(out, "run degraded to the inline single-goroutine path (workers=1 or GOMAXPROCS=1): phase split reflects serialized execution, spin/park are zero")
-	}
-	switch r.DominantStall {
-	case PhasePark, PhaseSpin:
-		out = append(out, fmt.Sprintf(
-			"dominant stall is barrier wait (%s, %.0f%% of stall time): windows are too short or load per window too uneven — coarsen the partition, raise the lookahead, or re-balance LP weights",
-			r.DominantStall, r.StallPct))
-	case PhaseMerge:
-		out = append(out, fmt.Sprintf(
-			"dominant stall is cross-LP merge (%.0f%% of stall time): mailbox traffic per window is heavy (%.1f msgs/window) — batch cross-LP handoff or cut the heaviest edges by re-partitioning",
-			r.StallPct, r.MsgsPerWindow))
-	case PhaseSeq:
-		out = append(out, fmt.Sprintf(
-			"dominant stall is the coordinator's sequential section (%.0f%% of stall time): barrier hooks (trace drains) or the transpose dominate — reduce per-window coordinator work",
-			r.StallPct))
-	}
-	if r.EventImbalance > 1.25 {
-		out = append(out, fmt.Sprintf(
-			"LP load is imbalanced: the busiest worker executes %.2fx the mean (LPT weight imbalance %.2fx) — the weight model underestimates the hot LPs",
-			r.EventImbalance, r.WeightImbalance))
-	}
-	if len(r.LPLoads) > 0 && r.TotalEvents > 0 {
-		hot := r.LPLoads[0]
-		pct := 100 * float64(hot.Events) / float64(r.TotalEvents)
-		if pct > 150/float64(maxInt(r.LPs, 1)) && r.LPs > 1 {
-			out = append(out, fmt.Sprintf(
-				"hottest LP %s (worker %d) executes %.0f%% of all events: it bounds the per-window critical path regardless of worker count",
-				hot.Label, hot.Worker, pct))
-		}
-	}
-	if r.SaturatedPct > 80 {
-		out = append(out, fmt.Sprintf(
-			"%.0f%% of windows are back-to-back (advance <= lookahead %v): the run is barrier-bound at %.0f barriers per virtual ms",
-			r.SaturatedPct, sim.Time(r.LookaheadNs), r.BarriersPerVirtualMs))
-	} else if r.SaturatedPct < 20 && r.Windows > 0 {
-		out = append(out, fmt.Sprintf(
-			"only %.0f%% of windows are back-to-back: the schedule is sparse (avg advance %v vs lookahead %v), barrier cost is not the bottleneck",
-			r.SaturatedPct, sim.Time(r.AvgAdvanceNs), sim.Time(r.LookaheadNs)))
-	}
-	if r.ExecEfficiency > 0 {
-		out = append(out, fmt.Sprintf(
-			"exec efficiency %.0f%%: of %d workers' total wall-clock budget, %.0f%% went to executing events",
-			100*r.ExecEfficiency, r.Workers, 100*r.ExecEfficiency))
-	}
-	return out
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// WriteExecReport renders the report as text, the cepheus-trace pdes view.
-func WriteExecReport(w io.Writer, r *ExecReport) error {
-	bw := bufio.NewWriter(w)
-	mode := "parallel"
-	if r.Inline {
-		mode = "inline"
-	}
-	fmt.Fprintf(bw, "== executor profile: %d workers, %d LPs, lookahead %v (%s, %d run(s)) ==\n",
-		r.Workers, r.LPs, sim.Time(r.LookaheadNs), mode, r.Runs)
-	fmt.Fprintf(bw, "wall %.1fms  events %d  windows %d  cross-LP msgs %d\n",
-		float64(r.WallNs)/1e6, r.TotalEvents, r.Windows, r.CrossMsgs)
-	fmt.Fprintf(bw, "window shape: %.1f events/window, %.2f msgs/window, %.0f barriers per virtual ms, %.0f%% saturated, advance avg %v max %v\n",
-		r.EventsPerWindow, r.MsgsPerWindow, r.BarriersPerVirtualMs, r.SaturatedPct,
-		sim.Time(r.AvgAdvanceNs), sim.Time(r.MaxAdvanceNs))
-
-	fmt.Fprintf(bw, "\nper-worker phase breakdown (ms):\n")
-	fmt.Fprintf(bw, "  %-6s %4s %9s %9s %9s %9s %9s %9s %7s %12s\n",
-		"worker", "lps", "windows", "exec", "merge", "spin", "park", "seq", "exec%", "events")
-	for _, ph := range r.Workers_ {
-		fmt.Fprintf(bw, "  %-6d %4d %9d %9.2f %9.2f %9.2f %9.2f %9.2f %6.1f%% %12d\n",
-			ph.Worker, ph.LPs, ph.Windows,
-			float64(ph.ExecNs)/1e6, float64(ph.MergeNs)/1e6,
-			float64(ph.SpinNs)/1e6, float64(ph.ParkNs)/1e6, float64(ph.SeqNs)/1e6,
-			ph.ExecPct, ph.Events)
-	}
-	fmt.Fprintf(bw, "  dominant stall: %s (%.0f%% of stall time), exec efficiency %.0f%%, event imbalance %.2fx, weight imbalance %.2fx\n",
-		r.DominantStall, r.StallPct, 100*r.ExecEfficiency, r.EventImbalance, r.WeightImbalance)
-
-	fmt.Fprintf(bw, "\nhottest LPs:\n")
-	fmt.Fprintf(bw, "  %-16s %6s %7s %12s %9s %10s %8s\n", "lp", "worker", "weight", "events", "windows", "max/window", "share")
-	for _, l := range r.LPLoads {
-		share := 0.0
-		if r.TotalEvents > 0 {
-			share = 100 * float64(l.Events) / float64(r.TotalEvents)
-		}
-		fmt.Fprintf(bw, "  %-16s %6d %7.0f %12d %9d %10d %7.1f%%\n",
-			l.Label, l.Worker, l.Weight, l.Events, l.Windows, l.MaxWindow, share)
-	}
-
-	fmt.Fprintf(bw, "\nheaviest cross-LP edges:\n")
-	fmt.Fprintf(bw, "  %-16s -> %-16s %12s %8s\n", "src", "dst", "msgs", "share")
-	for _, e := range r.TopEdges {
-		share := 0.0
-		if r.CrossMsgs > 0 {
-			share = 100 * float64(e.Msgs) / float64(r.CrossMsgs)
-		}
-		fmt.Fprintf(bw, "  %-16s -> %-16s %12d %7.1f%%\n", e.SrcLabel, e.DstLabel, e.Msgs, share)
-	}
-
-	fmt.Fprintf(bw, "\ndiagnosis:\n")
-	for _, d := range r.Diagnosis {
-		fmt.Fprintf(bw, "  - %s\n", d)
-	}
-	return bw.Flush()
+	// StallPct was the percentage of worker time spent at barriers.
+	StallPct float64 `json:"stall_pct"`
 }

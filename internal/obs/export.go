@@ -16,9 +16,7 @@ import (
 //	 "pt":"<PacketType>","src":"<addr>","dst":"<addr>","sqp":<n>,"dqp":<n>,
 //	 "psn":<n>,"msg":<n>,"a":<n>,"b":<n>}
 //
-// LP and Seq are deliberately omitted: LP is an execution artifact and Seq
-// is recoverable from line order, so exports from sequential and partitioned
-// runs of the same history are byte-identical.
+// Seq is deliberately omitted: it is recoverable from line order.
 func (r *Recorder) WriteJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	for i := range evs {

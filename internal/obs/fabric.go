@@ -51,88 +51,56 @@ func (c FCounter) String() string {
 	return "?"
 }
 
-// FabricLP is one logical process's shard of the fabric counters and of
-// the egress queue-depth histogram. Every device owned by an LP updates the
-// same shard, so the hot path is a plain (non-atomic) add with no cross-LP
-// cache contention; totals are read only when the simulation is quiescent.
-// The struct is padded to a whole number of cache-line pairs so adjacent
-// shards never false-share.
+// Fabric holds the cluster-wide fabric counters and the egress queue-depth
+// histogram. Every device of a cluster updates the same Fabric, so the hot
+// path is a plain add; totals are read between runs.
 //
-// A nil *FabricLP is a valid no-op target: devices built outside a Cluster
+// A nil *Fabric is a valid no-op target: devices built outside a Cluster
 // (unit tests, sub-simulations) skip fabric accounting without a branch at
 // every call site.
-type FabricLP struct {
+type Fabric struct {
 	c [NumFCounters]uint64
 	q Histogram // egress queue depth in bytes, observed at every enqueue
-	_ [96]byte  // pads the 160-byte shard to 256 bytes
 }
 
+// NewFabric creates a fabric with every counter at zero.
+func NewFabric() *Fabric { return &Fabric{} }
+
 // Inc adds 1 to counter id. Safe on a nil receiver.
-func (l *FabricLP) Inc(id FCounter) {
-	if l != nil {
-		l.c[id]++
+func (f *Fabric) Inc(id FCounter) {
+	if f != nil {
+		f.c[id]++
 	}
 }
 
 // Add adds n to counter id. Safe on a nil receiver.
-func (l *FabricLP) Add(id FCounter, n uint64) {
-	if l != nil {
-		l.c[id] += n
+func (f *Fabric) Add(id FCounter, n uint64) {
+	if f != nil {
+		f.c[id] += n
 	}
 }
 
 // ObserveQueue records an egress queue depth of n bytes. Safe on a nil
 // receiver.
-func (l *FabricLP) ObserveQueue(n int) {
-	if l != nil {
-		l.q.Observe(int64(n))
+func (f *Fabric) ObserveQueue(n int) {
+	if f != nil {
+		f.q.Observe(int64(n))
 	}
 }
 
-// Fabric holds one FabricLP shard per logical process.
-type Fabric struct {
-	lps []FabricLP
-}
-
-// NewFabric creates a fabric with n shards (n = number of LPs; 1 for
-// sequential execution).
-func NewFabric(n int) *Fabric {
-	if n < 1 {
-		n = 1
-	}
-	return &Fabric{lps: make([]FabricLP, n)}
-}
-
-// LP returns the shard for logical process i.
-func (f *Fabric) LP(i int) *FabricLP {
-	if f == nil {
-		return nil
-	}
-	return &f.lps[i]
-}
-
-// Total sums counter id across all shards. Only meaningful while the
-// simulation is quiescent (between Run calls).
+// Total returns counter id (0 on a nil receiver).
 func (f *Fabric) Total(id FCounter) uint64 {
 	if f == nil {
 		return 0
 	}
-	var t uint64
-	for i := range f.lps {
-		t += f.lps[i].c[id]
-	}
-	return t
+	return f.c[id]
 }
 
-// QueueDepth merges every shard's queue-depth histogram: the distribution,
-// in bytes, of egress queue occupancy at each enqueue across the fabric.
-// Only meaningful while the simulation is quiescent.
+// QueueDepth summarizes the queue-depth histogram: the distribution, in
+// bytes, of egress queue occupancy at each enqueue across the fabric.
 func (f *Fabric) QueueDepth() Summary {
-	var h Histogram
-	if f != nil {
-		for i := range f.lps {
-			h.Merge(&f.lps[i].q)
-		}
+	if f == nil {
+		return Summary{}
 	}
-	return h.Summary()
+	return f.q.Summary()
 }

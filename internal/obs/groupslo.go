@@ -14,9 +14,8 @@ import (
 // Per-group SLO engine: declarative objectives (delivery p99, goodput
 // floor, drop budget) evaluated over rolling windows of the goodput
 // time-series, with multi-window burn rates and a deterministic breach
-// timeline. Everything is a pure reduction over GroupReport buckets, which
-// are themselves identical at every worker count, so two runs of the same
-// history always produce the same timeline.
+// timeline. Everything is a pure reduction over GroupReport buckets, so two
+// runs of the same history always produce the same timeline.
 
 // SLOObjective declares what a group is owed. Zero-valued fields disable
 // the corresponding objective.

@@ -9,12 +9,11 @@ import (
 )
 
 // Group-scoped attribution: every delivered, dropped, and retransmitted byte
-// in the fabric is booked against the multicast group id that owns it, per
-// LP, with the same single-writer discipline as the fabric counters
-// (fabric.go). The hot path when attribution is disabled is one nil check;
-// when enabled it is a cached-cell pointer add. Nothing here schedules
-// events, mutates packets, or draws randomness, so enabling group stats is
-// digest- and trace-byte-neutral by construction at every worker count.
+// in the fabric is booked against the multicast group id that owns it. The
+// hot path when attribution is disabled is one nil check; when enabled it is
+// a cached-cell pointer add. Nothing here schedules events, mutates packets,
+// or draws randomness, so enabling group stats is digest- and
+// trace-byte-neutral by construction.
 
 // GroupAddrBase mirrors simnet.MulticastBase (obs cannot import simnet —
 // simnet imports obs). Addresses at or above it are multicast group ids.
@@ -53,9 +52,8 @@ func (b *GBucket) add(o *GBucket) {
 	b.RetxBytes += o.RetxBytes
 }
 
-// GroupCell is one LP's accumulator for one multicast group. Exactly one
-// goroutine (the owning LP) writes a cell; readers wait for quiescence.
-// Requester-side RNICs cache the cell pointer per QP, so the steady-state
+// GroupCell is the accumulator for one multicast group; readers wait for
+// quiescence. Requester-side RNICs cache the cell pointer per QP, so the steady-state
 // cost of attribution is a handful of field adds.
 type GroupCell struct {
 	group  uint32
@@ -131,75 +129,52 @@ func (c *GroupCell) Retransmit(at sim.Time, payload int64) {
 	b.RetxBytes += payload
 }
 
-// GroupLP is one logical process's shard of the group-stats registry.
-// A nil *GroupLP is a valid no-op target — the nil check is the entire
-// disabled cost, exactly like FabricLP.
-type GroupLP struct {
-	gs    *GroupStats
-	cells map[uint32]*GroupCell
+// GroupStats is the cluster-wide registry: one accumulator per group, read
+// between runs (the same contract as Fabric.Total). A nil *GroupStats is a
+// valid no-op target — the nil check is the entire disabled cost, exactly
+// like Fabric.
+type GroupStats struct {
+	bucket sim.Time
+	cells  map[uint32]*GroupCell
+	objs   map[uint32]SLOObjective
+	def    *SLOObjective
 }
 
-// Cell returns (lazily creating) this LP's accumulator for group. Returns
-// nil on a nil receiver so callers can cache the result unconditionally.
-func (l *GroupLP) Cell(group uint32) *GroupCell {
-	if l == nil {
+// NewGroupStats creates an empty registry. bucket is the goodput
+// time-series resolution (0 selects DefaultGoodputBucket).
+func NewGroupStats(bucket sim.Time) *GroupStats {
+	if bucket <= 0 {
+		bucket = DefaultGoodputBucket
+	}
+	return &GroupStats{bucket: bucket, cells: make(map[uint32]*GroupCell)}
+}
+
+// Cell returns (lazily creating) the accumulator for group. Returns nil on
+// a nil receiver so callers can cache the result unconditionally.
+func (g *GroupStats) Cell(group uint32) *GroupCell {
+	if g == nil {
 		return nil
 	}
-	c := l.cells[group]
+	c := g.cells[group]
 	if c == nil {
 		c = &GroupCell{
 			group:  group,
-			bucket: l.gs.bucket,
-			slowNs: l.gs.slowFor(group),
+			bucket: g.bucket,
+			slowNs: g.slowFor(group),
 			bk:     make(map[int64]*GBucket),
 		}
-		l.cells[group] = c
+		g.cells[group] = c
 	}
 	return c
 }
 
 // Drop books a dropped frame against group. Safe on a nil receiver; drop
 // paths are cold, so the per-call map lookup is fine.
-func (l *GroupLP) Drop(group uint32, at sim.Time, frameBytes int64) {
-	if l == nil {
+func (g *GroupStats) Drop(group uint32, at sim.Time, frameBytes int64) {
+	if g == nil {
 		return
 	}
-	l.Cell(group).Drop(at, frameBytes)
-}
-
-// GroupStats is the cluster-wide registry: one GroupLP shard per logical
-// process, merged deterministically at read time (between runs, when every
-// shard is quiescent — the same contract as Fabric.Total).
-type GroupStats struct {
-	bucket sim.Time
-	lps    []*GroupLP
-	objs   map[uint32]SLOObjective
-	def    *SLOObjective
-}
-
-// NewGroupStats creates a registry with n shards (n = number of LPs; 1 for
-// sequential execution). bucket is the goodput time-series resolution
-// (0 selects DefaultGoodputBucket).
-func NewGroupStats(n int, bucket sim.Time) *GroupStats {
-	if n < 1 {
-		n = 1
-	}
-	if bucket <= 0 {
-		bucket = DefaultGoodputBucket
-	}
-	g := &GroupStats{bucket: bucket, lps: make([]*GroupLP, n)}
-	for i := range g.lps {
-		g.lps[i] = &GroupLP{gs: g, cells: make(map[uint32]*GroupCell)}
-	}
-	return g
-}
-
-// LP returns the shard for logical process i (nil on a nil receiver).
-func (g *GroupStats) LP(i int) *GroupLP {
-	if g == nil {
-		return nil
-	}
-	return g.lps[i]
+	g.Cell(group).Drop(at, frameBytes)
 }
 
 // Bucket returns the goodput time-series resolution.
@@ -207,7 +182,7 @@ func (g *GroupStats) Bucket() sim.Time { return g.bucket }
 
 // SetObjective declares the SLO objective for one group. Must be called
 // before the group's traffic starts: the delivery-latency threshold is
-// copied into each per-LP cell at its first packet.
+// copied into the group's cell at its first packet.
 func (g *GroupStats) SetObjective(group uint32, o SLOObjective) {
 	if g.objs == nil {
 		g.objs = make(map[uint32]SLOObjective)
@@ -275,60 +250,41 @@ func (r *GroupReport) Hist() Histogram {
 	return h
 }
 
-// Snapshot merges every shard into one report per group, sorted by group
-// id. Only meaningful while the simulation is quiescent; the merge is
-// commutative sums and bucket-index keyed adds, so the result is identical
-// at every worker count.
+// Snapshot returns one report per group, sorted by group id. Only
+// meaningful while the simulation is quiescent.
 func (g *GroupStats) Snapshot() []GroupReport {
 	if g == nil {
 		return nil
 	}
-	ids := make([]uint32, 0, 8)
-	seen := make(map[uint32]bool)
-	for _, lp := range g.lps {
-		for id := range lp.cells {
-			if !seen[id] {
-				seen[id] = true
-				ids = append(ids, id)
-			}
-		}
+	ids := make([]uint32, 0, len(g.cells))
+	for id := range g.cells {
+		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	out := make([]GroupReport, 0, len(ids))
 	for _, id := range ids {
-		r := GroupReport{Group: id, Bucket: g.bucket}
-		bk := make(map[int64]*GBucket)
-		for _, lp := range g.lps {
-			c := lp.cells[id]
-			if c == nil {
-				continue
-			}
-			r.DeliveredBytes += c.DeliveredBytes
-			r.Pkts += c.Pkts
-			r.Messages += c.Messages
-			r.DroppedPkts += c.DroppedPkts
-			r.DroppedBytes += c.DroppedBytes
-			r.RetransPkts += c.RetransPkts
-			r.RetransBytes += c.RetransBytes
-			r.hist.Merge(&c.Lat)
-			for idx, b := range c.bk {
-				m := bk[idx]
-				if m == nil {
-					m = &GBucket{}
-					bk[idx] = m
-				}
-				m.add(b)
-			}
+		c := g.cells[id]
+		r := GroupReport{
+			Group:          id,
+			Bucket:         g.bucket,
+			DeliveredBytes: c.DeliveredBytes,
+			Pkts:           c.Pkts,
+			Messages:       c.Messages,
+			DroppedPkts:    c.DroppedPkts,
+			DroppedBytes:   c.DroppedBytes,
+			RetransPkts:    c.RetransPkts,
+			RetransBytes:   c.RetransBytes,
 		}
+		r.hist.Merge(&c.Lat)
 		r.Latency = r.hist.Summary()
-		idxs := make([]int64, 0, len(bk))
-		for idx := range bk {
+		idxs := make([]int64, 0, len(c.bk))
+		for idx := range c.bk {
 			idxs = append(idxs, idx)
 		}
 		sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
 		r.Series = make([]GoodputPoint, len(idxs))
 		for i, idx := range idxs {
-			r.Series[i] = GoodputPoint{Start: sim.Time(idx) * g.bucket, GBucket: *bk[idx]}
+			r.Series[i] = GoodputPoint{Start: sim.Time(idx) * g.bucket, GBucket: *c.bk[idx]}
 		}
 		out = append(out, r)
 	}
@@ -342,7 +298,7 @@ func (g *GroupStats) Snapshot() []GroupReport {
 // goodput series has message, not packet, granularity. objFor supplies
 // per-group objectives for slow-message counting (nil = none declared).
 func GroupReportsFromEvents(evs []Event, bucket sim.Time, objFor func(uint32) (SLOObjective, bool)) []GroupReport {
-	gs := NewGroupStats(1, bucket)
+	gs := NewGroupStats(bucket)
 	if objFor != nil {
 		for i := range evs {
 			e := &evs[i]
@@ -367,26 +323,25 @@ func GroupReportsFromEvents(evs []Event, bucket sim.Time, objFor func(uint32) (S
 			}
 		}
 	}
-	lp := gs.LP(0)
 	for i := range evs {
 		e := &evs[i]
 		switch e.Kind {
 		case KDeliver:
 			if IsGroupAddr(e.Src) {
-				c := lp.Cell(e.Src)
+				c := gs.Cell(e.Src)
 				c.Packet(e.At, e.B)
 				c.Message(e.At, e.A)
 			}
 		case KRetransmit:
 			if IsGroupAddr(e.Dst) {
-				lp.Cell(e.Dst).Retransmit(e.At, e.B)
+				gs.Cell(e.Dst).Retransmit(e.At, e.B)
 			}
 		case KDrop:
 			switch {
 			case IsGroupAddr(e.Dst):
-				lp.Drop(e.Dst, e.At, e.B)
+				gs.Drop(e.Dst, e.At, e.B)
 			case IsGroupAddr(e.Src):
-				lp.Drop(e.Src, e.At, e.B)
+				gs.Drop(e.Src, e.At, e.B)
 			}
 		}
 	}

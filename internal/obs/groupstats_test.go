@@ -2,7 +2,6 @@ package obs
 
 import (
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -11,29 +10,22 @@ import (
 
 const g0 = GroupAddrBase // first group id
 
-// TestGroupStatsMergeAcrossShards: the same bookings, split across shards
-// in different ways, merge to the same snapshot — the property the PDES
-// neutrality test relies on at full scale.
-func TestGroupStatsMergeAcrossShards(t *testing.T) {
-	book := func(gs *GroupStats, lpOf func(i int) *GroupLP) {
-		for i := 0; i < 8; i++ {
-			c := lpOf(i).Cell(g0)
-			c.Packet(sim.Time(i)*sim.Millisecond, 1000)
-			c.Message(sim.Time(i)*sim.Millisecond, int64(1000+i))
-			lpOf(i).Drop(g0, sim.Time(i)*sim.Millisecond, 64)
-			c.Retransmit(sim.Time(i)*sim.Millisecond, 256)
-		}
+// TestGroupStatsTotals: bookings over eight milliseconds sum into one
+// report per group with one goodput bucket per millisecond.
+func TestGroupStatsTotals(t *testing.T) {
+	gs := NewGroupStats(0)
+	for i := 0; i < 8; i++ {
+		c := gs.Cell(g0)
+		c.Packet(sim.Time(i)*sim.Millisecond, 1000)
+		c.Message(sim.Time(i)*sim.Millisecond, int64(1000+i))
+		gs.Drop(g0, sim.Time(i)*sim.Millisecond, 64)
+		c.Retransmit(sim.Time(i)*sim.Millisecond, 256)
 	}
-	one := NewGroupStats(1, 0)
-	book(one, func(int) *GroupLP { return one.LP(0) })
-	four := NewGroupStats(4, 0)
-	book(four, func(i int) *GroupLP { return four.LP(i % 4) })
-
-	s1, s4 := one.Snapshot(), four.Snapshot()
-	if !reflect.DeepEqual(s1, s4) {
-		t.Fatalf("snapshot depends on sharding:\n  1 shard: %+v\n  4 shards: %+v", s1, s4)
+	snap := gs.Snapshot()
+	if len(snap) != 1 {
+		t.Fatalf("got %d reports, want 1", len(snap))
 	}
-	r := s1[0]
+	r := snap[0]
 	if r.DeliveredBytes != 8000 || r.Pkts != 8 || r.Messages != 8 ||
 		r.DroppedPkts != 8 || r.DroppedBytes != 8*64 ||
 		r.RetransPkts != 8 || r.RetransBytes != 8*256 {
@@ -48,14 +40,10 @@ func TestGroupStatsMergeAcrossShards(t *testing.T) {
 // panic — the contract the hot-path call sites rely on.
 func TestGroupStatsNilSafe(t *testing.T) {
 	var gs *GroupStats
-	if gs.LP(0) != nil || gs.Snapshot() != nil {
+	if gs.Cell(g0) != nil || gs.Snapshot() != nil {
 		t.Fatal("nil *GroupStats not inert")
 	}
-	var lp *GroupLP
-	if lp.Cell(g0) != nil {
-		t.Fatal("nil *GroupLP.Cell != nil")
-	}
-	lp.Drop(g0, 0, 64) // must not panic
+	gs.Drop(g0, 0, 64) // must not panic
 	if _, ok := gs.ObjectiveFor(g0); ok {
 		t.Fatal("nil *GroupStats claims an objective")
 	}
@@ -65,9 +53,9 @@ func TestGroupStatsNilSafe(t *testing.T) {
 // on hand-checkable distributions.
 func TestFairnessMath(t *testing.T) {
 	mk := func(bytes ...int64) []GroupReport {
-		gs := NewGroupStats(1, 0)
+		gs := NewGroupStats(0)
 		for i, b := range bytes {
-			c := gs.LP(0).Cell(g0 + uint32(i))
+			c := gs.Cell(g0 + uint32(i))
 			c.Packet(0, b)
 			c.Message(0, 100*int64(i+1)) // p99s: 100, 200, ...
 		}
@@ -171,9 +159,9 @@ func FuzzParseSLO(f *testing.F) {
 // synthReport builds a report whose goodput series is bytes[i] in bucket i
 // (100us buckets), with msgs/slow alongside.
 func synthReport(bytes []int64, slow []uint64) GroupReport {
-	gs := NewGroupStats(1, 100*sim.Microsecond)
+	gs := NewGroupStats(100 * sim.Microsecond)
 	gs.SetObjective(g0, SLOObjective{DeliveryP99: sim.Millisecond})
-	c := gs.LP(0).Cell(g0)
+	c := gs.Cell(g0)
 	for i, b := range bytes {
 		at := sim.Time(i) * 100 * sim.Microsecond
 		if b > 0 {
@@ -290,9 +278,9 @@ func TestWriteGroupTable(t *testing.T) {
 	if !strings.Contains(sb.String(), "no group traffic") {
 		t.Fatalf("empty table: %q", sb.String())
 	}
-	gs := NewGroupStats(1, 0)
-	gs.LP(0).Cell(g0).Packet(0, 100)
-	gs.LP(0).Cell(g0).Message(0, 42)
+	gs := NewGroupStats(0)
+	gs.Cell(g0).Packet(0, 100)
+	gs.Cell(g0).Message(0, 42)
 	sb.Reset()
 	WriteGroupTable(&sb, gs.Snapshot())
 	out := sb.String()

@@ -71,7 +71,7 @@ func TestHistogramOverflowBucketP999(t *testing.T) {
 }
 
 func TestHistogramMergeDisjointShards(t *testing.T) {
-	// Two shards with disjoint value ranges, as per-LP latency shards are.
+	// Two shards with disjoint value ranges, as per-QP latency histograms are.
 	var lo, hi, merged Histogram
 	for i := int64(1); i <= 100; i++ {
 		lo.Observe(i)
@@ -159,8 +159,8 @@ func TestHistogramGrowsInOctaves(t *testing.T) {
 // TestGroupReportHistIsCopy checks that GroupReport.Hist hands out a
 // histogram that shares no buckets with the report.
 func TestGroupReportHistIsCopy(t *testing.T) {
-	gs := NewGroupStats(1, sim.Millisecond)
-	c := gs.LP(0).Cell(GroupAddrBase + 1)
+	gs := NewGroupStats(sim.Millisecond)
+	c := gs.Cell(GroupAddrBase + 1)
 	c.Message(10, 5000)
 	c.Message(20, 7000)
 	r := gs.Snapshot()[0]

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/sim"
 )
@@ -99,14 +98,21 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 }
 
 func TestFabricNilSafeAndTotals(t *testing.T) {
-	var nilLP *FabricLP
-	nilLP.Inc(FDataDrops) // must not panic
-	nilLP.Add(FMFTWipes, 3)
+	var nilFab *Fabric
+	nilFab.Inc(FDataDrops) // must not panic
+	nilFab.Add(FMFTWipes, 3)
+	nilFab.ObserveQueue(64)
+	if got := nilFab.Total(FDataDrops); got != 0 {
+		t.Fatalf("nil fabric Total = %d, want 0", got)
+	}
+	if q := nilFab.QueueDepth(); q.Count != 0 {
+		t.Fatalf("nil fabric queue depth = %+v, want empty", q)
+	}
 
-	f := NewFabric(4)
-	f.LP(0).Inc(FDataDrops)
-	f.LP(3).Add(FDataDrops, 2)
-	f.LP(1).Inc(FCrashDrops)
+	f := NewFabric()
+	f.Inc(FDataDrops)
+	f.Add(FDataDrops, 2)
+	f.Inc(FCrashDrops)
 	if got := f.Total(FDataDrops); got != 3 {
 		t.Fatalf("Total(FDataDrops) = %d, want 3", got)
 	}
@@ -116,23 +122,11 @@ func TestFabricNilSafeAndTotals(t *testing.T) {
 	if got := f.Total(FMFTWipes); got != 0 {
 		t.Fatalf("Total(FMFTWipes) = %d, want 0", got)
 	}
-
-	// Queue depth: observed per shard, merged on read.
-	nilLP.ObserveQueue(64)
-	var nilFab *Fabric
-	if q := nilFab.QueueDepth(); q.Count != 0 {
-		t.Fatalf("nil fabric queue depth = %+v, want empty", q)
-	}
-	f.LP(0).ObserveQueue(4096)
-	f.LP(3).ObserveQueue(64)
-	f.LP(3).ObserveQueue(1064)
+	f.ObserveQueue(4096)
+	f.ObserveQueue(64)
+	f.ObserveQueue(1064)
 	if q := f.QueueDepth(); q.Count != 3 || q.Min != 64 || q.Max != 4096 || q.Mean != (4096+64+1064)/3 {
 		t.Fatalf("QueueDepth = %+v, want 3 samples in [64, 4096]", q)
-	}
-	// Shards sit in one slice: each must fill whole cache-line pairs so
-	// neighbouring LPs never write the same line.
-	if sz := unsafe.Sizeof(FabricLP{}); sz%128 != 0 {
-		t.Fatalf("FabricLP is %d bytes, want a multiple of 128", sz)
 	}
 }
 
@@ -144,15 +138,15 @@ func TestTracerNilOn(t *testing.T) {
 }
 
 func TestRecorderCanonicalOrder(t *testing.T) {
-	r := NewRecorder(2, 1<<12)
-	// Register in a fixed order; record interleaved across LPs.
-	t0 := r.NewTracer("s0", 0)
-	t1 := r.NewTracer("h0", 1)
+	r := NewRecorder(1 << 12)
+	// Register in a fixed order; record interleaved across devices.
+	t0 := r.NewTracer("s0")
+	t1 := r.NewTracer("h0")
 	t1.Record(20, KDeliver, RNone, -1, 0, 1, 2, 0, 0, 5, 9, 100, 64)
 	t0.Record(10, KEnqueue, RNone, 0, 0, 1, 2, 0, 0, 5, 9, 64, 64)
 	t0.Record(20, KDequeue, RNone, 0, 0, 1, 2, 0, 0, 5, 9, 0, 64)
-	r.Barrier()
-	t1.Record(5, KDrop, RLoss, -1, 0, 1, 2, 0, 0, 6, 9, 0, 64) // later barrier, earlier time
+	r.Drain()
+	t1.Record(5, KDrop, RLoss, -1, 0, 1, 2, 0, 0, 6, 9, 0, 64) // later drain, earlier time
 	evs := r.Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
@@ -176,8 +170,8 @@ func TestRecorderCanonicalOrder(t *testing.T) {
 }
 
 func TestRecorderRingOverwrite(t *testing.T) {
-	r := NewRecorder(1, 1024) // floor capacities: central 1024, shard 4096
-	tr := r.NewTracer("d", 0)
+	r := NewRecorder(1024) // floor capacity: central ring and shard both 1024
+	tr := r.NewTracer("d")
 	const total = 3000
 	for i := 0; i < total; i++ {
 		tr.Record(sim.Time(i), KEnqueue, RNone, 0, 0, 0, 0, 0, 0, 0, 0, int64(i), 0)
@@ -196,8 +190,8 @@ func TestRecorderRingOverwrite(t *testing.T) {
 }
 
 func TestRecorderEventsUntil(t *testing.T) {
-	r := NewRecorder(1, 1<<12)
-	tr := r.NewTracer("d", 0)
+	r := NewRecorder(1 << 12)
+	tr := r.NewTracer("d")
 	for i := 0; i < 10; i++ {
 		tr.Record(sim.Time(i*10), KEnqueue, RNone, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
 	}
@@ -207,8 +201,8 @@ func TestRecorderEventsUntil(t *testing.T) {
 }
 
 func TestRecordZeroAlloc(t *testing.T) {
-	r := NewRecorder(1, 1<<12)
-	tr := r.NewTracer("d", 0)
+	r := NewRecorder(1 << 12)
+	tr := r.NewTracer("d")
 	allocs := testing.AllocsPerRun(1000, func() {
 		tr.Record(1, KEnqueue, RNone, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8)
 	})
@@ -223,8 +217,8 @@ func TestRecordZeroAlloc(t *testing.T) {
 }
 
 func TestExportFormats(t *testing.T) {
-	r := NewRecorder(1, 1<<12)
-	tr := r.NewTracer("s3", 0)
+	r := NewRecorder(1 << 12)
+	tr := r.NewTracer("s3")
 	tr.Record(1500, KDrop, RQueueLimit, 2, 0, 0x0A000001, 0xE0000003, 3, 1, 42, 7, 81920, 1064)
 	evs := r.Events()
 
@@ -270,8 +264,8 @@ func TestKindReasonNames(t *testing.T) {
 }
 
 func BenchmarkTracerRecord(b *testing.B) {
-	r := NewRecorder(1, 1<<16)
-	tr := r.NewTracer("d", 0)
+	r := NewRecorder(1 << 16)
+	tr := r.NewTracer("d")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.Record(sim.Time(i), KEnqueue, RNone, 0, 0, 1, 2, 3, 4, uint64(i), uint64(i), 64, 64)

@@ -6,24 +6,22 @@ import (
 	"repro/internal/sim"
 )
 
-// Shard is one logical process's slice of the flight recorder: a fixed-size
-// ring of Events with a single writer (the LP's worker goroutine, or the
-// lone goroutine in sequential mode). When the ring fills, the oldest events
-// are overwritten and counted in lost — a flight recorder keeps the recent
-// past, not everything.
-type Shard struct {
+// shard is the flight recorder's write buffer: a fixed-size ring of Events
+// that every device records into, drained into the central ring by Drain.
+// When the ring fills, the oldest events are overwritten and counted in
+// lost — a flight recorder keeps the recent past, not everything.
+type shard struct {
 	ring []Event
 	mask int // len(ring)-1; ring capacity is a power of two so the hot path masks instead of dividing
 	head int
 	n    int
 	lost uint64
-	lp   int16
 }
 
 // slot returns the next ring entry to write, overwriting the oldest when
 // full. Handing out the slot pointer lets Record store each field exactly
 // once instead of building an Event and copying 64 bytes.
-func (s *Shard) slot() *Event {
+func (s *shard) slot() *Event {
 	if s.n < len(s.ring) {
 		e := &s.ring[(s.head+s.n)&s.mask]
 		s.n++
@@ -39,12 +37,11 @@ func (s *Shard) slot() *Event {
 // nil while tracing is off; the nil check in On is the entire disabled-path
 // cost. Seq numbers events per device: a device's events are totally ordered
 // by its own execution, which is deterministic, so (At, Dev, Seq) is a
-// canonical order independent of how the simulation was parallelized. Seq is
-// stamped at the Barrier drain, not in Record — a device's events leave its
-// shard in record order, so the numbering is identical and the hot path
-// saves a store.
+// canonical order. Seq is stamped at the drain, not in Record — a
+// device's events leave the shard in record order, so the numbering is
+// identical and the hot path saves a store.
 type Tracer struct {
-	sh  *Shard
+	sh  *shard
 	dev uint32
 }
 
@@ -58,8 +55,8 @@ func (t *Tracer) On() bool { return t != nil }
 // shard ring — each field is written exactly once, with no zeroing of a
 // temporary Event (a by-value signature benchmarks ~70% slower for exactly
 // that reason). port is the device-local port id (-1 when not port-scoped),
-// pt the simnet.PacketType of the frame involved (0/DATA when none). Dev and
-// LP are stamped here, Seq at the next barrier drain.
+// pt the simnet.PacketType of the frame involved (0/DATA when none). Dev is
+// stamped here, Seq at the next drain.
 func (t *Tracer) Record(at sim.Time, k Kind, reason Reason, port int, pt uint8, src, dst, srcQP, dstQP uint32, psn, msg uint64, a, b int64) {
 	e := t.sh.slot()
 	e.At = at
@@ -73,7 +70,6 @@ func (t *Tracer) Record(at sim.Time, k Kind, reason Reason, port int, pt uint8, 
 	e.SrcQP = srcQP
 	e.DstQP = dstQP
 	e.Port = int16(port)
-	e.LP = t.sh.lp
 	e.Kind = k
 	e.Reason = reason
 	e.PT = pt
@@ -82,16 +78,13 @@ func (t *Tracer) Record(at sim.Time, k Kind, reason Reason, port int, pt uint8, 
 // Dev returns the device id this tracer records under.
 func (t *Tracer) Dev() uint32 { return t.dev }
 
-// Recorder owns the flight-recorder storage: one Shard per LP plus a central
-// ring that shards merge into at PDES window barriers (or lazily, in
-// sequential mode). The merge is deterministic: within a barrier the drained
-// events are ordered by (time, lp, ring order), which under conservative
-// PDES is a pure function of the partitioned execution — every worker count
-// over the same partition produces byte-identical central contents.
+// Recorder owns the flight-recorder storage: the shard devices record into
+// plus a central ring the shard drains into (at Drain, which the audit
+// drain timer and every export call).
 type Recorder struct {
-	shards   []*Shard
+	sh       shard
 	devNames []string
-	devSeq   []uint32 // next Seq per device, advanced at Barrier drains
+	devSeq   []uint32 // next Seq per device, advanced at drains
 
 	central []Event
 	chead   int
@@ -99,70 +92,45 @@ type Recorder struct {
 	clost   uint64
 
 	scratch []Event
-	sorter  barrierSort // persistent sort adapter: Barrier stays allocation-free
+	sorter  drainSort // persistent sort adapter: Drain stays allocation-free
 
 	observer func(*Event)
 }
 
-// barrierSort orders a barrier drain by (time, lp); sort.Stable preserves
-// each shard's causal ring order among same-time events. A pointer to a
+// drainSort orders a drain by time; sort.Stable preserves the
+// shard's causal ring order among same-time events. A pointer to a
 // persistent instance converts to sort.Interface without allocating, unlike
 // sort.SliceStable's per-call closure + reflect.Swapper — this runs on every
-// PDES window barrier while tracing, so it must not allocate.
-type barrierSort struct{ ev []Event }
+// audit drain while tracing, so it must not allocate.
+type drainSort struct{ ev []Event }
 
-func (s *barrierSort) Len() int { return len(s.ev) }
-func (s *barrierSort) Less(i, j int) bool {
-	a, b := &s.ev[i], &s.ev[j]
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	return a.LP < b.LP
-}
-func (s *barrierSort) Swap(i, j int) { s.ev[i], s.ev[j] = s.ev[j], s.ev[i] }
+func (s *drainSort) Len() int           { return len(s.ev) }
+func (s *drainSort) Less(i, j int) bool { return s.ev[i].At < s.ev[j].At }
+func (s *drainSort) Swap(i, j int)      { s.ev[i], s.ev[j] = s.ev[j], s.ev[i] }
 
-// NewRecorder creates a recorder for nLP logical processes with a central
-// ring of the given capacity. Each shard gets capacity/nLP slots (at least
-// 4096) — shards only buffer between barriers, the central ring is the
-// long-term memory.
-func NewRecorder(nLP, capacity int) *Recorder {
-	if nLP < 1 {
-		nLP = 1
-	}
+// NewRecorder creates a recorder whose central ring holds capacity events
+// (at least 1024). The shard holds the next power of two at or above that,
+// so a drain never loses what the central ring could keep.
+func NewRecorder(capacity int) *Recorder {
 	if capacity < 1024 {
 		capacity = 1024
 	}
-	shardCap := capacity / nLP
-	if shardCap < 4096 {
-		shardCap = 4096
-	}
-	if shardCap > capacity {
-		shardCap = capacity
-	}
 	// Round up to a power of two: push masks instead of dividing.
 	pow := 1
-	for pow < shardCap {
+	for pow < capacity {
 		pow <<= 1
 	}
-	shardCap = pow
-	r := &Recorder{
-		shards:  make([]*Shard, nLP),
+	return &Recorder{
+		sh:      shard{ring: make([]Event, pow), mask: pow - 1},
 		central: make([]Event, capacity),
 	}
-	for i := range r.shards {
-		r.shards[i] = &Shard{ring: make([]Event, shardCap), mask: shardCap - 1, lp: int16(i)}
-	}
-	return r
 }
 
-// NewTracer registers a device on logical process lp and returns its
-// recording handle. Registration order defines device ids, so callers must
-// register in a topology-derived (execution-mode-invariant) order.
-func (r *Recorder) NewTracer(name string, lp int) *Tracer {
-	if lp < 0 || lp >= len(r.shards) {
-		lp = 0
-	}
-	t := &Tracer{sh: r.shards[lp], dev: uint32(len(r.devNames))}
+// NewTracer registers a device and returns its recording handle.
+// Registration order defines device ids, so callers must register in a
+// topology-derived order.
+func (r *Recorder) NewTracer(name string) *Tracer {
+	t := &Tracer{sh: &r.sh, dev: uint32(len(r.devNames))}
 	r.devNames = append(r.devNames, name)
 	r.devSeq = append(r.devSeq, 0)
 	return t
@@ -187,25 +155,23 @@ func (r *Recorder) pushCentral(e *Event) {
 	r.clost++
 }
 
-// Barrier drains every shard into the central ring in (time, lp, ring
-// order). Called by the PDES coordinator between windows — all workers are
-// parked, so shard access is race-free — and by Events at the end of a
-// sequential run. The sort is stable, preserving each shard's causal ring
-// order among same-time events.
-func (r *Recorder) Barrier() {
+// Drain drains the shard into the central ring in (time, ring order),
+// feeding each event to the attached observer first. The audit drain timer
+// calls it periodically and Events at export. The sort is stable,
+// preserving the shard's causal ring order among same-time events.
+func (r *Recorder) Drain() {
 	r.scratch = r.scratch[:0]
-	for _, s := range r.shards {
-		for s.n > 0 {
-			e := s.ring[s.head]
-			// Stamp the per-device sequence here: shard ring order is the
-			// device's record order, so this numbering matches what the hot
-			// path would have produced, one store cheaper.
-			e.Seq = r.devSeq[e.Dev]
-			r.devSeq[e.Dev]++
-			r.scratch = append(r.scratch, e)
-			s.head = (s.head + 1) & s.mask
-			s.n--
-		}
+	s := &r.sh
+	for s.n > 0 {
+		e := s.ring[s.head]
+		// Stamp the per-device sequence here: shard ring order is the
+		// device's record order, so this numbering matches what the hot
+		// path would have produced, one store cheaper.
+		e.Seq = r.devSeq[e.Dev]
+		r.devSeq[e.Dev]++
+		r.scratch = append(r.scratch, e)
+		s.head = (s.head + 1) & s.mask
+		s.n--
 	}
 	r.sorter.ev = r.scratch
 	sort.Stable(&r.sorter)
@@ -219,52 +185,36 @@ func (r *Recorder) Barrier() {
 	}
 }
 
-// Attach registers fn to observe every event as it drains through Barrier,
-// after the deterministic (time, lp, ring order) sort and before central-ring
-// eviction can lose it. Because barriers only move the drain *boundaries* —
+// Attach registers fn to observe every event as it drains through Drain,
+// after the deterministic (time, ring order) sort and before central-ring
+// eviction can lose it. Because drains only move the drain *boundaries* —
 // never the order of any device's events, which is its own record order —
-// a per-device streaming consumer (the invariant auditor) sees an identical
-// per-device history under every worker count and barrier cadence. The
-// pointer is valid only for the duration of the call; copy to retain.
+// a per-device streaming consumer (the invariant auditor) sees the same
+// per-device history at every drain cadence. The pointer is valid only for
+// the duration of the call; copy to retain.
 func (r *Recorder) Attach(fn func(*Event)) { r.observer = fn }
 
 // Lost returns how many events were overwritten before export (shard
-// overflow between barriers plus central-ring eviction). A flight recorder
+// overflow between drains plus central-ring eviction). A flight recorder
 // with Lost() == 0 captured the complete history.
-func (r *Recorder) Lost() uint64 {
-	t := r.clost
-	for _, s := range r.shards {
-		t += s.lost
-	}
-	return t
-}
+func (r *Recorder) Lost() uint64 { return r.clost + r.sh.lost }
 
-// ShardLost returns how many events were overwritten in per-LP shards before
-// a barrier drained them — events an attached observer never saw. Central-
+// ShardLost returns how many events were overwritten in the shard before a
+// drain emptied it — events an attached observer never saw. Central-
 // ring eviction (the rest of Lost) happens after observers run, so ShardLost
 // is the auditor's true coverage gap even when the ring forgot old history.
-func (r *Recorder) ShardLost() uint64 {
-	var t uint64
-	for _, s := range r.shards {
-		t += s.lost
-	}
-	return t
-}
+func (r *Recorder) ShardLost() uint64 { return r.sh.lost }
 
 // Events drains any shard residue and returns a copy of the recorded
 // history in canonical (At, Dev, Seq) order. That order is a pure function
-// of the simulated history — it does not depend on worker count or on
-// sequential-vs-partitioned execution — so exports are directly comparable
-// across runs.
+// of the simulated history, so exports are directly comparable across runs.
 func (r *Recorder) Events() []Event {
 	return r.EventsUntil(sim.Time(1<<63 - 1))
 }
 
-// EventsUntil is Events restricted to events with At <= cutoff. Partitioned
-// execution may run slightly past a RunUntil horizon (to its window edge);
-// cutting at the horizon yields the event set both execution modes agree on.
+// EventsUntil is Events restricted to events with At <= cutoff.
 func (r *Recorder) EventsUntil(cutoff sim.Time) []Event {
-	r.Barrier()
+	r.Drain()
 	out := make([]Event, 0, r.cn)
 	for i := 0; i < r.cn; i++ {
 		e := &r.central[(r.chead+i)%len(r.central)]

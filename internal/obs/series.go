@@ -21,10 +21,8 @@ type Probe func() float64
 // doubles — so a run of any length fits in constant memory while keeping a
 // uniform grid (the adaptive scheme flight recorders use).
 //
-// The sampler is for sequential execution: its timer lives on the root
-// engine, and probes read device state directly. (Under PDES that would race
-// with worker goroutines; partitioned runs should sample offline from the
-// trace instead.)
+// The sampler's timer lives on the cluster's engine, and probes read device
+// state directly.
 type SeriesSet struct {
 	eng      *sim.Engine
 	timer    *sim.Timer

@@ -33,8 +33,7 @@ func Quantile(xs []sim.Time, q float64) sim.Time {
 }
 
 // DeliveredBytes sums the payload bytes of messages delivered in [from, to)
-// across evs (KDeliver events carry B = message payload bytes). Because the
-// canonical event stream is identical across worker counts, so is this sum.
+// across evs (KDeliver events carry B = message payload bytes).
 func DeliveredBytes(evs []Event, from, to sim.Time) int64 {
 	var n int64
 	for i := range evs {

@@ -12,9 +12,8 @@ import (
 // Span reconstruction folds the canonical (At, Dev, Seq) event stream into
 // per-message causal spans: requester emission, per-switch ENQ/DEQ and
 // replication, per-receiver DELIVER, and the ACK/NACK/RETX epilogue. It is a
-// pure function of the event stream — spans built from a sequential run and
-// from any PDES worker count are identical, byte for byte, because the
-// streams are.
+// pure function of the event stream, so two runs with the same stream build
+// identical spans, byte for byte.
 //
 // The reconstruction leans on two invariants of the recorded history:
 //

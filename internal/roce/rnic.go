@@ -57,9 +57,9 @@ type RNIC struct {
 	// nil while tracing is off.
 	tr *obs.Tracer
 
-	// gs is this host's LP's group-stats shard; nil while group
+	// gs is the cluster's group-stats registry; nil while group
 	// attribution is off (the nil check is the entire disabled cost).
-	gs *obs.GroupLP
+	gs *obs.GroupStats
 }
 
 // SetTracer attaches the host's flight-recorder handle. Transport events
@@ -67,12 +67,12 @@ type RNIC struct {
 // device id with Port = -1.
 func (r *RNIC) SetTracer(tr *obs.Tracer) { r.tr = tr }
 
-// SetGroupStats attaches the LP's group-stats shard. Responder QPs book
+// SetGroupStats attaches the cluster's group-stats registry. Responder QPs book
 // accepted multicast payload and message latency against it; requester QPs
 // book retransmissions. Attribution is pure host-side accounting — it
 // schedules nothing and mutates no packet, so enabling it never perturbs
 // the simulation.
-func (r *RNIC) SetGroupStats(gs *obs.GroupLP) { r.gs = gs }
+func (r *RNIC) SetGroupStats(gs *obs.GroupStats) { r.gs = gs }
 
 // rec captures one transport event against packet p; callers guard with
 // r.tr.On().

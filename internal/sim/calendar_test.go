@@ -7,8 +7,8 @@ import (
 
 // refQueue is the reference model the calendar queue is checked against: a
 // map of pending entries, each keyed by (at, seq), whose minimum is found by
-// a linear scan. It numbers arms itself, one seq per Schedule, Reset or
-// merged cross-LP message, as the engine does.
+// a linear scan. It numbers arms itself, one seq per Schedule or Reset, as
+// the engine does.
 type refQueue struct {
 	t       *testing.T
 	seq     uint64
@@ -226,67 +226,5 @@ func TestCalendarCursorMovesBack(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ran %v, want %v", got, want)
 		}
-	}
-}
-
-// TestCalendarParallelTwoLP runs a random local-plus-remote workload on a
-// two-LP Parallel and checks each LP's execution order against its own
-// reference. Local events land on even nanoseconds and cross-LP messages on
-// odd ones, so the two never tie; same-instant messages run in send order,
-// the canonical order for a single source.
-func TestCalendarParallelTwoLP(t *testing.T) {
-	const lookahead = Time(50)
-	p := NewParallel(3, 1)
-	defer p.Close()
-	lps := []*Engine{p.AddLP(), p.AddLP()}
-	p.Finalize(lookahead)
-	rng := rand.New(rand.NewSource(9))
-	refs := []*refQueue{newRefQueue(t), newRefQueue(t)}
-	budget := 6000
-	nextID := 0
-	even := func(at Time) Time { return at + at&1 }
-	var hs [2]*idHandler
-	act := func(lp int) {
-		e := lps[lp]
-		for k := 1 + rng.Intn(2); k > 0 && budget > 0; k-- {
-			budget--
-			id := nextID
-			nextID++
-			if rng.Intn(3) == 0 {
-				dst := 1 - lp
-				at := e.Now() + lookahead + Time(rng.Intn(100))
-				at += 1 - at&1
-				refs[dst].arm(id, at)
-				e.ScheduleRemote(lps[dst], at, hs[dst], id)
-				continue
-			}
-			at := even(e.Now() + refDelay(rng)%(20*Microsecond))
-			refs[lp].arm(id, at)
-			e.ScheduleHandler(at, hs[lp], id)
-		}
-	}
-	for lp := range hs {
-		lp := lp
-		hs[lp] = &idHandler{fn: func(id int) {
-			refs[lp].fire(lps[lp], id)
-			act(lp)
-		}}
-	}
-	for lp := range lps {
-		for k := 0; k < 20; k++ {
-			act(lp)
-		}
-	}
-	for p.Pending() > 0 {
-		n := rng.Intn(40)
-		p.Run(MaxTime, func() bool { n--; return n < 0 })
-	}
-	for lp, r := range refs {
-		if len(r.pending) != 0 {
-			t.Fatalf("LP %d: %d reference entries never ran", lp, len(r.pending))
-		}
-	}
-	if budget > 0 {
-		t.Fatalf("workload ended with %d arms unspent", budget)
 	}
 }

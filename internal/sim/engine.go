@@ -36,8 +36,7 @@ const (
 )
 
 // MaxTime is the latest representable instant. As a Run limit it never cuts
-// a run short; a Parallel run also uses it as the "no buffered cross-LP
-// message" sentinel.
+// a run short.
 const MaxTime = Time(1<<63 - 1)
 
 // Seconds returns t as floating-point seconds.
@@ -100,11 +99,6 @@ const (
 
 // Engine is a single-threaded discrete-event scheduler with a seeded RNG.
 // The zero value is not usable; construct with New.
-//
-// An engine can also be one logical process (LP) of a Parallel run (see
-// parallel.go): it then carries its partition index and per-destination
-// outboxes for cross-LP messages, but its queue, clock, and RNG remain
-// strictly single-threaded — only the owning worker touches them.
 type Engine struct {
 	now   Time
 	seq   uint64
@@ -123,22 +117,6 @@ type Engine struct {
 	n       int // queued entries
 	day     int64
 	min     int32
-
-	// Parallel-execution identity: nil/0 for a standalone engine.
-	par *Parallel
-	lp  int32
-
-	// Double-buffered cross-LP mailboxes, indexed by write parity then
-	// destination LP. During window N the owning worker appends to parity
-	// N%2 while destination workers merge the opposite parity (written in
-	// window N-1) — so the merge and the next window overlap with a single
-	// barrier between them. dirty lists the destinations this LP touched in
-	// each parity (the sparse alternative to scanning all LPs^2 boxes every
-	// window) and outMin tracks the earliest buffered timestamp per parity,
-	// so the coordinator's next-window bound never walks the boxes.
-	out    [2][]outbox
-	dirty  [2][]int32
-	outMin [2]Time
 }
 
 // New returns an engine whose RNG is seeded with seed. Two engines built with
@@ -167,10 +145,6 @@ func (e *Engine) Credit(n uint64) { e.nRun += n }
 // Pending reports how many events are currently scheduled. Stopped timers do
 // not linger here: cancelling unlinks the entry immediately.
 func (e *Engine) Pending() int { return e.n }
-
-// LP returns this engine's logical-process index within a Parallel run
-// (0 for a standalone engine).
-func (e *Engine) LP() int { return int(e.lp) }
 
 // NextEventTime returns the timestamp of the earliest pending event and
 // whether one exists.
@@ -529,8 +503,7 @@ func (o Outcome) String() string {
 // Run executes events until pred returns true, the next event lies beyond
 // limit, or none remain. pred may be nil; it is checked before the first
 // event and after every event, so on Done the clock stands at the event that
-// satisfied it. This is Parallel.Run's contract on a single engine, where
-// every event is a barrier.
+// satisfied it.
 func (e *Engine) Run(limit Time, pred func() bool) Outcome {
 	for pred == nil || !pred() {
 		at, ok := e.NextEventTime()
@@ -555,41 +528,3 @@ func (e *Engine) RunUntil(t Time) {
 
 // RunFor executes events for d virtual nanoseconds from now.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
-// ScheduleRemote schedules h.OnEvent(dst, arg) at absolute time at on dst,
-// which may be a different logical process of the same Parallel run. Calls
-// targeting the local engine degrade to ScheduleHandler; cross-LP messages
-// are appended to a single-producer outbox of the window's write parity and
-// scheduled on dst by dst's own worker at the start of the next window in a
-// fixed (time, source LP, send order) total order, so results are
-// independent of how many workers drive the run.
-//
-// The first message to a destination this window also records it in the
-// parity's dirty list, which is what the coordinator transposes into
-// per-destination merge work — no LP ever scans another LP's empty boxes.
-//
-// Conservative synchronization requires at to lie at or beyond the end of
-// the current window; the network layer guarantees this by construction,
-// since every cross-LP link's propagation delay is at least the lookahead.
-func (e *Engine) ScheduleRemote(dst *Engine, at Time, h Handler, arg any) {
-	if dst == e {
-		e.ScheduleHandler(at, h, arg)
-		return
-	}
-	if e.par == nil || dst.par != e.par {
-		panic("sim: ScheduleRemote across engines that do not share a Parallel run")
-	}
-	if e.out[0] == nil {
-		panic("sim: ScheduleRemote before Parallel.Finalize")
-	}
-	wp := e.par.wp
-	d := dst.lp
-	box := e.out[wp][d]
-	if len(box) == 0 {
-		e.dirty[wp] = append(e.dirty[wp], d)
-	}
-	if at < e.outMin[wp] {
-		e.outMin[wp] = at
-	}
-	e.out[wp][d] = append(box, crossMsg{at: at, h: h, arg: arg})
-}

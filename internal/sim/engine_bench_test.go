@@ -109,38 +109,3 @@ func BenchmarkHandlerDispatch(b *testing.B) {
 type nopHandler struct{}
 
 func (*nopHandler) OnEvent(*Engine, any) {}
-
-// BenchmarkParallelCrossLP measures the executor's cross-LP path: the
-// all-to-all fanOut workload on 8 LPs through RunSerial, so the windows,
-// transposes and merges run without goroutine hand-offs. One op is one burst
-// (8 LPs x 40 firings x 7 messages); ns/msg divides its time by the
-// cross-LP messages it carries.
-func BenchmarkParallelCrossLP(b *testing.B) {
-	const nLP, firings = 8, 40
-	p := NewParallel(11, 1)
-	defer p.Close()
-	for i := 0; i < nLP; i++ {
-		p.AddLP()
-	}
-	p.Finalize(200)
-	f := &fanOut{par: p, left: make([]int, nLP)}
-	burst := func() {
-		for i := 0; i < nLP; i++ {
-			f.left[i] = firings
-			p.LP(i).ScheduleHandler(p.LP(i).Now()+Time(i+1), f, nil)
-		}
-		if out := p.RunSerial(MaxTime, nil); out != Quiescent {
-			b.Fatalf("outcome = %v, want Quiescent", out)
-		}
-	}
-	// Two warm-up bursts grow every buffer to the workload's high-water mark.
-	burst()
-	burst()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		burst()
-	}
-	msgs := float64(b.N) * nLP * firings * (nLP - 1)
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/msgs, "ns/msg")
-}

@@ -80,56 +80,38 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-// runner is the contract Engine.Run and Parallel.Run share.
-type runner interface {
-	Run(limit Time, pred func() bool) Outcome
-	Now() Time
-	Pending() int
-}
-
-// TestRunOutcomes pins Engine.Run's contract, the one Parallel.Run has, on a
-// standalone engine and on a one-LP Parallel, where every event is a
-// barrier: pred is checked before the first event and after every event,
-// the event past the limit is never executed, and an empty queue is
-// Quiescent.
+// TestRunOutcomes pins Engine.Run's contract: pred is checked before the
+// first event and after every event, the event past the limit is never
+// executed, and an empty queue is Quiescent.
 func TestRunOutcomes(t *testing.T) {
-	eng, p := New(1), NewParallel(1, 4)
-	lp := p.AddLP()
-	p.Finalize(0)
-	for _, tc := range []struct {
-		name string
-		r    runner
-		e    *Engine
-	}{{"engine", eng, eng}, {"one-LP parallel", p, lp}} {
-		t.Run(tc.name, func(t *testing.T) {
-			r, e := tc.r, tc.e
-			ran := 0
-			for _, at := range []Time{10, 20, 30, 40} {
-				e.Schedule(at, func() { ran++ })
-			}
-			if out := r.Run(MaxTime, func() bool { return true }); out != Done || ran != 0 {
-				t.Fatalf("pred true up front: %v after %d events, want done after 0", out, ran)
-			}
-			if out := r.Run(1000, func() bool { return ran == 2 }); out != Done || ran != 2 {
-				t.Fatalf("Run = %v after %d events, want done after 2", out, ran)
-			}
-			if r.Now() != 20 {
-				t.Fatalf("done: clock = %v, want 20 (the satisfying event), not the limit", r.Now())
-			}
-			if out := r.Run(35, func() bool { return false }); out != Horizon || ran != 3 {
-				t.Fatalf("Run = %v after %d events, want horizon after 3", out, ran)
-			}
-			if r.Now() != 30 || r.Pending() != 1 {
-				t.Fatalf("horizon: clock = %v pending = %d, want 30 and the 40ns event unexecuted", r.Now(), r.Pending())
-			}
-			if out := r.Run(40, nil); out != Quiescent || ran != 4 || r.Now() != 40 {
-				t.Fatalf("Run = %v after %d events at %v, want quiescent after 4 at 40ns", out, ran, r.Now())
-			}
-			if out := r.Run(MaxTime, nil); out != Quiescent {
-				t.Fatalf("empty queue: %v, want quiescent", out)
-			}
-		})
-	}
+	t.Run("engine", func(t *testing.T) {
+		e := New(1)
+		ran := 0
+		for _, at := range []Time{10, 20, 30, 40} {
+			e.Schedule(at, func() { ran++ })
+		}
+		if out := e.Run(MaxTime, func() bool { return true }); out != Done || ran != 0 {
+			t.Fatalf("pred true up front: %v after %d events, want done after 0", out, ran)
+		}
+		if out := e.Run(1000, func() bool { return ran == 2 }); out != Done || ran != 2 {
+			t.Fatalf("Run = %v after %d events, want done after 2", out, ran)
+		}
+		if e.Now() != 20 {
+			t.Fatalf("done: clock = %v, want 20 (the satisfying event), not the limit", e.Now())
+		}
+		if out := e.Run(35, func() bool { return false }); out != Horizon || ran != 3 {
+			t.Fatalf("Run = %v after %d events, want horizon after 3", out, ran)
+		}
+		if e.Now() != 30 || e.Pending() != 1 {
+			t.Fatalf("horizon: clock = %v pending = %d, want 30 and the 40ns event unexecuted", e.Now(), e.Pending())
+		}
+		if out := e.Run(40, nil); out != Quiescent || ran != 4 || e.Now() != 40 {
+			t.Fatalf("Run = %v after %d events at %v, want quiescent after 4 at 40ns", out, ran, e.Now())
+		}
+		if out := e.Run(MaxTime, nil); out != Quiescent {
+			t.Fatalf("empty queue: %v, want quiescent", out)
+		}
+	})
 }
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
@@ -137,16 +119,6 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 	e.RunUntil(1000)
 	if e.Now() != 1000 {
 		t.Fatalf("clock = %v, want 1000", e.Now())
-	}
-	// Parallel.RunUntil stands every LP's clock, and the floor, there too.
-	p := NewParallel(1, 2)
-	defer p.Close()
-	a, b := p.AddLP(), p.AddLP()
-	p.Finalize(100)
-	a.Schedule(10, func() {})
-	p.RunUntil(1000)
-	if p.Now() != 1000 || a.Now() != 1000 || b.Now() != 1000 {
-		t.Fatalf("parallel clocks = %v, %v, %v; want 1000 each", p.Now(), a.Now(), b.Now())
 	}
 }
 

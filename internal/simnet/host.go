@@ -48,11 +48,3 @@ func (h *Host) Send(p *Packet) { h.NIC.Send(p) }
 
 // Engine returns the simulation engine driving this host.
 func (h *Host) Engine() *sim.Engine { return h.eng }
-
-// Rebind moves the host — and its NIC — onto eng. Topology partitioning
-// calls it while assigning devices to logical processes, before any traffic
-// or timers exist.
-func (h *Host) Rebind(eng *sim.Engine) {
-	h.eng = eng
-	h.NIC.Rebind(eng)
-}

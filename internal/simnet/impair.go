@@ -17,11 +17,9 @@ import (
 //
 // Determinism: every probabilistic decision draws from a dedicated per-port
 // RNG seeded by the caller, never from the engine's RNG. The draws happen
-// inside the port's own transmit events, whose order per logical process is a
-// pure function of the simulated history — so a partitioned run produces
-// bit-identical impairment decisions at every worker count, and gray episodes
-// are safe under PDES (unlike fail-stop injection, which must flip both ends
-// of a link and is therefore sequential-only; see DESIGN.md §9 and §12).
+// inside the port's own transmit events, whose order is a pure function of
+// the simulated history, so impairing one link never shifts the random
+// streams of loss injection or ECN marking elsewhere (DESIGN.md §12).
 
 // GilbertElliott is the classic two-state burst-loss channel: the chain moves
 // between a good and a bad state once per eligible frame, and each state
@@ -57,9 +55,7 @@ type Impairment struct {
 	CtrlLossRate float64
 
 	// ExtraLatency is added to every delivered frame's propagation delay;
-	// Jitter adds a further uniform draw from [0, Jitter). Both only ever
-	// increase the delay, so an impaired cross-LP link still satisfies the
-	// partition's lookahead bound.
+	// Jitter adds a further uniform draw from [0, Jitter).
 	ExtraLatency sim.Time
 	Jitter       sim.Time
 
@@ -80,8 +76,8 @@ type impairState struct {
 // SetImpairment installs (or replaces) this egress direction's gray failure.
 // seed initializes the impairment's private RNG; the same seed and workload
 // yield the same frame fates. Call it either before the run starts or from
-// an event on this port's own engine — the impairment mutates only
-// port-local state, which is what makes gray injection PDES-safe.
+// an event on this port's engine — the impairment mutates only port-local
+// state.
 func (pt *Port) SetImpairment(imp Impairment, seed int64) {
 	pt.imp = &impairState{Impairment: imp, rng: rand.New(rand.NewSource(seed))}
 }
@@ -170,14 +166,6 @@ func (pt *Port) impairSend(p *Packet, tx sim.Time) {
 		if im.Jitter > 0 {
 			prop += sim.Time(im.rng.Int63n(int64(im.Jitter)))
 		}
-	}
-	if peer := pt.Peer; peer.eng != pt.eng {
-		p.txEpoch, p.peerEpoch = pt.epoch, 0
-		pt.eng.AfterHandler(tx, &pt.txDoneH, p)
-		if reason == obs.RNone {
-			pt.eng.ScheduleRemote(peer.eng, pt.eng.Now()+tx+prop, &peer.rxH, p)
-		}
-		return
 	}
 	p.txEpoch, p.peerEpoch = pt.epoch, pt.Peer.epoch
 	pt.eng.AfterHandler(tx, &pt.txDoneH, p)

@@ -99,8 +99,7 @@ type Port struct {
 	// holds locally delivered frames from commit until arrival, drained
 	// FIFO by the re-armable rxT chain — one queue entry per busy link
 	// instead of one per in-flight frame. Both timers are created lazily on
-	// first use so they bind the port's final (possibly partitioned)
-	// engine, after Rebind.
+	// first use.
 	busyUntil sim.Time
 	txArmedAt sim.Time
 	txT       *sim.Timer
@@ -121,31 +120,30 @@ type Port struct {
 	// scheduling boxes nothing (&pt.txDoneH is an interior pointer).
 	txDoneH  txDoneHandler
 	deliverH deliverHandler
-	rxH      rxHandler
 
 	// Observability. tr is the owning device's flight-recorder handle (nil
 	// while tracing is off — the nil check is the entire disabled cost); fab
-	// is the owning LP's fabric shard (nil-safe), which counts drops and
-	// observes the egress queue depth at every enqueue.
+	// is the cluster's fabric counters (nil-safe), which count drops and
+	// observe the egress queue depth at every enqueue.
 	tr  *obs.Tracer
-	fab *obs.FabricLP
+	fab *obs.Fabric
 
-	// gs is the owning LP's group-stats shard (nil while group attribution
+	// gs is the cluster's group-stats registry (nil while group attribution
 	// is off — the nil check is the entire disabled cost). Ports only
 	// attribute drops: delivery and retransmission are booked end-host
 	// side, where the group is known without classification.
-	gs *obs.GroupLP
+	gs *obs.GroupStats
 }
 
 // SetTracer attaches the owning device's flight-recorder handle. Port events
 // record under that device id with Port distinguishing the egress.
 func (pt *Port) SetTracer(tr *obs.Tracer) { pt.tr = tr }
 
-// SetFabric attaches the owning LP's fabric-counter shard.
-func (pt *Port) SetFabric(fab *obs.FabricLP) { pt.fab = fab }
+// SetFabric attaches the cluster's fabric counters.
+func (pt *Port) SetFabric(fab *obs.Fabric) { pt.fab = fab }
 
-// SetGroupStats attaches the owning LP's group-stats shard.
-func (pt *Port) SetGroupStats(gs *obs.GroupLP) { pt.gs = gs }
+// SetGroupStats attaches the cluster's group-stats registry.
+func (pt *Port) SetGroupStats(gs *obs.GroupStats) { pt.gs = gs }
 
 // gsDrop attributes one dropped frame to its multicast group: forward-path
 // frames by destination, group-sourced feedback (whose Src the leaf accel
@@ -230,24 +228,6 @@ func (h *deliverHandler) OnEvent(_ *sim.Engine, arg any) {
 		return
 	}
 	peer.Dev.Receive(p, peer)
-}
-
-// rxHandler is the receiving side of a cross-LP link: it runs on the
-// RECEIVING port's engine after the frame's serialization plus propagation
-// delay, which is when ownership of the packet transfers between logical
-// processes. Runtime fault injection is restricted to sequential runs (see
-// DESIGN.md §9), so unlike deliverHandler it needs no epoch comparison —
-// only the fail-stop state of its own end, which its own LP owns.
-type rxHandler struct{ pt *Port }
-
-func (h *rxHandler) OnEvent(_ *sim.Engine, arg any) {
-	pt := h.pt
-	p := arg.(*Packet)
-	if pt.down {
-		pt.faultDrop(p, 0)
-		return
-	}
-	pt.Dev.Receive(p, pt)
 }
 
 // queue classes (Fig 7a's queue system: physical-queue-level isolation,
@@ -373,17 +353,10 @@ func NewPort(eng *sim.Engine, dev Device, rateBps float64, prop sim.Time) *Port 
 	pt := &Port{Dev: dev, RateBps: rateBps, PropDelay: prop, eng: eng, QueueLimit: 4 << 20}
 	pt.txDoneH.pt = pt
 	pt.deliverH.pt = pt
-	pt.rxH.pt = pt
 	return pt
 }
 
-// Rebind moves the port onto eng. Topology partitioning calls it while
-// assigning devices to logical processes, before any traffic exists; a port
-// with queued or in-flight frames must never be rebound.
-func (pt *Port) Rebind(eng *sim.Engine) { pt.eng = eng }
-
-// Engine returns the engine the port schedules on (its LP's engine under a
-// partitioned run).
+// Engine returns the engine the port schedules on.
 func (pt *Port) Engine() *sim.Engine { return pt.eng }
 
 // Connect wires two ports as a full-duplex link. Both sides must be
@@ -579,7 +552,6 @@ func (pt *Port) trySend() {
 		return
 	}
 	peer := pt.Peer
-	cross := peer.eng != pt.eng
 	end := now
 	limit := pt.MaxTrain
 	if limit <= 0 {
@@ -629,24 +601,8 @@ func (pt *Port) trySend() {
 			p.acct.release(size)
 			p.acct = nil
 		}
-		if cross {
-			// Cross-LP link: delivery — and packet ownership — hands off to
-			// the receiving LP. ScheduleRemote appends to this LP's
-			// current-parity outbox for the peer and marks the peer dirty in
-			// the source's sparse destination list; the peer's own worker
-			// sorts and injects the batch at the start of the next window
-			// (DESIGN.md §14), so no lock or channel is touched here. The
-			// propagation delay of every cross-LP link is at least the
-			// partition's lookahead, so the arrival always lands at or
-			// beyond the current window's end. The peer's fail-stop epoch
-			// belongs to the peer's LP and cannot be read here; runtime
-			// fault injection is sequential-only (DESIGN.md §9).
-			p.txEpoch, p.peerEpoch = pt.epoch, 0
-			pt.eng.ScheduleRemote(peer.eng, end+pt.PropDelay, &peer.rxH, p)
-		} else {
-			p.txEpoch, p.peerEpoch = pt.epoch, peer.epoch
-			pt.commitFlight(p, end+pt.PropDelay)
-		}
+		p.txEpoch, p.peerEpoch = pt.epoch, peer.epoch
+		pt.commitFlight(p, end+pt.PropDelay)
 		n++
 		if pt.OnDrain != nil && pt.qBytes <= pt.LowWater {
 			pt.OnDrain()

@@ -66,6 +66,10 @@ type Switch struct {
 	Name string
 	PFC  PFCConfig
 
+	// Index is the switch's position in its network's switch list, which
+	// topology code uses to keep per-switch state in dense slices.
+	Index int
+
 	// fib is the FIB as a dense table: fib[i] is the set of equal-cost
 	// egress ports toward address fibBase+i (nil: no route), and flows are
 	// hashed onto one of them. Host addresses are dense, so the table spans
@@ -118,13 +122,13 @@ type Switch struct {
 
 	// Observability: the switch-level flight-recorder handle (shared with
 	// its ports and its attached accelerator; nil while tracing is off) and
-	// the owning LP's fabric-counter shard.
+	// the cluster's fabric counters.
 	tr  *obs.Tracer
-	fab *obs.FabricLP
+	fab *obs.Fabric
 
-	// gs is the owning LP's group-stats shard (nil while group attribution
+	// gs is the cluster's group-stats registry (nil while group attribution
 	// is off); shared with the switch's ports like tr and fab.
-	gs *obs.GroupLP
+	gs *obs.GroupStats
 }
 
 // SetTracer attaches the flight-recorder handle and propagates it to every
@@ -141,31 +145,31 @@ func (sw *Switch) SetTracer(tr *obs.Tracer) {
 // off), so the attached accelerator can record under the same device.
 func (sw *Switch) Tracer() *obs.Tracer { return sw.tr }
 
-// SetFabric attaches the owning LP's fabric-counter shard to the switch and
-// its ports.
-func (sw *Switch) SetFabric(fab *obs.FabricLP) {
+// SetFabric attaches the cluster's fabric counters to the switch and its
+// ports.
+func (sw *Switch) SetFabric(fab *obs.Fabric) {
 	sw.fab = fab
 	for _, pt := range sw.Ports {
 		pt.SetFabric(fab)
 	}
 }
 
-// Fabric returns the switch's fabric shard (nil outside a Cluster).
-func (sw *Switch) Fabric() *obs.FabricLP { return sw.fab }
+// Fabric returns the switch's fabric counters (nil outside a Cluster).
+func (sw *Switch) Fabric() *obs.Fabric { return sw.fab }
 
-// SetGroupStats attaches the owning LP's group-stats shard to the switch
+// SetGroupStats attaches the cluster's group-stats registry to the switch
 // and its ports.
-func (sw *Switch) SetGroupStats(gs *obs.GroupLP) {
+func (sw *Switch) SetGroupStats(gs *obs.GroupStats) {
 	sw.gs = gs
 	for _, pt := range sw.Ports {
 		pt.SetGroupStats(gs)
 	}
 }
 
-// GroupStats returns the switch's group-stats shard (nil while attribution
-// is off), so the attached accelerator can book its drops against the same
-// shard.
-func (sw *Switch) GroupStats() *obs.GroupLP { return sw.gs }
+// GroupStats returns the switch's group-stats registry (nil while
+// attribution is off), so the attached accelerator can book its drops
+// against it.
+func (sw *Switch) GroupStats() *obs.GroupStats { return sw.gs }
 
 // gsDrop attributes a switch-level drop to its multicast group (see
 // Port.gsDrop for the classification rule).
@@ -196,16 +200,6 @@ func (sw *Switch) DeviceName() string { return sw.Name }
 
 // Engine returns the simulation engine driving this switch.
 func (sw *Switch) Engine() *sim.Engine { return sw.eng }
-
-// Rebind moves the switch — and all its ports — onto eng. Topology
-// partitioning calls it while assigning devices to logical processes, before
-// any traffic exists.
-func (sw *Switch) Rebind(eng *sim.Engine) {
-	sw.eng = eng
-	for _, pt := range sw.Ports {
-		pt.Rebind(eng)
-	}
-}
 
 // AddPort creates a new port on the switch and returns it. Switch egress
 // queues are not drop-tail bounded: shared-buffer occupancy is governed by

@@ -21,9 +21,7 @@ const DefaultPropDelay = 600 * sim.Nanosecond
 
 // Network is a built topology: hosts, switches, and the wiring between them.
 type Network struct {
-	// Eng is the engine that drives the whole fabric: the build-time engine
-	// until Partition, then the LP's engine if the partition has exactly one
-	// LP, and nil if it has more (each device then runs on its own LP).
+	// Eng is the engine that drives the whole fabric.
 	Eng      *sim.Engine
 	Hosts    []*simnet.Host
 	Switches []*simnet.Switch
@@ -32,14 +30,6 @@ type Network struct {
 	// with, so transports can size windows from the BDP.
 	LinkRate  float64
 	PropDelay sim.Time
-
-	// Domains optionally groups switches into coarser partition units for
-	// Partition: every switch in a domain — and every host hanging off one —
-	// shares a logical process, so only inter-domain trunks cross LPs.
-	// FatTree populates one domain per pod (its edges and aggregations) plus
-	// one per core group; nil for topologies without a natural grouping, in
-	// which case Partition falls back to one domain per switch.
-	Domains [][]*simnet.Switch
 
 	mcstIDs uint32 // group IDs handed out by AllocMcstID
 }
@@ -110,11 +100,8 @@ func FatTreeWith(eng *sim.Engine, k int, rate float64, prop sim.Time) *Network {
 }
 
 // FatTreeWithTrunk is FatTreeWith with a separate propagation delay for the
-// aggregation↔core trunks. Core trunks are physically longer than in-pod
-// cabling in a real datacenter, and when Partition uses Domains they are
-// the only cross-LP links — so coreProp sets the conservative lookahead
-// directly, letting scale experiments trade modeled trunk length against
-// synchronization frequency.
+// aggregation↔core trunks, which are physically longer than in-pod cabling
+// in a real datacenter.
 func FatTreeWithTrunk(eng *sim.Engine, k int, rate float64, prop, coreProp sim.Time) *Network {
 	if k < 2 || k%2 != 0 {
 		panic("topo: fat-tree arity must be even and >= 2")
@@ -182,21 +169,6 @@ func FatTreeWithTrunk(eng *sim.Engine, k int, rate float64, prop, coreProp sim.T
 		}
 	}
 
-	// Partition domains: one per pod, one per core group. Core group j is
-	// cores j*half..j*half+half-1, which attach to agg j of every pod — so
-	// the only inter-domain links are the aggregation↔core trunks.
-	for p := 0; p < k; p++ {
-		d := make([]*simnet.Switch, 0, k)
-		d = append(d, edges[p]...)
-		d = append(d, aggs[p]...)
-		n.Domains = append(n.Domains, d)
-	}
-	for j := 0; j < half; j++ {
-		d := make([]*simnet.Switch, half)
-		copy(d, cores[j*half:(j+1)*half])
-		n.Domains = append(n.Domains, d)
-	}
-
 	buildRoutes(n)
 	return n
 }
@@ -245,82 +217,6 @@ func LeafSpineWith(eng *sim.Engine, leaves, spines, hostsPerLeaf int, rate float
 	return n
 }
 
-// Partition splits the network into one logical process per switch domain
-// for a conservative parallel run: every switch of domains[i], and every
-// host hanging off one, lands on LP i of par, so only links between domains
-// cross LPs. The partition's lookahead is the minimum propagation delay of
-// those links, which Partition hands to par.Finalize and returns (0 when
-// there is a single domain and thus no cross-LP link). The caller picks
-// the granularity:
-//   - nil: one domain per switch, in build order;
-//   - Network.Domains: one per pod plus one per core group on a fat-tree,
-//     where only the aggregation↔core trunks cross LPs (nil, and so per
-//     switch, on topologies without a natural grouping);
-//   - [][]*simnet.Switch{n.Switches}: one LP for the whole fabric, the
-//     sequential engine, which Partition then sets as Eng.
-//
-// The assignment is a pure function of the topology, never of par's worker
-// count, which is what makes results byte-identical across worker counts
-// (see DESIGN.md §9). Domain weights (ports plus attached hosts) are handed
-// to par.SetLPWeights so the LP→worker plan balances loaded leaves against
-// bare spines; weights steer only which worker runs an LP, never what it
-// computes. Call it on a freshly built network, with a fresh Parallel,
-// before any traffic or timers exist. The build-time engine is disconnected
-// so stray scheduling on it fails loudly instead of silently never running:
-// Eng is the LP's engine when there is exactly one LP, nil otherwise.
-func (n *Network) Partition(par *sim.Parallel, domains [][]*simnet.Switch) sim.Time {
-	if par.NumLPs() != 0 {
-		panic("topo: Partition requires a fresh Parallel")
-	}
-	if domains == nil {
-		domains = make([][]*simnet.Switch, len(n.Switches))
-		for i := range n.Switches {
-			domains[i] = n.Switches[i : i+1 : i+1]
-		}
-	}
-	lps := make([]*sim.Engine, len(domains))
-	dom := make(map[*simnet.Switch]int, len(n.Switches))
-	weights := make([]float64, len(domains))
-	for d, sws := range domains {
-		lps[d] = par.AddLP()
-		for _, sw := range sws {
-			if _, dup := dom[sw]; dup {
-				panic("topo: switch appears in two partition domains")
-			}
-			dom[sw] = d
-			sw.Rebind(lps[d])
-			weights[d] += float64(len(sw.Ports))
-		}
-	}
-	if len(dom) != len(n.Switches) {
-		panic("topo: partition domains must cover every switch")
-	}
-	for _, h := range n.Hosts {
-		d := dom[n.LeafOf(h)]
-		h.Rebind(lps[d])
-		weights[d]++ // the host's NIC/stack load rides on its leaf's LP
-	}
-	var la sim.Time
-	for _, sw := range n.Switches {
-		for _, pt := range sw.Ports {
-			psw, ok := pt.Peer.Dev.(*simnet.Switch)
-			if !ok || dom[psw] == dom[sw] {
-				continue
-			}
-			if la == 0 || pt.PropDelay < la {
-				la = pt.PropDelay
-			}
-		}
-	}
-	par.SetLPWeights(weights)
-	par.Finalize(la)
-	n.Eng = nil
-	if len(lps) == 1 {
-		n.Eng = lps[0]
-	}
-	return la
-}
-
 // linkUp reports whether pt is a usable edge: both ends of the link (and
 // the devices behind them) alive. During the initial topology build nothing
 // is down and every edge qualifies.
@@ -344,13 +240,9 @@ func linkUp(pt *simnet.Port) bool {
 // which is what keeps the 1024-host topology's setup cheap. Only the leaf's
 // direct route to the host itself differs per host.
 func buildRoutes(n *Network) {
-	for _, sw := range n.Switches {
-		sw.ResetFIB(HostIP(0), len(n.Hosts))
-	}
-	// Map each switch to an index for the BFS arrays.
-	idx := make(map[*simnet.Switch]int, len(n.Switches))
 	for i, sw := range n.Switches {
-		idx[sw] = i
+		sw.Index = i // the BFS arrays here and in PathExists index by it
+		sw.ResetFIB(HostIP(0), len(n.Hosts))
 	}
 	type distKey struct {
 		leaf *simnet.Switch
@@ -378,13 +270,13 @@ func buildRoutes(n *Network) {
 				dist[i] = -1
 			}
 			if key.up {
-				dist[idx[leaf]] = 0
+				dist[leaf.Index] = 0
 			}
 			queue := []*simnet.Switch{leaf}
 			for len(queue) > 0 {
 				sw := queue[0]
 				queue = queue[1:]
-				d := dist[idx[sw]]
+				d := dist[sw.Index]
 				if d == -1 {
 					continue
 				}
@@ -393,8 +285,8 @@ func buildRoutes(n *Network) {
 					if !ok || !linkUp(pt) {
 						continue
 					}
-					if dist[idx[peer]] == -1 {
-						dist[idx[peer]] = d + 1
+					if dist[peer.Index] == -1 {
+						dist[peer.Index] = d + 1
 						queue = append(queue, peer)
 					}
 				}
@@ -403,7 +295,7 @@ func buildRoutes(n *Network) {
 			// switch peer is one hop closer. The per-switch port set is
 			// frozen with len == cap so every host behind this leaf can
 			// share it (see Switch.SetRoutes).
-			lr = &leafRoutes{reachable: dist[idx[leaf]] == 0}
+			lr = &leafRoutes{reachable: dist[leaf.Index] == 0}
 			for i, sw := range n.Switches {
 				if sw == leaf {
 					continue
@@ -418,7 +310,7 @@ func buildRoutes(n *Network) {
 					if !ok || !linkUp(pt) {
 						continue
 					}
-					if dist[idx[peer]] == d-1 {
+					if dist[peer.Index] == d-1 {
 						ports = append(ports, pt.ID)
 					}
 				}
@@ -475,20 +367,21 @@ func (n *Network) PathExists(a, b *simnet.Host) bool {
 	if aLeaf == bLeaf {
 		return true
 	}
-	seen := map[*simnet.Switch]bool{aLeaf: true}
+	seen := make([]bool, len(n.Switches))
+	seen[aLeaf.Index] = true
 	queue := []*simnet.Switch{aLeaf}
 	for len(queue) > 0 {
 		sw := queue[0]
 		queue = queue[1:]
 		for _, pt := range sw.Ports {
 			peer, ok := pt.Peer.Dev.(*simnet.Switch)
-			if !ok || !linkUp(pt) || seen[peer] {
+			if !ok || !linkUp(pt) || seen[peer.Index] {
 				continue
 			}
 			if peer == bLeaf {
 				return true
 			}
-			seen[peer] = true
+			seen[peer.Index] = true
 			queue = append(queue, peer)
 		}
 	}

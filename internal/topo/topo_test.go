@@ -173,86 +173,46 @@ func TestLeafSpineAllPairs(t *testing.T) {
 	}
 }
 
-func TestPartitionAssignment(t *testing.T) {
-	eng := sim.New(1)
-	n := FatTree(eng, 4)
-	par := sim.NewParallel(1, 4)
-	defer par.Close()
-	la := n.Partition(par, nil)
-	if par.NumLPs() != len(n.Switches) {
-		t.Fatalf("LPs = %d, want one per switch (%d)", par.NumLPs(), len(n.Switches))
-	}
-	if la != DefaultPropDelay {
-		t.Fatalf("lookahead = %v, want trunk prop delay %v", la, DefaultPropDelay)
-	}
-	if n.Eng != nil {
-		t.Fatal("Partition left the original engine attached")
-	}
-	// Every switch owns its own LP; every host lives in its leaf's LP.
-	for i, sw := range n.Switches {
-		if sw.Engine() != par.LP(i) {
-			t.Fatalf("switch %s not on LP %d", sw.Name, i)
-		}
-	}
-	for _, h := range n.Hosts {
-		if h.Engine() != n.LeafOf(h).Engine() {
-			t.Fatalf("host %s not co-located with its leaf", h.Name)
-		}
-	}
-}
-
-func TestPartitionTestbedSingleLP(t *testing.T) {
-	eng := sim.New(1)
-	n := Testbed(eng, 4)
-	par := sim.NewParallel(1, 2)
-	defer par.Close()
-	if la := n.Partition(par, nil); la != 0 {
-		t.Fatalf("single-switch lookahead = %v, want 0 (no cross-LP links)", la)
-	}
-	if par.NumLPs() != 1 {
-		t.Fatalf("LPs = %d, want 1", par.NumLPs())
-	}
-	if n.Eng != par.LP(0) {
-		t.Fatal("one-LP partition did not hand its engine to Network.Eng")
-	}
-}
-
-// TestPartitionOneDomain: the whole fabric as one domain is the sequential
-// engine — one LP, no lookahead, every device on it, and Eng set to it.
-func TestPartitionOneDomain(t *testing.T) {
+// TestFatTreeCrossPodLatency: a cross-pod packet crosses 6 links, each
+// costing its serialization plus propagation delay and nothing more.
+func TestFatTreeCrossPodLatency(t *testing.T) {
 	n := FatTree(sim.New(1), 4)
-	par := sim.NewParallel(1, 4)
-	defer par.Close()
-	if la := n.Partition(par, [][]*simnet.Switch{n.Switches}); la != 0 {
-		t.Fatalf("one-domain lookahead = %v, want 0", la)
-	}
-	if par.NumLPs() != 1 || n.Eng != par.LP(0) {
-		t.Fatalf("LPs = %d, Eng on LP 0 = %v; want 1 and true", par.NumLPs(), n.Eng == par.LP(0))
-	}
-	for _, h := range n.Hosts {
-		if h.Engine() != n.Eng {
-			t.Fatalf("host %s not on the single LP", h.Name)
-		}
-	}
-}
-
-// TestPartitionDelivery runs a cross-pod packet through the partitioned
-// fabric and checks the arrival time matches the sequential model exactly:
-// cross-LP handoff must add zero virtual latency.
-func TestPartitionDelivery(t *testing.T) {
-	n := FatTree(sim.New(1), 4)
-	par := sim.NewParallel(1, 4)
-	defer par.Close()
-	n.Partition(par, nil)
 	from, to := 0, 4 // different pods: 6 links
-	var at sim.Time = -1
-	dstEng := n.Hosts[to].Engine()
-	n.Hosts[to].Handler = func(p *simnet.Packet) { at = dstEng.Now() }
-	n.Hosts[from].Send(&simnet.Packet{Type: simnet.Data, Src: HostIP(from), Dst: HostIP(to), Payload: 64})
-	par.Run(sim.Second, nil)
 	txPlusProp := n.Hosts[from].NIC.TxTime(64+simnet.WireOverhead) + DefaultPropDelay
-	if want := 6 * txPlusProp; at != want {
-		t.Fatalf("cross-pod latency %v, want %v", at, want)
+	if got, want := deliver(t, n, from, to), 6*txPlusProp; got != want {
+		t.Fatalf("cross-pod latency %v, want %v", got, want)
+	}
+}
+
+// TestFatTreePathExists: one crashed aggregation switch leaves every path
+// in place, and crashing both of a k=4 pod's aggregation switches cuts its
+// hosts off from every other pod and from each other across edges, while
+// hosts under one edge stay connected.
+func TestFatTreePathExists(t *testing.T) {
+	n := FatTree(sim.New(1), 4)
+	byName := func(name string) *simnet.Switch {
+		for _, sw := range n.Switches {
+			if sw.Name == name {
+				return sw
+			}
+		}
+		t.Fatalf("no switch %s", name)
+		return nil
+	}
+	h := n.Hosts // pod 0 holds h0-h3: h0, h1 under edge-p0-0, h2, h3 under edge-p0-1
+	byName("agg-p0-0").Crash()
+	if !n.PathExists(h[0], h[4]) || !n.PathExists(h[0], h[2]) {
+		t.Fatal("one crashed aggregation switch cut a path its sibling still serves")
+	}
+	byName("agg-p0-1").Crash()
+	if n.PathExists(h[0], h[4]) {
+		t.Fatal("PathExists true across pods with every pod-0 aggregation switch crashed")
+	}
+	if n.PathExists(h[0], h[2]) {
+		t.Fatal("PathExists true across pod-0 edges with every pod-0 aggregation switch crashed")
+	}
+	if !n.PathExists(h[0], h[1]) {
+		t.Fatal("hosts under one edge switch lost their path")
 	}
 }
 

@@ -50,8 +50,8 @@ type Metrics struct {
 	UnknownGroupNacks uint64
 }
 
-// Metrics reads the fault and drop counters for the whole fabric: a sum of
-// the per-LP counter shards, O(NumLPs) instead of a walk over every device.
+// Metrics reads the fault and drop counters for the whole fabric from the
+// cluster's fabric counters instead of walking every device.
 // Only meaningful while the simulation is quiescent (between Run calls).
 func (c *Cluster) Metrics() Metrics {
 	f := c.Fab

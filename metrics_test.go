@@ -40,14 +40,13 @@ func TestMetricsFieldMapping(t *testing.T) {
 		t.Fatalf("Metrics has %d fields, obs declares %d counters — update Metrics and Cluster.Metrics()", got, want)
 	}
 	c := NewTestbed(2, Options{Seed: 1})
-	defer c.Close()
 	for fc := obs.FCounter(0); fc < obs.NumFCounters; fc++ {
 		want, ok := fcounterField[fc]
 		if !ok {
 			t.Fatalf("counter %v (%d) missing from fcounterField", fc, fc)
 		}
 		before := c.Metrics()
-		c.Fab.LP(0).Inc(fc)
+		c.Fab.Inc(fc)
 		after := c.Metrics()
 		bv, av := reflect.ValueOf(before), reflect.ValueOf(after)
 		for i := 0; i < bv.NumField(); i++ {

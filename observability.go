@@ -22,10 +22,7 @@ const DefaultTraceCapacity = 1 << 20
 // of interest; tracing can only be enabled once per cluster.
 //
 // Devices register switches-first in topology order, so device ids — and
-// therefore the canonical export order — are identical across every
-// partition of the same topology. The recorder's per-LP shards are merged
-// at every window barrier by the coordinator; on one LP, which has no
-// windows, everything lives in one shard and merging happens at export.
+// therefore the canonical export order — are a function of the topology.
 func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 	if c.Rec != nil {
 		return c.Rec
@@ -33,18 +30,17 @@ func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 	if capacity <= 0 {
 		capacity = DefaultTraceCapacity
 	}
-	rec := obs.NewRecorder(c.Par.NumLPs(), capacity)
+	rec := obs.NewRecorder(capacity)
 	for _, sw := range c.Net.Switches {
 		// The switch, its ports, and its attached accelerator share one
 		// device id; the Port field distinguishes egresses.
-		sw.SetTracer(rec.NewTracer(sw.Name, sw.Engine().LP()))
+		sw.SetTracer(rec.NewTracer(sw.Name))
 	}
 	for i, h := range c.Net.Hosts {
-		tr := rec.NewTracer(h.Name, h.Engine().LP())
+		tr := rec.NewTracer(h.Name)
 		h.NIC.SetTracer(tr)
 		c.RNICs[i].SetTracer(tr)
 	}
-	c.Par.SetBarrier(rec.Barrier)
 	c.Rec = rec
 	return rec
 }
@@ -56,24 +52,22 @@ func (c *Cluster) EnableTrace(capacity int) *obs.Recorder {
 // group id that owned the traffic. bucket is the goodput time-series
 // resolution (0 selects obs.DefaultGoodputBucket).
 //
-// Attribution is pure host-side accounting on per-LP shards (one writer
-// each, merged at read time): it schedules no events, mutates no packets,
-// and draws no randomness, so enabling it is digest- and trace-byte-neutral
-// at every worker count — unlike EnableSeries, it works on any partition.
+// Attribution is pure host-side accounting: it schedules no events, mutates
+// no packets, and draws no randomness, so enabling it is digest- and
+// trace-byte-neutral.
 // Declare SLO objectives (GS.SetObjective) before the traffic of interest;
 // the delivery-latency threshold is latched at each group's first packet.
 func (c *Cluster) EnableGroupStats(bucket sim.Time) *obs.GroupStats {
 	if c.GS != nil {
 		return c.GS
 	}
-	gs := obs.NewGroupStats(c.Par.NumLPs(), bucket)
+	gs := obs.NewGroupStats(bucket)
 	for _, sw := range c.Net.Switches {
-		sw.SetGroupStats(gs.LP(sw.Engine().LP()))
+		sw.SetGroupStats(gs)
 	}
 	for i, h := range c.Net.Hosts {
-		lp := gs.LP(h.Engine().LP())
-		h.NIC.SetGroupStats(lp)
-		c.RNICs[i].SetGroupStats(lp)
+		h.NIC.SetGroupStats(gs)
+		c.RNICs[i].SetGroupStats(gs)
 	}
 	c.GS = gs
 	return gs
@@ -83,7 +77,7 @@ func (c *Cluster) EnableGroupStats(bucket sim.Time) *obs.GroupStats {
 // EnableGroupStats).
 func (c *Cluster) GroupStats() *obs.GroupStats { return c.GS }
 
-// GroupReports returns the merged per-group snapshot, sorted by group id;
+// GroupReports returns the per-group snapshot, sorted by group id;
 // empty until EnableGroupStats and some multicast traffic. Read only while
 // the cluster is quiescent (between runs).
 func (c *Cluster) GroupReports() []obs.GroupReport { return c.GS.Snapshot() }
@@ -94,18 +88,17 @@ func (c *Cluster) GroupFairness() obs.FairnessReport {
 	return obs.Fairness(c.GS.Snapshot())
 }
 
-// auditDrainInterval is how often a one-LP cluster drains recorder shards
-// through the auditor. Multi-LP clusters drain at every window barrier
-// already; one LP runs no windows and drains lazily at export, which would
-// let a long run overflow its shard before the auditor ever saw an event.
+// auditDrainInterval is how often an audited cluster drains the recorder
+// shard through the auditor. Without it the shard drains only at export,
+// which would let a long run overflow it before the auditor ever saw an
+// event.
 const auditDrainInterval = sim.Millisecond
 
 // EnableAudit attaches the online protocol auditor to the flight recorder
 // (enabling tracing if needed) and returns it. The auditor verifies PSN/ACK
 // sanity, delivery uniqueness, per-port byte conservation, and MFT epoch
-// monotonicity, streaming, as events drain — identically under every worker
-// count. Call it before the traffic of interest; events drained before the
-// auditor attaches are not audited.
+// monotonicity, streaming, as events drain. Call it before the traffic of
+// interest; events drained before the auditor attaches are not audited.
 //
 // The go-back-N window bound is taken from the cluster's RoCE configuration.
 func (c *Cluster) EnableAudit() *obs.Auditor {
@@ -119,14 +112,12 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 	}
 	aud := obs.NewAuditor(cfg)
 	rec.Attach(aud.Observe)
-	if c.oneLP() {
-		var drain *sim.Timer
-		drain = c.Net.Eng.NewTimer(func() {
-			rec.Barrier()
-			drain.Reset(auditDrainInterval)
-		})
+	var drain *sim.Timer
+	drain = c.Net.Eng.NewTimer(func() {
+		rec.Drain()
 		drain.Reset(auditDrainInterval)
-	}
+	})
+	drain.Reset(auditDrainInterval)
 	c.Aud = aud
 	return aud
 }
@@ -137,16 +128,9 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 // (TrackPortDepths, TrackQPRates, or custom closures) before traffic starts.
 // interval 0 selects 100µs; capacity 0 selects 4096 samples (the set
 // decimates and doubles its interval when full).
-//
-// Sampling requires one LP (Workers 0): probes read live device state,
-// which under PDES would race with worker goroutines. Multi-LP runs should
-// sample offline from the trace instead.
-func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet, error) {
+func (c *Cluster) EnableSeries(interval sim.Time, capacity int) *obs.SeriesSet {
 	if c.Series != nil {
-		return c.Series, nil
-	}
-	if !c.oneLP() {
-		return nil, fmt.Errorf("cepheus: EnableSeries requires one LP (Workers 0)")
+		return c.Series
 	}
 	if interval <= 0 {
 		interval = 100 * sim.Microsecond
@@ -187,7 +171,7 @@ func (c *Cluster) EnableSeries(interval sim.Time, capacity int) (*obs.SeriesSet,
 		})
 	}
 	c.Series = s
-	return s, nil
+	return s
 }
 
 // TrackPortDepths adds one queue-depth series per switch egress port
@@ -277,16 +261,12 @@ func (c *Cluster) MessageLatency() obs.Summary {
 	return h.Summary()
 }
 
-// QueueDepth merges the per-LP egress queue-depth histograms, which every
-// port in the fabric (switch egresses and host NICs) feeds: the
+// QueueDepth summarizes the egress queue-depth histogram, which every port
+// in the fabric (switch egresses and host NICs) feeds: the
 // distribution, in bytes, of queue occupancy observed at each enqueue. Max
 // is the deepest any queue ever got.
 func (c *Cluster) QueueDepth() obs.Summary { return c.Fab.QueueDepth() }
 
 // SettleUntil drives the cluster until every event with timestamp <= t has
-// executed (or the run quiesces), then stands every LP's clock at t
-// (Parallel.RunUntil). Trace comparisons across partitions cut at such a
-// fixed horizon: a multi-LP run may execute slightly past it (to its window
-// edge), a one-LP run stops exactly on it, and EventsUntil(t) yields the
-// event set both agree on.
-func (c *Cluster) SettleUntil(t sim.Time) { c.Par.RunUntil(t) }
+// executed (or the run quiesces), then stands the clock at t.
+func (c *Cluster) SettleUntil(t sim.Time) { c.Net.Eng.RunUntil(t) }

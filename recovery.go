@@ -156,15 +156,7 @@ type bcastState struct {
 // pipeline around it. Registration uses the bounded-retransmission policy,
 // so it succeeds under lossy control planes that would time out Cluster.
 // NewGroup's single attempt.
-//
-// The pipeline needs one LP (Options.Workers 0, or a single-switch
-// fabric): degrading rebuilds routes fabric-wide and completes transfers
-// through delivery accounting shared by every member, so a cluster with
-// more LPs gets an error.
 func (c *Cluster) NewResilientGroup(members []int, leader int, opts RecoveryOptions) (*ResilientGroup, error) {
-	if !c.oneLP() {
-		return nil, fmt.Errorf("cepheus: NewResilientGroup requires one LP (Workers 0): recovery state is cross-member")
-	}
 	opts.fill()
 	g, err := c.registerGroup(members, leader, *opts.Policy)
 	if err != nil {

@@ -141,31 +141,6 @@ func TestRecoveryMidBcastLinkDown(t *testing.T) {
 	}
 }
 
-// TestResilientGroupPartitionedErrors: the recovery pipeline needs one LP,
-// and a cluster with more must say so with an error instead of dying on the
-// engine it does not have. The one-switch testbed is one LP at any worker
-// count, so there the pipeline works.
-func TestResilientGroupPartitionedErrors(t *testing.T) {
-	t.Parallel()
-	c := NewLeafSpine(2, 2, 2, Options{Workers: 2})
-	defer c.Close()
-	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
-	if err == nil || rg != nil {
-		t.Fatalf("NewResilientGroup on a multi-LP cluster = (%v, %v), want an error", rg, err)
-	}
-
-	tb := NewTestbed(4, Options{Workers: 2})
-	defer tb.Close()
-	rg, err = tb.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
-	if err != nil {
-		t.Fatalf("NewResilientGroup on a one-LP testbed at Workers 2: %v", err)
-	}
-	runRBcast(t, tb, rg, 0, 256<<10)
-	if rg.Stats.NativeDeliveries != 3 {
-		t.Fatalf("one-LP testbed broadcast: %+v", rg.Stats)
-	}
-}
-
 // TestRegistrationUnderControlLoss drops 10% of all control-plane packets
 // (MRP, confirmations, ACK/NACK/CNP) and requires registration to succeed
 // within the bounded retransmission policy, then a broadcast to complete.
