@@ -81,10 +81,11 @@ type Cluster struct {
 	Agents []*core.Agent
 	Accels []*core.Accel
 
-	// Fab holds the cluster's fabric counters (always wired, so Metrics
-	// reads them instead of walking every device). Rec is the flight recorder, nil until EnableTrace;
-	// Aud the protocol auditor, nil until EnableAudit; Series the telemetry
-	// sampler, nil until EnableSeries.
+	// Fab holds the fabric's egress queue-depth histogram (always wired;
+	// the drop counters live on the devices, and Metrics sums them). Rec
+	// is the flight recorder, nil until EnableTrace; Aud the protocol
+	// auditor, nil until EnableAudit; Series the telemetry sampler, nil
+	// until EnableSeries.
 	Fab    *obs.Fabric
 	Rec    *obs.Recorder
 	Aud    *obs.Auditor
@@ -175,9 +176,9 @@ func (c *Cluster) NewGroup(members []int, leader int) (*core.Group, error) {
 	return c.registerGroup(members, leader, core.RegisterPolicy{AttemptTimeout: 50 * sim.Millisecond, MaxAttempts: 1})
 }
 
-// registerLimit bounds how long a registration may run. Perpetual timers
-// (the audit drain, the telemetry sampler) keep the queue non-empty even
-// when registration is wedged, so queue exhaustion alone is not enough.
+// registerLimit bounds how long a registration may run. A perpetual timer
+// (the telemetry sampler) keeps the queue non-empty even when registration
+// is wedged, so queue exhaustion alone is not enough.
 const registerLimit = 10 * sim.Second
 
 // registerGroup creates a group over the given host indices under a fresh

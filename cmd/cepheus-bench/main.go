@@ -231,14 +231,13 @@ func run(only string) int {
 	return exitCode
 }
 
-// auditVerdict drains the recorder through the auditor and prints its
-// verdict; a dirty audit dumps the violations and fails the run.
+// auditVerdict prints the auditor's verdict; a dirty audit dumps the
+// violations and fails the run.
 func auditVerdict(c *cepheus.Cluster, label string) {
 	if c.Aud == nil {
 		return
 	}
-	c.Rec.Drain()
-	fmt.Printf("%s: %s\n", label, c.Aud.Verdict(c.Rec.ShardLost()))
+	fmt.Printf("%s: %s\n", label, c.Aud.Verdict())
 	if !c.Aud.Clean() {
 		c.Aud.Report(os.Stderr)
 		exitCode = 1

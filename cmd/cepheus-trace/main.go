@@ -126,7 +126,7 @@ func readTrace(r io.Reader) (*trace, error) {
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
 			return nil, fmt.Errorf("line %d: truncated or corrupt trace: %v", n, err)
 		}
-		ev, err := l.event(uint32(len(t.evs)))
+		ev, err := l.event()
 		if err != nil {
 			return nil, fmt.Errorf("line %d: corrupt trace: %v", n, err)
 		}
@@ -149,8 +149,8 @@ func readTrace(r io.Reader) (*trace, error) {
 	return t, nil
 }
 
-// event decodes one record, all but its device id, as the seq-th event.
-func (l *line) event(seq uint32) (obs.Event, error) {
+// event decodes one record, all but its device id.
+func (l *line) event() (obs.Event, error) {
 	if l.T < 0 {
 		return obs.Event{}, fmt.Errorf("negative time %d", l.T)
 	}
@@ -180,7 +180,7 @@ func (l *line) event(seq uint32) (obs.Event, error) {
 		return obs.Event{}, fmt.Errorf("bad dst address %q", l.Dst)
 	}
 	return obs.Event{
-		At: sim.Time(l.T), Seq: seq, Port: int16(l.Port),
+		At: sim.Time(l.T), Port: int16(l.Port),
 		Kind: k, Reason: r, PT: pt, Src: src, Dst: dstA,
 		SrcQP: l.SQP, DstQP: l.DQP, PSN: l.PSN, Msg: l.Msg, A: l.A, B: l.B,
 	}, nil

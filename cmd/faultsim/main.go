@@ -395,8 +395,7 @@ func runSoak() {
 
 	auditClean := true
 	if *audit {
-		c.Rec.Drain()
-		fmt.Println(c.Aud.Verdict(c.Rec.ShardLost()))
+		fmt.Println(c.Aud.Verdict())
 		auditClean = c.Aud.Clean()
 	}
 	if *bench != "" {
@@ -473,8 +472,7 @@ func run(c *cepheus.Cluster, inject func(*cepheus.Cluster, *fault.Injector) sim.
 		fmt.Printf("trace:    %s (%d events, %d lost)\n", *trace, len(c.Rec.Events()), c.Rec.Lost())
 	}
 	if *audit {
-		c.Rec.Drain() // flush the shard residue through the auditor
-		fmt.Println(c.Aud.Verdict(c.Rec.ShardLost()))
+		fmt.Println(c.Aud.Verdict())
 		if !c.Aud.Clean() {
 			c.Aud.Report(os.Stderr)
 			os.Exit(1)

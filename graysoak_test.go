@@ -159,10 +159,9 @@ func graySoakWorkload(t *testing.T, seed int64) ([]byte, string) {
 		t.Fatal(err)
 	}
 	report := fault.ComputeSLO(plan, nil)
-	fault.AttachGoodput(report.PerEpisode, evs)
 	slo := report.String()
 	for _, ep := range report.PerEpisode {
-		slo += fmt.Sprintf("\nepisode %d %s %s goodput=%d", ep.Index, ep.Kind, ep.Target, ep.GoodputBytes)
+		slo += fmt.Sprintf("\nepisode %d %s %s", ep.Index, ep.Kind, ep.Target)
 	}
 	return buf.Bytes(), slo
 }

@@ -118,7 +118,6 @@ func Attach(sw *simnet.Switch, cfg AccelConfig) *Accel {
 // the FPGA board would: every MFT, reduction state, and the load counters.
 func (a *Accel) onSwitchRestart() {
 	a.Stats.MFTWipes += uint64(len(a.mfts))
-	a.sw.Fabric().Add(obs.FMFTWipes, uint64(len(a.mfts)))
 	if tr := a.sw.Tracer(); tr.On() && len(a.mfts) > 0 {
 		// One event per wiped group, in sorted group order — map iteration
 		// order must never leak into the trace.
@@ -191,7 +190,6 @@ func (a *Accel) Handle(sw *simnet.Switch, p *simnet.Packet, in *simnet.Port) boo
 		// the sender discovering the black hole only via safeguard timeout.
 		if p.Type == simnet.Data {
 			a.Stats.UnknownGroupDrops++
-			a.sw.Fabric().Inc(obs.FUnknownGroupDrops)
 			a.sw.GroupStats().Drop(uint32(p.Dst), a.sw.Engine().Now(), int64(p.Size()))
 			if tr := a.sw.Tracer(); tr.On() {
 				tr.Record(a.sw.Engine().Now(), obs.KDrop, obs.RUnknownGroup, in.ID,
@@ -249,7 +247,6 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 			// A retransmitted or reordered chunk from a superseded
 			// registration: discard rather than corrupt the live tree.
 			a.Stats.StaleMRPDropped++
-			a.sw.Fabric().Inc(obs.FStaleMRPDropped)
 			a.recMFT(obs.KMFTStale, pay.McstID, int64(pay.Epoch))
 			return
 		}
@@ -257,7 +254,6 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 		// it wholesale — merged entries from different epochs could route
 		// through links the controller now knows to be gone.
 		a.Stats.EpochRebuilds++
-		a.sw.Fabric().Inc(obs.FEpochRebuilds)
 		a.recMFT(obs.KMFTRebuild, pay.McstID, int64(pay.Epoch))
 		mft = nil
 		delete(a.mfts, pay.McstID)
@@ -283,10 +279,15 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 	// entry point, which is what source switching relies on.
 	mft.EnsureEntry(in.ID)
 
-	// Route every node record, grouping downstream forwards per port.
+	// Route every node record, grouping downstream forwards per port. A
+	// member this switch has no route to (routes repaired around a dead
+	// link or switch) is skipped: the rest of the tree still installs.
 	downstream := make(map[int][]NodeInfo)
 	for _, n := range pay.Nodes {
-		port, direct := a.routeNode(mft, n)
+		port, direct, ok := a.routeNode(mft, n)
+		if !ok {
+			continue
+		}
 		e := mft.EnsureEntry(port)
 		if direct {
 			e.NextIsHost = true
@@ -320,19 +321,20 @@ func (a *Accel) handleMRP(p *simnet.Packet, in *simnet.Port) {
 // connected port if the node is attached here; otherwise an ECMP candidate,
 // preferring a port already in the MDT (delaying replication saves
 // bandwidth), and breaking ties toward the port least used by other groups.
-func (a *Accel) routeNode(mft *MFT, n NodeInfo) (port int, direct bool) {
+// ok is false when the FIB has no route to the node.
+func (a *Accel) routeNode(mft *MFT, n NodeInfo) (port int, direct, ok bool) {
 	for _, pt := range a.sw.Ports {
-		if h, ok := pt.Peer.Dev.(*simnet.Host); ok && h.IP == n.IP {
-			return pt.ID, true
+		if h, isHost := pt.Peer.Dev.(*simnet.Host); isHost && h.IP == n.IP {
+			return pt.ID, true, true
 		}
 	}
 	cands := a.sw.Route(n.IP)
 	if len(cands) == 0 {
-		panic("core: " + a.sw.Name + " has no route to member " + n.IP.String())
+		return 0, false, false
 	}
 	for _, c := range cands {
 		if mft.InMDT(c) {
-			return c, false
+			return c, false, true
 		}
 	}
 	best := cands[0]
@@ -342,7 +344,7 @@ func (a *Accel) routeNode(mft *MFT, n NodeInfo) (port int, direct bool) {
 		}
 	}
 	a.mgLoad[best]++
-	return best, false
+	return best, false, true
 }
 
 // reject sends an MRPReject to the controller via unicast forwarding.
@@ -375,7 +377,6 @@ func (a *Accel) nackUnknownGroup(p *simnet.Packet) {
 	}
 	a.lastUnknownNack[p.Dst] = now
 	a.Stats.UnknownGroupNacks++
-	a.sw.Fabric().Inc(obs.FUnknownGroupNacks)
 	a.recMFT(obs.KMFTNack, p.Dst, 0)
 	rp := simnet.NewPacket()
 	rp.Type, rp.Src, rp.Dst = simnet.MRPReject, p.Dst, p.Src

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/roce"
 	"repro/internal/sim"
+	"repro/internal/simnet"
+	"repro/internal/topo"
 )
 
 // replayMRP injects a full set of registration chunks for the group at the
@@ -67,5 +69,33 @@ func TestStaleMRPReplayDiscarded(t *testing.T) {
 	}
 	if !e.group.Registered() {
 		t.Fatal("group lost registration after idempotent replay")
+	}
+}
+
+// TestMRPSkipsUnroutableMember: an MRP naming a member the switch has no
+// route to (routes repaired around a dead link) installs the reachable
+// members' branches and skips that one, instead of panicking.
+func TestMRPSkipsUnroutableMember(t *testing.T) {
+	e := newEnv(t, func(eng *sim.Engine) *topo.Network { return topo.FatTree(eng, 4) },
+		[]int{0, 3, 7, 12}, 0, roce.DefaultConfig())
+	hosts := e.net.Hosts
+	e.net.LeafOf(hosts[0]).SetRoutes(hosts[12].IP, nil)
+	replayMRP(e, 1)
+	accelOf := func(sw *simnet.Switch) *Accel {
+		for _, a := range e.accels {
+			if a.sw == sw {
+				return a
+			}
+		}
+		t.Fatalf("no accelerator on %s", sw.Name)
+		return nil
+	}
+	for _, i := range []int{0, 3, 7} {
+		if accelOf(e.net.LeafOf(hosts[i])).MFT(e.group.ID) == nil {
+			t.Errorf("leaf of reachable member %d has no MFT", i)
+		}
+	}
+	if accelOf(e.net.LeafOf(hosts[12])).MFT(e.group.ID) != nil {
+		t.Error("leaf of the unroutable member got an MFT")
 	}
 }

@@ -263,8 +263,8 @@ type EpisodeSLO struct {
 	DeliveryGap   sim.Time
 	TimeToRestore sim.Time
 
-	// GoodputBytes is the payload delivered during the episode window
-	// (filled by AttachGoodput when a trace is available).
+	// GoodputBytes is the payload delivered during the episode window.
+	// ComputeSLO leaves it 0; the soak driver fills it from QP counters.
 	GoodputBytes int64
 }
 
@@ -353,13 +353,4 @@ func ComputeSLO(plan []Episode, marks []RecoveryMark) *SLOReport {
 	r.GapP50, r.GapP99 = obs.Quantile(gaps, 0.50), obs.Quantile(gaps, 0.99)
 	r.RestoreP50, r.RestoreP99 = obs.Quantile(restores, 0.50), obs.Quantile(restores, 0.99)
 	return r
-}
-
-// AttachGoodput fills each episode's GoodputBytes from a recorded trace:
-// the payload bytes delivered anywhere in the fabric during the episode's
-// window.
-func AttachGoodput(slos []EpisodeSLO, evs []obs.Event) {
-	for i := range slos {
-		slos[i].GoodputBytes = obs.DeliveredBytes(evs, slos[i].Start, slos[i].End)
-	}
 }

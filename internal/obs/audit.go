@@ -3,11 +3,11 @@ package obs
 import (
 	"fmt"
 	"io"
-	"strings"
 )
 
-// Auditor is an online protocol-invariant checker fed from the recorder
-// drain (Recorder.Attach). It verifies, streaming, per event:
+// Auditor is an online protocol-invariant checker fed by the recorder as
+// each event is recorded (Recorder.Attach). It verifies, streaming, per
+// event:
 //
 //   - go-back-N sender sanity: first transmissions advance PSN contiguously,
 //     retransmissions never name a PSN that was not sent or that is already
@@ -30,9 +30,9 @@ import (
 // byte count) until the next ENQ re-anchors it.
 //
 // Determinism: every checker is keyed per device (flows, ports, tables live
-// on one device), and a device's events reach the drain in its own record
-// order at every drain cadence — so the auditor's verdict and violation
-// list are a function of the simulated history. The auditor assumes tracing was
+// on one device), and a device's events reach the auditor in its own record
+// order — so the auditor's verdict and violation list are a function of the
+// simulated history. The auditor assumes tracing was
 // enabled before the traffic of interest; attaching mid-run can misread
 // pre-existing flow state as a violation.
 type Auditor struct {
@@ -156,7 +156,7 @@ func (a *Auditor) violate(e *Event, check, format string, args ...interface{}) {
 	}
 }
 
-// Observe feeds one drained event through every checker. The pointer is not
+// Observe feeds one recorded event through every checker. The pointer is not
 // retained.
 func (a *Auditor) Observe(e *Event) {
 	a.seen++
@@ -448,19 +448,12 @@ func (a *Auditor) Err() error {
 	return fmt.Errorf("audit: %d violation(s); first: %s", a.nviol, a.violations[0].String())
 }
 
-// Verdict renders the one-line summary CLIs print. lost is the recorder's
-// Lost() count: a nonzero value means coverage was incomplete.
-func (a *Auditor) Verdict(lost uint64) string {
-	var b strings.Builder
+// Verdict renders the one-line summary CLIs print.
+func (a *Auditor) Verdict() string {
 	if a.nviol == 0 {
-		fmt.Fprintf(&b, "audit: PASS — %d events, 0 violations", a.seen)
-	} else {
-		fmt.Fprintf(&b, "audit: FAIL — %d events, %d violation(s)", a.seen, a.nviol)
+		return fmt.Sprintf("audit: PASS — %d events, 0 violations", a.seen)
 	}
-	if lost > 0 {
-		fmt.Fprintf(&b, " (%d events lost; coverage incomplete)", lost)
-	}
-	return b.String()
+	return fmt.Sprintf("audit: FAIL — %d events, %d violation(s)", a.seen, a.nviol)
 }
 
 // Report writes every retained violation, one per line.

@@ -55,11 +55,8 @@ func TestAuditCleanStream(t *testing.T) {
 	if a.Seen() != uint64(len(evs)) {
 		t.Fatalf("seen %d, want %d", a.Seen(), len(evs))
 	}
-	if !strings.Contains(a.Verdict(0), "PASS") {
-		t.Fatalf("verdict: %s", a.Verdict(0))
-	}
-	if v := a.Verdict(3); !strings.Contains(v, "3 events lost") {
-		t.Fatalf("lossy verdict must flag incomplete coverage: %s", v)
+	if !strings.Contains(a.Verdict(), "PASS") {
+		t.Fatalf("verdict: %s", a.Verdict())
 	}
 }
 
@@ -269,7 +266,7 @@ func TestAuditPSNSyncResets(t *testing.T) {
 	}
 }
 
-// TestAuditBatchCadenceInvariance feeds the same stream in different drain
+// TestAuditBatchCadenceInvariance feeds the same stream in different
 // batch sizes; the auditor is per-event streaming, so cadence cannot change
 // the verdict.
 func TestAuditBatchCadenceInvariance(t *testing.T) {
@@ -307,7 +304,7 @@ func TestAuditErrAndReport(t *testing.T) {
 	if !strings.Contains(sb.String(), "gbn") {
 		t.Fatalf("report missing checker id:\n%s", sb.String())
 	}
-	if !strings.Contains(a.Verdict(0), "FAIL") {
-		t.Fatalf("verdict: %s", a.Verdict(0))
+	if !strings.Contains(a.Verdict(), "FAIL") {
+		t.Fatalf("verdict: %s", a.Verdict())
 	}
 }

@@ -1,12 +1,12 @@
 // Package obs is the unified observability layer: a flight recorder of typed
-// trace events (allocation-free, exported in a canonical order), fabric
-// counters that replace hand-summed metric walks, and log-bucketed
-// histograms for latency and queue-depth distributions.
+// trace events (allocation-free, exported in a canonical order), the
+// fabric's queue-depth histogram, and log-bucketed histograms for latency
+// and queue-depth distributions.
 //
 // The package sits below simnet/roce/core in the dependency order (it imports
 // only sim), so every layer of the stack can record into it. Everything is
 // built to cost nothing when disabled: recording is guarded by a nil Tracer
-// check, counters are nil-safe increments, and nothing on any path allocates.
+// check, the queue-depth hook is a nil-safe observe, and nothing on any path allocates.
 // See DESIGN.md §10.
 package obs
 
@@ -247,10 +247,7 @@ func ParseAddr(s string) (uint32, bool) {
 // value: rings of events move nothing the GC cares about, and recording one
 // is a field-wise store.
 //
-// A and B carry kind-specific values (documented per Kind above). Seq is a
-// per-device sequence number: together with Dev it identifies an event
-// uniquely, and the canonical (At, Dev, Seq) order it induces is a pure
-// function of the simulated history.
+// A and B carry kind-specific values (documented per Kind above).
 // Msg identifies the message a data frame belongs to. Message ids are
 // globally unique — the originating host's address in the high 32 bits, a
 // per-host counter in the low 32 — so a span reconstructor can follow one
@@ -258,16 +255,11 @@ func ParseAddr(s string) (uint32, bool) {
 // sender. SrcQP/DstQP carry the frame's queue-pair addressing; control
 // frames built fresh (ACK/NACK/CNP) carry Msg = 0.
 type Event struct {
-	At  sim.Time
-	PSN uint64
-	Msg uint64
-	A   int64
-	B   int64
-	// Seq is uint32 deliberately: it keeps the struct at 72 bytes (one
-	// cache line per record most of the time instead of always two), and a
-	// single device never records 4G+ events in a run that fits in memory.
-	// It is internal ordering state, omitted from exports.
-	Seq    uint32
+	At     sim.Time
+	PSN    uint64
+	Msg    uint64
+	A      int64
+	B      int64
 	Dev    uint32
 	Src    uint32
 	Dst    uint32

@@ -15,8 +15,6 @@ import (
 //	{"t":<ns>,"dev":"<name>","port":<id>,"kind":"<Kind>","reason":"<Reason>",
 //	 "pt":"<PacketType>","src":"<addr>","dst":"<addr>","sqp":<n>,"dqp":<n>,
 //	 "psn":<n>,"msg":<n>,"a":<n>,"b":<n>}
-//
-// Seq is deliberately omitted: it is recoverable from line order.
 func (r *Recorder) WriteJSONL(w io.Writer, evs []Event) error {
 	bw := bufio.NewWriter(w)
 	for i := range evs {

@@ -97,31 +97,16 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 	}
 }
 
+// TestFabricNilSafeAndTotals: a nil Fabric observes nothing without
+// panicking, and a live one totals every observed queue depth.
 func TestFabricNilSafeAndTotals(t *testing.T) {
 	var nilFab *Fabric
-	nilFab.Inc(FDataDrops) // must not panic
-	nilFab.Add(FMFTWipes, 3)
-	nilFab.ObserveQueue(64)
-	if got := nilFab.Total(FDataDrops); got != 0 {
-		t.Fatalf("nil fabric Total = %d, want 0", got)
-	}
+	nilFab.ObserveQueue(64) // must not panic
 	if q := nilFab.QueueDepth(); q.Count != 0 {
 		t.Fatalf("nil fabric queue depth = %+v, want empty", q)
 	}
 
 	f := NewFabric()
-	f.Inc(FDataDrops)
-	f.Add(FDataDrops, 2)
-	f.Inc(FCrashDrops)
-	if got := f.Total(FDataDrops); got != 3 {
-		t.Fatalf("Total(FDataDrops) = %d, want 3", got)
-	}
-	if got := f.Total(FCrashDrops); got != 1 {
-		t.Fatalf("Total(FCrashDrops) = %d, want 1", got)
-	}
-	if got := f.Total(FMFTWipes); got != 0 {
-		t.Fatalf("Total(FMFTWipes) = %d, want 0", got)
-	}
 	f.ObserveQueue(4096)
 	f.ObserveQueue(64)
 	f.ObserveQueue(1064)
@@ -145,13 +130,12 @@ func TestRecorderCanonicalOrder(t *testing.T) {
 	t1.Record(20, KDeliver, RNone, -1, 0, 1, 2, 0, 0, 5, 9, 100, 64)
 	t0.Record(10, KEnqueue, RNone, 0, 0, 1, 2, 0, 0, 5, 9, 64, 64)
 	t0.Record(20, KDequeue, RNone, 0, 0, 1, 2, 0, 0, 5, 9, 0, 64)
-	r.Drain()
-	t1.Record(5, KDrop, RLoss, -1, 0, 1, 2, 0, 0, 6, 9, 0, 64) // later drain, earlier time
+	t1.Record(5, KDrop, RLoss, -1, 0, 1, 2, 0, 0, 6, 9, 0, 64) // recorded later, earlier time
 	evs := r.Events()
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
 	}
-	// Canonical order: (At, Dev, Seq).
+	// Canonical order: (At, Dev, record order).
 	want := []struct {
 		at  sim.Time
 		dev uint32
@@ -170,7 +154,7 @@ func TestRecorderCanonicalOrder(t *testing.T) {
 }
 
 func TestRecorderRingOverwrite(t *testing.T) {
-	r := NewRecorder(1024) // floor capacity: central ring and shard both 1024
+	r := NewRecorder(1024) // floor capacity
 	tr := r.NewTracer("d")
 	const total = 3000
 	for i := 0; i < total; i++ {
@@ -197,6 +181,67 @@ func TestRecorderEventsUntil(t *testing.T) {
 	}
 	if got := len(r.EventsUntil(45)); got != 5 {
 		t.Fatalf("EventsUntil(45) kept %d, want 5", got)
+	}
+}
+
+// TestRecorderExactCapacity: a capacity that is not a power of two keeps
+// exactly that many of the newest events, in canonical order, and Lost
+// counts the rest.
+func TestRecorderExactCapacity(t *testing.T) {
+	const capacity, total = 3000, 5000
+	r := NewRecorder(capacity)
+	trs := []*Tracer{r.NewTracer("d0"), r.NewTracer("d1")}
+	for i := 0; i < total; i++ {
+		// Four events per instant, two per device, the higher device first.
+		trs[1-i%4/2].Record(sim.Time(i/4), KEnqueue, RNone, 0, 0, 0, 0, 0, 0, 0, 0, int64(i), 0)
+	}
+	evs := r.Events()
+	if len(evs) != capacity {
+		t.Fatalf("kept %d events, want %d", len(evs), capacity)
+	}
+	if r.Lost() != total-capacity {
+		t.Fatalf("Lost = %d, want %d", r.Lost(), total-capacity)
+	}
+	kept := make(map[int64]bool)
+	for i, e := range evs {
+		if e.A < total-capacity {
+			t.Fatalf("event %d (A=%d) is older than the newest %d", i, e.A, capacity)
+		}
+		kept[e.A] = true
+		if i == 0 {
+			continue
+		}
+		p := evs[i-1]
+		if p.At > e.At || p.At == e.At && (p.Dev > e.Dev || p.Dev == e.Dev && p.A > e.A) {
+			t.Fatalf("events %d, %d out of (At, Dev, record) order: %+v then %+v", i-1, i, p, e)
+		}
+	}
+	if len(kept) != capacity {
+		t.Fatalf("kept %d distinct events, want %d", len(kept), capacity)
+	}
+}
+
+// TestRecorderObserverSeesEverything: the attached observer sees every
+// recorded event, in record order, even after the ring overwrites them.
+func TestRecorderObserverSeesEverything(t *testing.T) {
+	const total = 5000
+	r := NewRecorder(1024)
+	tr := r.NewTracer("d")
+	var seen int64
+	r.Attach(func(e *Event) {
+		if e.A != seen {
+			t.Fatalf("observer saw event %d as number %d", e.A, seen)
+		}
+		seen++
+	})
+	for i := 0; i < total; i++ {
+		tr.Record(sim.Time(i), KEnqueue, RNone, 0, 0, 0, 0, 0, 0, 0, 0, int64(i), 0)
+	}
+	if seen != total {
+		t.Fatalf("observer saw %d events, recorded %d", seen, total)
+	}
+	if r.Lost() != total-1024 {
+		t.Fatalf("Lost = %d, want %d", r.Lost(), total-1024)
 	}
 }
 

@@ -6,12 +6,6 @@ import (
 	"repro/internal/sim"
 )
 
-// Recovery-SLO extraction helpers: small, deterministic reductions over
-// recorded histories that the fault soak harness (internal/fault, cmd/
-// faultsim) uses to turn spans and traces into p50/p99 SLO numbers. They
-// live here because obs owns the event taxonomy; fault owns the episode
-// semantics layered on top.
-
 // Quantile returns the nearest-rank q-quantile (0 < q <= 1) of xs, sorting a
 // copy; -1 if xs is empty. Exact-by-construction for the small sample sets a
 // soak produces (unlike the log-bucketed Histogram, which trades exactness
@@ -30,17 +24,4 @@ func Quantile(xs []sim.Time, q float64) sim.Time {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-// DeliveredBytes sums the payload bytes of messages delivered in [from, to)
-// across evs (KDeliver events carry B = message payload bytes).
-func DeliveredBytes(evs []Event, from, to sim.Time) int64 {
-	var n int64
-	for i := range evs {
-		e := &evs[i]
-		if e.Kind == KDeliver && e.At >= from && e.At < to {
-			n += e.B
-		}
-	}
-	return n
 }

@@ -47,23 +47,3 @@ func TestQuantileNearestRank(t *testing.T) {
 		t.Fatalf("Quantile mutated its input: %v", xs)
 	}
 }
-
-func TestDeliveredBytes(t *testing.T) {
-	evs := []Event{
-		{At: 5, Kind: KDeliver, B: 100},   // before the window
-		{At: 10, Kind: KDeliver, B: 1000}, // at from: included
-		{At: 15, Kind: KEnqueue, B: 777},  // wrong kind
-		{At: 15, Kind: KDeliver, B: 200},
-		{At: 20, Kind: KDeliver, B: 4000}, // at to: excluded (half-open)
-		{At: 25, Kind: KDeliver, B: 100},  // after the window
-	}
-	if got := DeliveredBytes(evs, 10, 20); got != 1200 {
-		t.Fatalf("DeliveredBytes = %d, want 1200", got)
-	}
-	if got := DeliveredBytes(evs, 0, 100); got != 5400 {
-		t.Fatalf("DeliveredBytes(all) = %d, want 5400", got)
-	}
-	if got := DeliveredBytes(nil, 0, 100); got != 0 {
-		t.Fatalf("DeliveredBytes(nil) = %d, want 0", got)
-	}
-}

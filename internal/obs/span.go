@@ -9,7 +9,7 @@ import (
 	"repro/internal/sim"
 )
 
-// Span reconstruction folds the canonical (At, Dev, Seq) event stream into
+// Span reconstruction folds the canonical (At, Dev, record order) event stream into
 // per-message causal spans: requester emission, per-switch ENQ/DEQ and
 // replication, per-receiver DELIVER, and the ACK/NACK/RETX epilogue. It is a
 // pure function of the event stream, so two runs with the same stream build

@@ -183,13 +183,10 @@ func (pt *Port) recordImpairDrop(p *Packet) {
 	switch p.impairDrop {
 	case obs.RImpairLoss:
 		pt.Stats.ImpairDrops++
-		pt.fab.Inc(obs.FImpairDrops)
 	case obs.RCorrupt:
 		pt.Stats.CorruptDrops++
-		pt.fab.Inc(obs.FCorruptDrops)
 	case obs.RStormLoss:
 		pt.Stats.StormDrops++
-		pt.fab.Inc(obs.FStormDrops)
 	}
 	pt.gsDrop(p)
 	if pt.tr.On() {

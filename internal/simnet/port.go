@@ -123,8 +123,8 @@ type Port struct {
 
 	// Observability. tr is the owning device's flight-recorder handle (nil
 	// while tracing is off — the nil check is the entire disabled cost); fab
-	// is the cluster's fabric counters (nil-safe), which count drops and
-	// observe the egress queue depth at every enqueue.
+	// is the cluster's queue-depth histogram (nil-safe), observed at every
+	// enqueue.
 	tr  *obs.Tracer
 	fab *obs.Fabric
 
@@ -139,7 +139,7 @@ type Port struct {
 // record under that device id with Port distinguishing the egress.
 func (pt *Port) SetTracer(tr *obs.Tracer) { pt.tr = tr }
 
-// SetFabric attaches the cluster's fabric counters.
+// SetFabric attaches the cluster's queue-depth histogram.
 func (pt *Port) SetFabric(fab *obs.Fabric) { pt.fab = fab }
 
 // SetGroupStats attaches the cluster's group-stats registry.
@@ -166,7 +166,6 @@ func (pt *Port) gsDrop(p *Packet) {
 // p. Callers that drop at enqueue time also count it in Stats.Drops.
 func (pt *Port) faultDrop(p *Packet, a int64) {
 	pt.Stats.FaultDrops++
-	pt.fab.Inc(obs.FFaultDrops)
 	pt.gsDrop(p)
 	if pt.tr.On() {
 		pt.rec(obs.KDrop, obs.RFault, p, a, int64(p.Size()))
@@ -402,7 +401,6 @@ func (pt *Port) purge() {
 			p := pt.queues[cls].popFront()
 			pt.Stats.Drops++
 			pt.Stats.FaultDrops++
-			pt.fab.Inc(obs.FFaultDrops)
 			pt.gsDrop(p)
 			if pt.tr.On() {
 				pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))

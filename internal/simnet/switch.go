@@ -121,13 +121,11 @@ type Switch struct {
 	down bool
 
 	// Observability: the switch-level flight-recorder handle (shared with
-	// its ports and its attached accelerator; nil while tracing is off) and
-	// the cluster's fabric counters.
-	tr  *obs.Tracer
-	fab *obs.Fabric
+	// its ports and its attached accelerator; nil while tracing is off).
+	tr *obs.Tracer
 
 	// gs is the cluster's group-stats registry (nil while group attribution
-	// is off); shared with the switch's ports like tr and fab.
+	// is off); shared with the switch's ports like tr.
 	gs *obs.GroupStats
 }
 
@@ -145,17 +143,13 @@ func (sw *Switch) SetTracer(tr *obs.Tracer) {
 // off), so the attached accelerator can record under the same device.
 func (sw *Switch) Tracer() *obs.Tracer { return sw.tr }
 
-// SetFabric attaches the cluster's fabric counters to the switch and its
+// SetFabric attaches the cluster's queue-depth histogram to the switch's
 // ports.
 func (sw *Switch) SetFabric(fab *obs.Fabric) {
-	sw.fab = fab
 	for _, pt := range sw.Ports {
 		pt.SetFabric(fab)
 	}
 }
-
-// Fabric returns the switch's fabric counters (nil outside a Cluster).
-func (sw *Switch) Fabric() *obs.Fabric { return sw.fab }
 
 // SetGroupStats attaches the cluster's group-stats registry to the switch
 // and its ports.
@@ -259,7 +253,6 @@ func (sw *Switch) Restart() {
 func (sw *Switch) Receive(p *Packet, in *Port) {
 	if sw.down {
 		sw.CrashDrops++
-		sw.fab.Inc(obs.FCrashDrops)
 		sw.gsDrop(p)
 		if sw.tr.On() {
 			port := -1
@@ -293,7 +286,6 @@ func (sw *Switch) Forward(p *Packet, in *Port) {
 	ports := sw.Route(p.Dst)
 	if len(ports) == 0 {
 		sw.NoRouteDrops++
-		sw.fab.Inc(obs.FNoRouteDrops)
 		sw.gsDrop(p)
 		if sw.tr.On() {
 			port := -1
@@ -317,7 +309,6 @@ func (sw *Switch) Forward(p *Packet, in *Port) {
 func (sw *Switch) Output(p *Packet, out int, in *Port) {
 	if sw.down {
 		sw.CrashDrops++
-		sw.fab.Inc(obs.FCrashDrops)
 		sw.gsDrop(p)
 		if sw.tr.On() {
 			sw.recDrop(obs.RCrash, p, out)
@@ -327,7 +318,6 @@ func (sw *Switch) Output(p *Packet, out int, in *Port) {
 	}
 	if sw.LossRate > 0 && p.Type == Data && sw.eng.Rand().Float64() < sw.LossRate {
 		sw.DataDrops++
-		sw.fab.Inc(obs.FDataDrops)
 		sw.gsDrop(p)
 		if sw.tr.On() {
 			sw.recDrop(obs.RLoss, p, out)
@@ -337,7 +327,6 @@ func (sw *Switch) Output(p *Packet, out int, in *Port) {
 	}
 	if sw.ControlLossRate > 0 && isLossyControl(p.Type) && sw.eng.Rand().Float64() < sw.ControlLossRate {
 		sw.CtrlDrops++
-		sw.fab.Inc(obs.FCtrlDrops)
 		sw.gsDrop(p)
 		if sw.tr.On() {
 			sw.recDrop(obs.RCtrlLoss, p, out)

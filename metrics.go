@@ -1,10 +1,6 @@
 package cepheus
 
-import (
-	"fmt"
-
-	"repro/internal/obs"
-)
+import "fmt"
 
 // Metrics aggregates the cluster-wide health and fault counters: what the
 // fabric dropped and why, and what the accelerators did to their volatile
@@ -50,32 +46,10 @@ type Metrics struct {
 	UnknownGroupNacks uint64
 }
 
-// Metrics reads the fault and drop counters for the whole fabric from the
-// cluster's fabric counters instead of walking every device.
+// Metrics sums the fault and drop counters over every device of the
+// fabric: switches, their ports, host NICs and accelerators.
 // Only meaningful while the simulation is quiescent (between Run calls).
 func (c *Cluster) Metrics() Metrics {
-	f := c.Fab
-	return Metrics{
-		DataDrops:         f.Total(obs.FDataDrops),
-		CtrlDrops:         f.Total(obs.FCtrlDrops),
-		CrashDrops:        f.Total(obs.FCrashDrops),
-		NoRouteDrops:      f.Total(obs.FNoRouteDrops),
-		FaultDrops:        f.Total(obs.FFaultDrops),
-		ImpairDrops:       f.Total(obs.FImpairDrops),
-		CorruptDrops:      f.Total(obs.FCorruptDrops),
-		CtrlStormDrops:    f.Total(obs.FStormDrops),
-		MFTWipes:          f.Total(obs.FMFTWipes),
-		EpochRebuilds:     f.Total(obs.FEpochRebuilds),
-		StaleMRPDropped:   f.Total(obs.FStaleMRPDropped),
-		UnknownGroupDrops: f.Total(obs.FUnknownGroupDrops),
-		UnknownGroupNacks: f.Total(obs.FUnknownGroupNacks),
-	}
-}
-
-// metricsWalk recomputes Metrics the slow way, by walking every device's
-// private counters. It exists as a cross-check that the sharded fabric
-// counters track the per-device truth exactly (TestMetricsFabricMatchesWalk).
-func (c *Cluster) metricsWalk() Metrics {
 	var m Metrics
 	for _, sw := range c.Net.Switches {
 		m.DataDrops += sw.DataDrops
@@ -103,6 +77,27 @@ func (c *Cluster) metricsWalk() Metrics {
 		m.UnknownGroupNacks += a.Stats.UnknownGroupNacks
 	}
 	return m
+}
+
+// fabSeries names the fab/<name> delta series EnableSeries samples from
+// Metrics, in column order.
+var fabSeries = [...]struct {
+	name string
+	get  func(*Metrics) uint64
+}{
+	{"data-drops", func(m *Metrics) uint64 { return m.DataDrops }},
+	{"ctrl-drops", func(m *Metrics) uint64 { return m.CtrlDrops }},
+	{"crash-drops", func(m *Metrics) uint64 { return m.CrashDrops }},
+	{"no-route-drops", func(m *Metrics) uint64 { return m.NoRouteDrops }},
+	{"fault-drops", func(m *Metrics) uint64 { return m.FaultDrops }},
+	{"mft-wipes", func(m *Metrics) uint64 { return m.MFTWipes }},
+	{"epoch-rebuilds", func(m *Metrics) uint64 { return m.EpochRebuilds }},
+	{"stale-mrp", func(m *Metrics) uint64 { return m.StaleMRPDropped }},
+	{"unknown-group-drops", func(m *Metrics) uint64 { return m.UnknownGroupDrops }},
+	{"unknown-group-nacks", func(m *Metrics) uint64 { return m.UnknownGroupNacks }},
+	{"impair-drops", func(m *Metrics) uint64 { return m.ImpairDrops }},
+	{"corrupt-drops", func(m *Metrics) uint64 { return m.CorruptDrops }},
+	{"ctrl-storm-drops", func(m *Metrics) uint64 { return m.CtrlStormDrops }},
 }
 
 // String renders the non-zero counters compactly.

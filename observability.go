@@ -17,7 +17,7 @@ import (
 const DefaultTraceCapacity = 1 << 20
 
 // EnableTrace turns the flight recorder on for every device in the cluster
-// and returns it. capacity bounds the central event ring (0 selects
+// and returns it. capacity is how many of the newest events it keeps (0 selects
 // DefaultTraceCapacity). Call it after construction and before the traffic
 // of interest; tracing can only be enabled once per cluster.
 //
@@ -88,17 +88,12 @@ func (c *Cluster) GroupFairness() obs.FairnessReport {
 	return obs.Fairness(c.GS.Snapshot())
 }
 
-// auditDrainInterval is how often an audited cluster drains the recorder
-// shard through the auditor. Without it the shard drains only at export,
-// which would let a long run overflow it before the auditor ever saw an
-// event.
-const auditDrainInterval = sim.Millisecond
-
 // EnableAudit attaches the online protocol auditor to the flight recorder
 // (enabling tracing if needed) and returns it. The auditor verifies PSN/ACK
 // sanity, delivery uniqueness, per-port byte conservation, and MFT epoch
-// monotonicity, streaming, as events drain. Call it before the traffic of
-// interest; events drained before the auditor attaches are not audited.
+// monotonicity, streaming, as each event is recorded. Call it before the
+// traffic of interest; events recorded before the auditor attaches are not
+// audited.
 //
 // The go-back-N window bound is taken from the cluster's RoCE configuration.
 func (c *Cluster) EnableAudit() *obs.Auditor {
@@ -112,12 +107,6 @@ func (c *Cluster) EnableAudit() *obs.Auditor {
 	}
 	aud := obs.NewAuditor(cfg)
 	rec.Attach(aud.Observe)
-	var drain *sim.Timer
-	drain = c.Net.Eng.NewTimer(func() {
-		rec.Drain()
-		drain.Reset(auditDrainInterval)
-	})
-	drain.Reset(auditDrainInterval)
 	c.Aud = aud
 	return aud
 }
@@ -164,10 +153,15 @@ func (c *Cluster) EnableSeries(interval sim.Time, capacity int) *obs.SeriesSet {
 		}
 		return float64(m)
 	})
-	for fc := obs.FCounter(0); fc < obs.NumFCounters; fc++ {
-		fc := fc
-		s.TrackDelta("fab/"+fc.String(), func() float64 {
-			return float64(c.Fab.Total(fc))
+	// The fab probes run in order at each sample, so the first one walks
+	// the devices once and the rest read its snapshot.
+	var m Metrics
+	for i, f := range fabSeries {
+		s.TrackDelta("fab/"+f.name, func() float64 {
+			if i == 0 {
+				m = c.Metrics()
+			}
+			return float64(f.get(&m))
 		})
 	}
 	c.Series = s
