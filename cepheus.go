@@ -231,6 +231,20 @@ func (c *Cluster) checkMembers(members []int, leader int) error {
 	return nil
 }
 
+// Comm builds an MPI-communicator-like overlay over the host indices in
+// nodes (rank i is host nodes[i]), on which the AMcast baselines and the
+// software reductions run. It rejects the member lists NewGroup rejects.
+func (c *Cluster) Comm(nodes []int) (*amcast.Comm, error) {
+	if err := c.checkMembers(nodes, 0); err != nil {
+		return nil, err
+	}
+	ns := make([]*amcast.Node, len(nodes))
+	for i, j := range nodes {
+		ns[i] = &amcast.Node{Host: c.Net.Hosts[j], RNIC: c.RNICs[j]}
+	}
+	return amcast.NewComm(ns), nil
+}
+
 // Broadcaster builds a broadcaster of the given scheme over the host
 // indices in nodes. For SchemeCepheus this creates and registers a group;
 // baselines get an MPI-communicator-like overlay. slices parameterizes
@@ -243,14 +257,10 @@ func (c *Cluster) Broadcaster(scheme Scheme, nodes []int, slices int) (amcast.Br
 		}
 		return &amcast.Cepheus{Group: g}, nil
 	}
-	if err := c.checkMembers(nodes, 0); err != nil {
+	comm, err := c.Comm(nodes)
+	if err != nil {
 		return nil, err
 	}
-	ns := make([]*amcast.Node, len(nodes))
-	for i, j := range nodes {
-		ns[i] = &amcast.Node{Host: c.Net.Hosts[j], RNIC: c.RNICs[j]}
-	}
-	comm := amcast.NewComm(ns)
 	switch scheme {
 	case SchemeBinomial:
 		return amcast.Binomial{C: comm}, nil

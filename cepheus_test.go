@@ -98,6 +98,9 @@ func TestInvalidMemberLists(t *testing.T) {
 		if b, err := c.Broadcaster(SchemeBinomial, tc.members, 0); err == nil || b != nil {
 			t.Errorf("%s: Broadcaster = (%v, %v), want an error", tc.name, b, err)
 		}
+		if comm, err := c.Comm(tc.members); err == nil || comm != nil {
+			t.Errorf("%s: Comm = (%v, %v), want an error", tc.name, comm, err)
+		}
 	}
 }
 

@@ -162,9 +162,9 @@ func run(only string) int {
 		{"fig8", func() error { t, _, err := paper.Fig8(runBcast); return show(t, err) }},
 		{"fig9", func() error { t, _, err := paper.Fig9(runBcast); return show(t, err) }},
 		{"rdmc", func() error { t, _, err := paper.RDMC(runBcast); return show(t, err) }},
-		{"table1", func() error { t, _ := paper.Table1(); return show(t, nil) }},
-		{"fig10", func() error { t, _ := paper.Fig10(); return show(t, nil) }},
-		{"fig11", func() error { t, _ := paper.Fig11(); return show(t, nil) }},
+		{"table1", func() error { t, _, err := paper.Table1(); return show(t, err) }},
+		{"fig10", func() error { t, _, err := paper.Fig10(); return show(t, err) }},
+		{"fig11", func() error { t, _, err := paper.Fig11(); return show(t, err) }},
 		{"hpl-large", func() error { t, _ := paper.HPLLarge(); return show(t, nil) }},
 		{"fig12", func() error { t, _, err := paper.Fig12(runBcast, *full); return show(t, err) }},
 		{"fig13", func() error { t, _, err := paper.Fig13(runBcast, *full); return show(t, err) }},

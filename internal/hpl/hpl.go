@@ -10,6 +10,9 @@
 package hpl
 
 import (
+	"fmt"
+
+	cepheus "repro"
 	"repro/internal/amcast"
 	"repro/internal/sim"
 )
@@ -42,57 +45,45 @@ func (r Result) Comm() sim.Time { return r.PB + r.RS }
 func (r Result) Others() sim.Time { return r.PF + r.Update }
 
 // Cluster runs HPL over a grid of nodes with pluggable row/column
-// broadcasters. rowBcasts[p] broadcasts within process row p (Q nodes);
-// colBcasts[q] within column q (P nodes). Either may be nil when that grid
+// broadcasters. RowBcasts[p] broadcasts within process row p (Q nodes);
+// ColBcasts[q] within column q (P nodes). Either is empty when that grid
 // dimension is 1.
 type Cluster struct {
-	eng       *sim.Engine
+	tb        *cepheus.Cluster
 	Cfg       Config
 	RowBcasts []amcast.Broadcaster
 	ColBcasts []amcast.Broadcaster
 }
 
-// Run executes the factorization schedule and returns the decomposed JCT.
-// Phases run sequentially within an iteration, as in HPL without lookahead.
-func (c *Cluster) Run() Result {
-	eng := c.eng
+// Run executes the factorization schedule and returns the decomposed JCT,
+// or an error if a broadcast phase stalls. Phases run sequentially within
+// an iteration, as in HPL without lookahead.
+func (c *Cluster) Run() (Result, error) {
+	tb := c.tb
 	cfg := c.Cfg
 	steps := cfg.N / cfg.NB
 	res := Result{Iterations: steps}
-	start := eng.Now()
+	start := tb.Now()
 
 	flopsTime := func(flops float64) sim.Time {
 		return sim.Time(flops / (cfg.GFlops * 1e9) * 1e9)
 	}
 
-	// wait drives the engine until the continuation fires.
-	wait := func(f func(done func())) sim.Time {
-		t0 := eng.Now()
-		finished := false
-		f(func() { finished = true })
-		if eng.Run(sim.MaxTime, func() bool { return finished }) != sim.Done {
-			panic("hpl: phase stalled with no pending events")
-		}
-		return eng.Now() - t0
-	}
-
 	// bcastAll runs one broadcast in every communicator of a dimension
 	// concurrently and waits for all (rows do their PBs in parallel).
-	bcastAll := func(bs []amcast.Broadcaster, root, bytes int) sim.Time {
+	bcastAll := func(phase string, bs []amcast.Broadcaster, root, bytes int) (sim.Time, error) {
 		if len(bs) == 0 || bytes <= 0 {
-			return 0
+			return 0, nil
 		}
-		return wait(func(done func()) {
-			remaining := len(bs)
-			for _, b := range bs {
-				b.Bcast(root, bytes, func() {
-					remaining--
-					if remaining == 0 {
-						done()
-					}
-				})
-			}
-		})
+		t0 := tb.Now()
+		remaining := len(bs)
+		for _, b := range bs {
+			b.Bcast(root, bytes, func() { remaining-- })
+		}
+		if err := tb.Run(sim.MaxTime, func() bool { return remaining == 0 }); err != nil {
+			return 0, fmt.Errorf("hpl: %s of %dB stalled: %w", phase, bytes, err)
+		}
+		return tb.Now() - t0, nil
 	}
 
 	for k := 0; k < steps; k++ {
@@ -104,27 +95,33 @@ func (c *Cluster) Run() Result {
 		// PF: factorize the NB-wide panel (column of P processes works on
 		// its localM x NB slab).
 		pf := flopsTime(2 * float64(cfg.NB) * float64(cfg.NB) * float64(localM))
-		eng.RunFor(pf)
+		tb.SettleUntil(tb.Now() + pf)
 		res.PF += pf
 
 		// PB: broadcast the factored panel along each process row. Root is
 		// the column owning panel k.
 		if cfg.Q > 1 {
-			panelBytes := localM * cfg.NB * 8
-			res.PB += bcastAll(c.RowBcasts, k%cfg.Q, panelBytes)
+			t, err := bcastAll("panel broadcast", c.RowBcasts, k%cfg.Q, localM*cfg.NB*8)
+			if err != nil {
+				return res, err
+			}
+			res.PB += t
 		}
 
 		// RS: swap/broadcast the pivot rows along each process column.
 		if cfg.P > 1 {
-			rowBytes := cfg.NB * localN * 8
-			res.RS += bcastAll(c.ColBcasts, k%cfg.P, rowBytes)
+			t, err := bcastAll("row swap", c.ColBcasts, k%cfg.P, cfg.NB*localN*8)
+			if err != nil {
+				return res, err
+			}
+			res.RS += t
 		}
 
 		// Update: trailing DGEMM on each node's local block.
 		up := flopsTime(2 * float64(cfg.NB) * float64(localM) * float64(localN))
-		eng.RunFor(up)
+		tb.SettleUntil(tb.Now() + up)
 		res.Update += up
 	}
-	res.JCT = eng.Now() - start
-	return res
+	res.JCT = tb.Now() - start
+	return res, nil
 }

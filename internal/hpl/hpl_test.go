@@ -3,18 +3,31 @@ package hpl
 import (
 	"testing"
 
-	"repro/internal/sim"
+	cepheus "repro"
 )
 
-func run(t *testing.T, p, q int, pb, rs Alg) Result {
+const (
+	ring  = cepheus.SchemeRing
+	long  = cepheus.SchemeLong
+	mcast = cepheus.SchemeCepheus
+)
+
+func run(t *testing.T, p, q int, pb, rs cepheus.Scheme) Result {
 	t.Helper()
-	eng := sim.New(1)
-	c := NewTestbedCluster(eng, DefaultTestbedConfig(p, q), pb, rs)
-	return c.Run()
+	c, err := NewTestbedCluster(DefaultTestbedConfig(p, q), pb, rs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestHPLRunsBaseline1x4(t *testing.T) {
-	r := run(t, 1, 4, AlgRing, AlgLong)
+	t.Parallel()
+	r := run(t, 1, 4, ring, long)
 	if r.Iterations != 32 {
 		t.Fatalf("iterations=%d", r.Iterations)
 	}
@@ -27,15 +40,17 @@ func TestHPLRunsBaseline1x4(t *testing.T) {
 }
 
 func TestHPLRunsBaseline4x1(t *testing.T) {
-	r := run(t, 4, 1, AlgRing, AlgLong)
+	t.Parallel()
+	r := run(t, 4, 1, ring, long)
 	if r.RS <= 0 || r.PB != 0 {
 		t.Fatalf("4x1 grid must have RS>0 and PB==0, got PB=%v RS=%v", r.PB, r.RS)
 	}
 }
 
 func TestFig11PBAcceleration(t *testing.T) {
-	base := run(t, 1, 4, AlgRing, AlgLong)
-	accel := run(t, 1, 4, AlgCepheus, AlgLong)
+	t.Parallel()
+	base := run(t, 1, 4, ring, long)
+	accel := run(t, 1, 4, mcast, long)
 	commRed := 1 - float64(accel.PB)/float64(base.PB)
 	jctRed := 1 - float64(accel.JCT)/float64(base.JCT)
 	t.Logf("PB: comm -%.0f%% (paper 67%%), JCT -%.1f%% (paper 12%%); baseline comm share %.0f%%",
@@ -53,8 +68,9 @@ func TestFig11PBAcceleration(t *testing.T) {
 }
 
 func TestFig11RSAcceleration(t *testing.T) {
-	base := run(t, 4, 1, AlgRing, AlgLong)
-	accel := run(t, 4, 1, AlgRing, AlgCepheus)
+	t.Parallel()
+	base := run(t, 4, 1, ring, long)
+	accel := run(t, 4, 1, ring, mcast)
 	commRed := 1 - float64(accel.RS)/float64(base.RS)
 	jctRed := 1 - float64(accel.JCT)/float64(base.JCT)
 	t.Logf("RS: comm -%.0f%% (paper 18%%), JCT -%.1f%% (paper 4%%)", commRed*100, jctRed*100)
@@ -68,12 +84,13 @@ func TestFig11RSAcceleration(t *testing.T) {
 	if jctRed < 0.005 || jctRed > 0.10 {
 		t.Fatalf("JCT reduction %.1f%%, paper reports 4%%", jctRed*100)
 	}
-	if jctRed >= 1-float64(run(t, 1, 4, AlgCepheus, AlgLong).JCT)/float64(run(t, 1, 4, AlgRing, AlgLong).JCT) {
+	if jctRed >= 1-float64(run(t, 1, 4, mcast, long).JCT)/float64(run(t, 1, 4, ring, long).JCT) {
 		t.Fatal("RS acceleration should gain less than PB acceleration (paper: 4% vs 12%)")
 	}
 }
 
 func TestAnalyticModelOrdering(t *testing.T) {
+	t.Parallel()
 	// For any n and message size, cepheus <= binomial and cepheus <= ring.
 	for _, n := range []int{2, 4, 16, 128} {
 		for _, b := range []float64{64, 1 << 20, 64 << 20} {
@@ -94,6 +111,7 @@ func TestAnalyticModelOrdering(t *testing.T) {
 }
 
 func TestAnalyticLargeScaleHPL(t *testing.T) {
+	t.Parallel()
 	// The paper's supplementary claim: Cepheus maintains consistent gains
 	// up to a 128x128 grid.
 	for _, grid := range []int{8, 32, 128} {
@@ -112,14 +130,15 @@ func TestAnalyticLargeScaleHPL(t *testing.T) {
 }
 
 func TestAnalyticMatchesSimulatedShape(t *testing.T) {
+	t.Parallel()
 	// The closed form and the packet-level run should agree on the sign
 	// and rough magnitude of the PB gain for the testbed grid.
 	cfg := DefaultTestbedConfig(1, 4)
 	aBase := Analytic(cfg, RingModel, LongModel)
 	aAccel := Analytic(cfg, CepheusModel, LongModel)
 	aGain := 1 - aAccel.JCTSeconds/aBase.JCTSeconds
-	sBase := run(t, 1, 4, AlgRing, AlgLong)
-	sAccel := run(t, 1, 4, AlgCepheus, AlgLong)
+	sBase := run(t, 1, 4, ring, long)
+	sAccel := run(t, 1, 4, mcast, long)
 	sGain := 1 - float64(sAccel.JCT)/float64(sBase.JCT)
 	if aGain < sGain/3 || aGain > sGain*3 {
 		t.Fatalf("analytic gain %.1f%% vs simulated %.1f%%: models diverged", aGain*100, sGain*100)

@@ -159,14 +159,10 @@ func RDMC(run Bcast) (*exp.Table, RDMCRun, error) {
 	return t, r, nil
 }
 
-func newStorage(mode storage.Mode) *storage.Cluster {
-	return storage.NewCluster(sim.New(1), mode, storage.DefaultConfig())
-}
-
 // Table1 is the 8KB replication writing throughput of 1-unicast,
 // 3-unicasts and Cepheus. It also returns Cepheus's IOPS as a multiple of
 // 3-unicasts'.
-func Table1() (*exp.Table, float64) {
+func Table1() (*exp.Table, float64, error) {
 	paper := map[storage.Mode]string{
 		storage.Unicast1: "1.188", storage.UnicastN: "0.413", storage.CepheusWrite: "1.167",
 	}
@@ -174,10 +170,14 @@ func Table1() (*exp.Table, float64) {
 		"scheme", "IOPS(M)", "paper(M)")
 	iops := map[storage.Mode]float64{}
 	for _, mode := range []storage.Mode{storage.Unicast1, storage.UnicastN, storage.CepheusWrite} {
-		iops[mode] = newStorage(mode).RunIOPS(8<<10, 64, 20*sim.Millisecond)
+		c, err := storage.NewCluster(mode, storage.DefaultConfig())
+		if err != nil {
+			return nil, 0, err
+		}
+		iops[mode] = c.RunIOPS(8<<10, 64, 20*sim.Millisecond)
 		t.Add(mode.String(), fmt.Sprintf("%.3f", iops[mode]/1e6), paper[mode])
 	}
-	return t, iops[storage.CepheusWrite] / iops[storage.UnicastN]
+	return t, iops[storage.CepheusWrite] / iops[storage.UnicastN], nil
 }
 
 // IOLatency is one IO size of Fig 10: each write path's single-IO latency.
@@ -187,19 +187,29 @@ type IOLatency struct {
 }
 
 // Fig10 is the single-IO latency sweep over IO sizes.
-func Fig10() (*exp.Table, []IOLatency) {
+func Fig10() (*exp.Table, []IOLatency, error) {
 	t := exp.NewTable("Fig 10: single IO latency",
 		"IO size", "1-unicast", "3-unicasts", "cepheus", "cepheus vs 3-unicasts")
 	var rows []IOLatency
 	for _, size := range []int{4 << 10, 8 << 10, 64 << 10, 256 << 10, 512 << 10} {
-		lat := func(m storage.Mode) sim.Time { return newStorage(m).MeasureLatency(size, 10) }
-		r := IOLatency{Size: size, Unicast1: lat(storage.Unicast1), UnicastN: lat(storage.UnicastN),
-			Cepheus: lat(storage.CepheusWrite)}
+		r := IOLatency{Size: size}
+		for _, m := range []struct {
+			mode storage.Mode
+			lat  *sim.Time
+		}{{storage.Unicast1, &r.Unicast1}, {storage.UnicastN, &r.UnicastN}, {storage.CepheusWrite, &r.Cepheus}} {
+			c, err := storage.NewCluster(m.mode, storage.DefaultConfig())
+			if err != nil {
+				return nil, nil, err
+			}
+			if *m.lat, err = c.MeasureLatency(size, 10); err != nil {
+				return nil, nil, err
+			}
+		}
 		t.Add(exp.FormatBytes(size), r.Unicast1.String(), r.UnicastN.String(), r.Cepheus.String(),
 			fmt.Sprintf("-%.0f%%", 100*(1-float64(r.Cepheus)/float64(r.UnicastN))))
 		rows = append(rows, r)
 	}
-	return t, rows
+	return t, rows, nil
 }
 
 // HPLRuns are Fig 11's four testbed HPL runs: the 1x4 grid accelerates
@@ -208,16 +218,27 @@ type HPLRuns struct {
 	BasePB, AccelPB, BaseRS, AccelRS hpl.Result
 }
 
-// Fig11 is the HPL JCT and communication-time comparison on the testbed.
-func Fig11() (*exp.Table, HPLRuns) {
-	run := func(p, q int, pb, rs hpl.Alg) hpl.Result {
-		return hpl.NewTestbedCluster(sim.New(1), hpl.DefaultTestbedConfig(p, q), pb, rs).Run()
-	}
-	r := HPLRuns{
-		BasePB:  run(1, 4, hpl.AlgRing, hpl.AlgLong),
-		AccelPB: run(1, 4, hpl.AlgCepheus, hpl.AlgLong),
-		BaseRS:  run(4, 1, hpl.AlgRing, hpl.AlgLong),
-		AccelRS: run(4, 1, hpl.AlgRing, hpl.AlgCepheus),
+// Fig11 is the HPL JCT and communication-time comparison on the testbed,
+// with HPL's recommended increasing-ring PB and long RS as the baseline.
+func Fig11() (*exp.Table, HPLRuns, error) {
+	var r HPLRuns
+	for _, run := range []struct {
+		p, q   int
+		pb, rs cepheus.Scheme
+		res    *hpl.Result
+	}{
+		{1, 4, cepheus.SchemeRing, cepheus.SchemeLong, &r.BasePB},
+		{1, 4, cepheus.SchemeCepheus, cepheus.SchemeLong, &r.AccelPB},
+		{4, 1, cepheus.SchemeRing, cepheus.SchemeLong, &r.BaseRS},
+		{4, 1, cepheus.SchemeRing, cepheus.SchemeCepheus, &r.AccelRS},
+	} {
+		c, err := hpl.NewTestbedCluster(hpl.DefaultTestbedConfig(run.p, run.q), run.pb, run.rs)
+		if err != nil {
+			return nil, r, err
+		}
+		if *run.res, err = c.Run(); err != nil {
+			return nil, r, err
+		}
 	}
 	t := exp.NewTable("Fig 11: HPL (paper: JCT -12% PB / -4% RS; comm -67% PB / -18% RS)",
 		"setting", "JCT", "comm", "others", "JCT red.", "comm red.")
@@ -229,7 +250,7 @@ func Fig11() (*exp.Table, HPLRuns) {
 	}
 	add("PB(1x4)", r.BasePB, r.AccelPB, r.BasePB.PB, r.AccelPB.PB)
 	add("RS(4x1)", r.BaseRS, r.AccelRS, r.BaseRS.RS, r.AccelRS.RS)
-	return t, r
+	return t, r, nil
 }
 
 // HPLScale is one grid of the large-scale HPL model, JCTs in seconds.
@@ -485,11 +506,11 @@ func Reduce() (*exp.Table, []ReduceTimes, error) {
 		"size", "cepheus-reduce", "gather", "binomial-reduce")
 	baseline := func(mk func(*amcast.Comm) amcast.Reducer, size int) (sim.Time, error) {
 		c := cepheus.NewTestbed(n, cepheus.Options{})
-		ns := make([]*amcast.Node, n)
-		for i := range ns {
-			ns[i] = &amcast.Node{Host: c.Net.Hosts[i], RNIC: c.RNICs[i]}
+		comm, err := c.Comm(hosts(n))
+		if err != nil {
+			return 0, err
 		}
-		return runReduce(c, mk(amcast.NewComm(ns)), size, n)
+		return runReduce(c, mk(comm), size, n)
 	}
 	var rows []ReduceTimes
 	for _, size := range []int{8 << 10, 1 << 20, 16 << 20} {
@@ -561,8 +582,14 @@ func PSTrain() (*exp.Table, PSRuns, error) {
 		scheme ps.Scheme
 		res    *ps.Result
 	}{{ps.SchemeCepheus, &r.Cepheus}, {ps.SchemeAMcast, &r.AMcast}} {
-		c := ps.NewTestbed(sim.New(1), ps.DefaultConfig(6), s.scheme)
-		res := c.Run()
+		c, err := ps.NewTestbed(ps.DefaultConfig(6), s.scheme)
+		if err != nil {
+			return nil, r, err
+		}
+		res, err := c.Run()
+		if err != nil {
+			return nil, r, err
+		}
 		for _, got := range res.GradSums {
 			if got != c.ExpectedGradSum() {
 				return nil, r, fmt.Errorf("%s: wrong gradient aggregate %v", s.scheme, got)

@@ -104,7 +104,7 @@ func BenchmarkSafeguardFallback(b *testing.B) {
 
 // BenchmarkTable1ReplicationIOPS: paper Cepheus 2.7x the IOPS of 3-unicasts.
 func BenchmarkTable1ReplicationIOPS(b *testing.B) {
-	x := bench(b, noErr(Table1))
+	x := bench(b, Table1)
 	b.ReportMetric(x, "x-vs-3unicasts")
 	if x < 2 {
 		b.Errorf("cepheus only %.2fx of 3-unicasts; paper reports 2.7x", x)
@@ -112,7 +112,7 @@ func BenchmarkTable1ReplicationIOPS(b *testing.B) {
 }
 
 func BenchmarkFig10IOLatency(b *testing.B) {
-	for _, r := range bench(b, noErr(Fig10)) {
+	for _, r := range bench(b, Fig10) {
 		if r.Cepheus >= r.UnicastN {
 			b.Errorf("%dB: cepheus latency %v not below 3-unicasts %v", r.Size, r.Cepheus, r.UnicastN)
 		}
@@ -122,14 +122,14 @@ func BenchmarkFig10IOLatency(b *testing.B) {
 // BenchmarkFig11HPLJCT reports the JCT reduction with Panel Broadcast
 // accelerated (paper: 12%).
 func BenchmarkFig11HPLJCT(b *testing.B) {
-	r := bench(b, noErr(Fig11))
+	r := bench(b, Fig11)
 	b.ReportMetric(100*(1-float64(r.AccelPB.JCT)/float64(r.BasePB.JCT)), "%JCT-reduction")
 }
 
 // BenchmarkFig11HPLComm reports the Panel Broadcast communication-time
 // reduction (paper: 67%).
 func BenchmarkFig11HPLComm(b *testing.B) {
-	r := bench(b, noErr(Fig11))
+	r := bench(b, Fig11)
 	b.ReportMetric(100*(1-float64(r.AccelPB.PB)/float64(r.BasePB.PB)), "%PB-comm-reduction")
 }
 

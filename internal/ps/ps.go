@@ -10,11 +10,9 @@ package ps
 import (
 	"fmt"
 
+	cepheus "repro"
 	"repro/internal/amcast"
-	"repro/internal/core"
-	"repro/internal/roce"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // Config sizes the training job.
@@ -62,100 +60,81 @@ const (
 // Cluster is a wired PS training testbed: node 0 is the PS, nodes 1..W the
 // workers.
 type Cluster struct {
-	eng *sim.Engine
+	tb  *cepheus.Cluster
 	Cfg Config
 
 	bcast  amcast.Broadcaster
 	reduce amcast.Reducer
 }
 
-// NewTestbed builds the cluster on a single-ToR topology.
-func NewTestbed(eng *sim.Engine, cfg Config, scheme Scheme) *Cluster {
+// NewTestbed builds the cluster on a single-ToR testbed. SchemeCepheus
+// registers its multicast group before returning; a failed registration or
+// an unknown scheme is an error.
+func NewTestbed(cfg Config, scheme Scheme) (*Cluster, error) {
 	n := cfg.Workers + 1
-	net := topo.Testbed(eng, n)
-	tr := roce.DefaultConfig()
-	rnics := make([]*roce.RNIC, n)
-	agents := make([]*core.Agent, n)
-	for i, h := range net.Hosts {
-		rnics[i] = roce.NewRNIC(h, tr)
-		agents[i] = core.NewAgent(rnics[i])
+	nodes := make([]int, n)
+	for i := range nodes {
+		nodes[i] = i
 	}
-	c := &Cluster{eng: eng, Cfg: cfg}
+	c := &Cluster{tb: cepheus.NewTestbed(n, cepheus.Options{}), Cfg: cfg}
 	switch scheme {
 	case SchemeCepheus:
-		core.Attach(net.Switches[0], core.DefaultAccelConfig())
-		var members []*core.Member
-		for i := 0; i < n; i++ {
-			members = append(members, &core.Member{Host: net.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP()})
-		}
-		g := core.NewGroup(eng, net.AllocMcstID(), members, 0, agents)
-		ok := false
-		g.Register(10*sim.Millisecond, func(err error) {
-			if err != nil {
-				panic("ps: registration failed: " + err.Error())
-			}
-			ok = true
-		})
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-		if !ok {
-			panic("ps: registration did not finish")
+		g, err := c.tb.NewGroup(nodes, 0)
+		if err != nil {
+			return nil, fmt.Errorf("ps: %w", err)
 		}
 		c.bcast = &amcast.Cepheus{Group: g}
 		c.reduce = &amcast.CepheusReduce{Group: g}
 	case SchemeAMcast:
-		nodes := make([]*amcast.Node, n)
-		for i := range nodes {
-			nodes[i] = &amcast.Node{Host: net.Hosts[i], RNIC: rnics[i]}
+		comm, err := c.tb.Comm(nodes)
+		if err != nil {
+			return nil, fmt.Errorf("ps: %w", err)
 		}
-		comm := amcast.NewComm(nodes)
 		c.bcast = amcast.Chain{C: comm, Slices: n}
 		c.reduce = amcast.GatherReduce{C: comm}
 	default:
-		panic(fmt.Sprintf("ps: unknown scheme %q", scheme))
+		return nil, fmt.Errorf("ps: unknown scheme %q", scheme)
 	}
-	return c
+	return c, nil
 }
 
-// Run executes the training loop and returns the decomposition. Gradients
-// are synthetic: worker i contributes float64(i) each iteration, so the
-// PS-side aggregate must equal W(W+1)/2 - ... (sum over worker ranks).
-func (c *Cluster) Run() Result {
-	eng := c.eng
+// Run executes the training loop and returns the decomposition, or an error
+// if a broadcast or a reduction stalls. Gradients are synthetic: worker i
+// contributes float64(i) each iteration, so the PS-side aggregate must
+// equal ExpectedGradSum.
+func (c *Cluster) Run() (Result, error) {
+	tb := c.tb
 	res := Result{}
-	start := eng.Now()
-
-	wait := func(f func(done func())) sim.Time {
-		t0 := eng.Now()
-		finished := false
-		f(func() { finished = true })
-		if eng.Run(sim.MaxTime, func() bool { return finished }) != sim.Done {
-			panic("ps: phase stalled")
-		}
-		return eng.Now() - t0
-	}
-
+	start := tb.Now()
 	for it := 0; it < c.Cfg.Iterations; it++ {
-		res.Bcast += wait(func(done func()) {
-			c.bcast.Bcast(0, c.Cfg.ModelBytes, done)
-		})
-		eng.RunFor(c.Cfg.ComputeNs)
+		jct, err := tb.RunBcastErr(c.bcast, 0, c.Cfg.ModelBytes)
+		if err != nil {
+			return res, fmt.Errorf("ps: iteration %d: %w", it, err)
+		}
+		res.Bcast += jct
+		tb.SettleUntil(tb.Now() + c.Cfg.ComputeNs)
 		res.Compute += c.Cfg.ComputeNs
-		res.Reduce += wait(func(done func()) {
-			c.reduce.Reduce(0, c.Cfg.GradBytes,
-				func(rank int) float64 {
-					if rank == 0 {
-						return 0 // the PS holds no gradient
-					}
-					return float64(rank)
-				},
-				func(total float64) {
-					res.GradSums = append(res.GradSums, total)
-					done()
-				})
-		})
+
+		t0 := tb.Now()
+		reduced := false
+		c.reduce.Reduce(0, c.Cfg.GradBytes,
+			func(rank int) float64 {
+				if rank == 0 {
+					return 0 // the PS holds no gradient
+				}
+				return float64(rank)
+			},
+			func(total float64) {
+				res.GradSums = append(res.GradSums, total)
+				reduced = true
+			})
+		if err := tb.Run(sim.MaxTime, func() bool { return reduced }); err != nil {
+			return res, fmt.Errorf("ps: iteration %d: %s reduce stalled: %w", it, c.reduce.Name(), err)
+		}
+		res.Reduce += tb.Now() - t0
 	}
-	res.JCT = eng.Now() - start
-	return res
+	res.JCT = tb.Now() - start
+	return res, nil
 }
 
 // ExpectedGradSum is the per-iteration aggregate the PS must observe.

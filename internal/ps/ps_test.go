@@ -8,9 +8,14 @@ import (
 
 func run(t *testing.T, scheme Scheme, cfg Config) Result {
 	t.Helper()
-	eng := sim.New(1)
-	c := NewTestbed(eng, cfg, scheme)
-	res := c.Run()
+	c, err := NewTestbed(cfg, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := c.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.GradSums) != cfg.Iterations {
 		t.Fatalf("%s: %d gradient aggregates for %d iterations", scheme, len(res.GradSums), cfg.Iterations)
 	}
@@ -31,6 +36,7 @@ func smallCfg(workers int) Config {
 }
 
 func TestTrainingLoopCepheus(t *testing.T) {
+	t.Parallel()
 	res := run(t, SchemeCepheus, smallCfg(3))
 	if res.JCT <= 0 || res.Bcast <= 0 || res.Reduce <= 0 {
 		t.Fatalf("degenerate decomposition: %+v", res)
@@ -41,10 +47,12 @@ func TestTrainingLoopCepheus(t *testing.T) {
 }
 
 func TestTrainingLoopAMcast(t *testing.T) {
+	t.Parallel()
 	run(t, SchemeAMcast, smallCfg(3))
 }
 
 func TestCepheusBeatsAMcastCommunication(t *testing.T) {
+	t.Parallel()
 	cfg := smallCfg(3)
 	cfg.ModelBytes = 32 << 20
 	cfg.GradBytes = 32 << 20
@@ -66,6 +74,7 @@ func TestCepheusBeatsAMcastCommunication(t *testing.T) {
 }
 
 func TestMoreWorkersSameCepheusBcast(t *testing.T) {
+	t.Parallel()
 	// The multicast side should be insensitive to worker count; the gather
 	// baseline's reduce degrades with incast.
 	c3 := run(t, SchemeCepheus, smallCfg(3))
@@ -80,11 +89,9 @@ func TestMoreWorkersSameCepheusBcast(t *testing.T) {
 	}
 }
 
-func TestUnknownSchemePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown scheme accepted")
-		}
-	}()
-	NewTestbed(sim.New(1), smallCfg(2), "bogus")
+func TestUnknownSchemeErrors(t *testing.T) {
+	t.Parallel()
+	if c, err := NewTestbed(smallCfg(2), "bogus"); err == nil || c != nil {
+		t.Fatalf("NewTestbed = (%v, %v), want an error for an unknown scheme", c, err)
+	}
 }

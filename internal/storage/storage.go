@@ -10,10 +10,10 @@ package storage
 import (
 	"fmt"
 
+	cepheus "repro"
 	"repro/internal/core"
 	"repro/internal/roce"
 	"repro/internal/sim"
-	"repro/internal/topo"
 )
 
 // Mode selects the replication write path.
@@ -89,7 +89,7 @@ type Cluster struct {
 	Cfg  Config
 	Mode Mode
 
-	Net *topo.Network
+	tb *cepheus.Cluster
 
 	clientStack  stack
 	serverStacks []stack
@@ -109,18 +109,19 @@ type Cluster struct {
 	onDone    map[uint64]func()
 }
 
+// registerTimeout bounds the multicast group's registration.
+const registerTimeout = 10 * sim.Millisecond
+
 // NewCluster wires the testbed for the given mode. Cepheus mode registers
-// a multicast group over client+servers and runs the registration to
-// completion before returning.
-func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
+// a multicast group over client+servers, each member carrying its write
+// MR, and runs the registration to completion before returning; a failed
+// or stalled registration is an error.
+func NewCluster(mode Mode, cfg Config) (*Cluster, error) {
 	n := cfg.Replicas + 1
-	c := &Cluster{Cfg: cfg, Mode: mode, Net: topo.Testbed(eng, n), onDone: make(map[uint64]func())}
-	rnics := make([]*roce.RNIC, n)
-	agents := make([]*core.Agent, n)
-	for i, h := range c.Net.Hosts {
-		rnics[i] = roce.NewRNIC(h, cfg.Transport)
-		agents[i] = core.NewAgent(rnics[i])
-	}
+	tb := cepheus.NewTestbed(n, cepheus.Options{Transport: &cfg.Transport})
+	hosts, rnics := tb.Net.Hosts, tb.RNICs
+	eng := tb.Net.Eng
+	c := &Cluster{Cfg: cfg, Mode: mode, tb: tb, onDone: make(map[uint64]func())}
 	c.clientStack = stack{eng: eng}
 	c.serverStacks = make([]stack, cfg.Replicas)
 	c.acked = make([]uint64, cfg.Replicas)
@@ -131,8 +132,8 @@ func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
 		c.serverStacks[s] = stack{eng: eng}
 		sq := rnics[s+1].CreateQP()
 		rq := rnics[0].CreateQP()
-		sq.Connect(c.Net.Hosts[0].IP, rq.QPN)
-		rq.Connect(c.Net.Hosts[s+1].IP, sq.QPN)
+		sq.Connect(hosts[0].IP, rq.QPN)
+		rq.Connect(hosts[s+1].IP, sq.QPN)
 		s := s
 		rq.OnMessage = func(m roce.Message) { c.onReply(s) }
 		c.replyQPs = append(c.replyQPs, sq)
@@ -152,31 +153,28 @@ func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
 		for s := 0; s < nrep; s++ {
 			wq := rnics[0].CreateQP()
 			rq := rnics[s+1].CreateQP()
-			wq.Connect(c.Net.Hosts[s+1].IP, rq.QPN)
-			rq.Connect(c.Net.Hosts[0].IP, wq.QPN)
+			wq.Connect(hosts[s+1].IP, rq.QPN)
+			rq.Connect(hosts[0].IP, wq.QPN)
 			rq.OnMessage = serverRecv(s)
 			c.writeQPs = append(c.writeQPs, wq)
 		}
 	case CepheusWrite:
-		core.Attach(c.Net.Switches[0], core.DefaultAccelConfig())
 		var members []*core.Member
 		for i := 0; i < n; i++ {
 			members = append(members, &core.Member{
-				Host: c.Net.Hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP(),
+				Host: hosts[i], RNIC: rnics[i], QP: rnics[i].CreateQP(),
 				WVA: uint64(0x100000 * (i + 1)), WRKey: uint32(i + 1),
 			})
 		}
-		g := core.NewGroup(eng, c.Net.AllocMcstID(), members, 0, agents)
-		regErr := make(chan error, 1)
-		g.Register(10*sim.Millisecond, func(err error) { regErr <- err })
-		eng.RunUntil(eng.Now() + 10*sim.Millisecond)
-		select {
-		case err := <-regErr:
-			if err != nil {
-				panic("storage: cepheus registration failed: " + err.Error())
-			}
-		default:
-			panic("storage: cepheus registration did not finish")
+		g := core.NewGroup(eng, tb.Net.AllocMcstID(), members, 0, tb.Agents)
+		var regErr error
+		done := false
+		g.Register(registerTimeout, func(err error) { regErr, done = err, true })
+		if err := tb.Run(tb.Now()+registerTimeout, func() bool { return done }); err != nil {
+			return nil, fmt.Errorf("storage: registration stalled: %w", err)
+		}
+		if regErr != nil {
+			return nil, fmt.Errorf("storage: registration failed: %w", regErr)
 		}
 		c.group = g
 		c.memberQP = members[0].QP
@@ -184,7 +182,7 @@ func NewCluster(eng *sim.Engine, mode Mode, cfg Config) *Cluster {
 			members[s+1].QP.OnMessage = serverRecv(s)
 		}
 	}
-	return c
+	return c, nil
 }
 
 func replicasFor(mode Mode, replicas int) int {
@@ -247,12 +245,11 @@ func (c *Cluster) Completed() uint64 { return c.completed }
 // RunIOPS drives the cluster with queueDepth outstanding IOs of size bytes
 // for the duration and returns the measured IOPS.
 func (c *Cluster) RunIOPS(size, queueDepth int, duration sim.Time) float64 {
-	eng := c.Net.Eng
-	stopAt := eng.Now() + duration
+	stopAt := c.tb.Now() + duration
 	startCompleted := c.completed
 	var pump func()
 	pump = func() {
-		if eng.Now() >= stopAt {
+		if c.tb.Now() >= stopAt {
 			return
 		}
 		c.SubmitWrite(size, pump)
@@ -260,23 +257,23 @@ func (c *Cluster) RunIOPS(size, queueDepth int, duration sim.Time) float64 {
 	for i := 0; i < queueDepth; i++ {
 		pump()
 	}
-	eng.RunUntil(stopAt)
+	c.tb.SettleUntil(stopAt)
 	return float64(c.completed-startCompleted) / duration.Seconds()
 }
 
 // MeasureLatency issues count sequential IOs (queue depth 1) and returns
-// the mean end-to-end latency.
-func (c *Cluster) MeasureLatency(size, count int) sim.Time {
-	eng := c.Net.Eng
+// the mean end-to-end latency, or an error if an IO does not commit within
+// a second.
+func (c *Cluster) MeasureLatency(size, count int) (sim.Time, error) {
 	var total sim.Time
 	for i := 0; i < count; i++ {
-		start := eng.Now()
+		start := c.tb.Now()
 		done := false
 		c.SubmitWrite(size, func() { done = true })
-		if eng.Run(start+sim.Second, func() bool { return done }) != sim.Done {
-			panic("storage: IO did not complete within 1s")
+		if err := c.tb.Run(start+sim.Second, func() bool { return done }); err != nil {
+			return 0, fmt.Errorf("storage: %s IO %d of %dB did not commit: %w", c.Mode, i, size, err)
 		}
-		total += eng.Now() - start
+		total += c.tb.Now() - start
 	}
-	return total / sim.Time(count)
+	return total / sim.Time(count), nil
 }

@@ -3,20 +3,26 @@ package storage
 import (
 	"testing"
 
+	"repro/internal/roce"
 	"repro/internal/sim"
 )
 
 func newCluster(t *testing.T, mode Mode) *Cluster {
 	t.Helper()
-	return NewCluster(sim.New(1), mode, DefaultConfig())
+	c, err := NewCluster(mode, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 func TestSingleWriteCompletes(t *testing.T) {
+	t.Parallel()
 	for _, mode := range []Mode{Unicast1, UnicastN, CepheusWrite} {
 		c := newCluster(t, mode)
 		done := false
 		c.SubmitWrite(8<<10, func() { done = true })
-		c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
+		c.tb.SettleUntil(c.tb.Now() + 10*sim.Millisecond)
 		if !done {
 			t.Fatalf("%v: write never committed", mode)
 		}
@@ -27,13 +33,14 @@ func TestSingleWriteCompletes(t *testing.T) {
 }
 
 func TestPipelinedWritesCompleteInOrder(t *testing.T) {
+	t.Parallel()
 	c := newCluster(t, UnicastN)
 	var order []int
 	for i := 0; i < 20; i++ {
 		i := i
 		c.SubmitWrite(8<<10, func() { order = append(order, i) })
 	}
-	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 50*sim.Millisecond)
+	c.tb.SettleUntil(c.tb.Now() + 50*sim.Millisecond)
 	if len(order) != 20 {
 		t.Fatalf("completed %d of 20", len(order))
 	}
@@ -45,6 +52,7 @@ func TestPipelinedWritesCompleteInOrder(t *testing.T) {
 }
 
 func TestTable1IOPSShape(t *testing.T) {
+	t.Parallel()
 	// Table I: 8KB IOPS — 1-unicast 1.188M, 3-unicasts 0.413M, Cepheus
 	// 1.167M. We assert the shape: Cepheus ~ 1-unicast, and 3-unicasts at
 	// roughly a third.
@@ -68,9 +76,13 @@ func TestTable1IOPSShape(t *testing.T) {
 }
 
 func TestFig10LatencyShape(t *testing.T) {
+	t.Parallel()
 	lat := func(mode Mode, size int) sim.Time {
-		c := newCluster(t, mode)
-		return c.MeasureLatency(size, 10)
+		lat, err := newCluster(t, mode).MeasureLatency(size, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lat
 	}
 	// 8KB: Cepheus ~23% lower than 3-unicasts; 512KB: ~60% lower.
 	u3Small, cephSmall := lat(UnicastN, 8<<10), lat(CepheusWrite, 8<<10)
@@ -97,10 +109,11 @@ func TestFig10LatencyShape(t *testing.T) {
 }
 
 func TestUnicast1UsesOneServer(t *testing.T) {
+	t.Parallel()
 	c := newCluster(t, Unicast1)
 	done := false
 	c.SubmitWrite(8<<10, func() { done = true })
-	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
+	c.tb.SettleUntil(c.tb.Now() + 10*sim.Millisecond)
 	if !done {
 		t.Fatal("write incomplete")
 	}
@@ -110,10 +123,11 @@ func TestUnicast1UsesOneServer(t *testing.T) {
 }
 
 func TestCepheusWriteHitsAllReplicas(t *testing.T) {
+	t.Parallel()
 	c := newCluster(t, CepheusWrite)
 	done := false
 	c.SubmitWrite(64<<10, func() { done = true })
-	c.Net.Eng.RunUntil(c.Net.Eng.Now() + 10*sim.Millisecond)
+	c.tb.SettleUntil(c.tb.Now() + 10*sim.Millisecond)
 	if !done {
 		t.Fatal("write incomplete")
 	}
@@ -124,7 +138,53 @@ func TestCepheusWriteHitsAllReplicas(t *testing.T) {
 	}
 }
 
+// TestCepheusWriteRewritesMR checks §III-B2's multicast-WRITE address
+// rewrite end to end: the client writes once with its own MR, and every
+// replica's message arrives carrying the VA and rkey that replica
+// registered with the group.
+func TestCepheusWriteRewritesMR(t *testing.T) {
+	t.Parallel()
+	c := newCluster(t, CepheusWrite)
+	type mr struct {
+		va   uint64
+		rkey uint32
+	}
+	got := make([][]mr, c.Cfg.Replicas)
+	for s := range got {
+		s, m := s, c.group.Members[s+1]
+		deliver := m.QP.OnMessage
+		m.QP.OnMessage = func(msg roce.Message) {
+			got[s] = append(got[s], mr{msg.WriteVA, msg.WriteRKey})
+			deliver(msg)
+		}
+	}
+	const writes = 3
+	for i := 0; i < writes; i++ {
+		c.SubmitWrite(64<<10, nil)
+	}
+	c.tb.SettleUntil(c.tb.Now() + 10*sim.Millisecond)
+	if c.Completed() != writes {
+		t.Fatalf("completed %d of %d writes", c.Completed(), writes)
+	}
+	for s, msgs := range got {
+		m := c.group.Members[s+1]
+		if m.WVA == 0 || m.WRKey == 0 {
+			t.Fatalf("replica %d registered no MR", s)
+		}
+		if len(msgs) != writes {
+			t.Fatalf("replica %d received %d messages, want %d", s, len(msgs), writes)
+		}
+		for i, x := range msgs {
+			if x.va != m.WVA || x.rkey != m.WRKey {
+				t.Errorf("replica %d write %d carried VA %#x rkey %d, want its own %#x/%d",
+					s, i, x.va, x.rkey, m.WVA, m.WRKey)
+			}
+		}
+	}
+}
+
 func TestModeString(t *testing.T) {
+	t.Parallel()
 	if Unicast1.String() != "1-unicast" || UnicastN.String() != "n-unicasts" || CepheusWrite.String() != "cepheus" {
 		t.Fatal("mode names changed")
 	}
