@@ -267,7 +267,7 @@ func instrument(c *cepheus.Cluster) {
 // prints its audit and group verdicts.
 func report(c *cepheus.Cluster, label string) error {
 	if *traceOut != "" {
-		if err := c.WriteTraceFile(*traceOut, true); err != nil {
+		if err := c.WriteTraceFile(*traceOut); err != nil {
 			return fmt.Errorf("%s: trace export: %w", label, err)
 		}
 	}

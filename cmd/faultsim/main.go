@@ -465,7 +465,7 @@ func run(c *cepheus.Cluster, inject func(*cepheus.Cluster, *fault.Injector) sim.
 	fmt.Printf("queue depth (bytes):   %s\n", c.QueueDepth())
 	groupVerdict(c)
 	if *trace != "" {
-		if err := c.WriteTraceFile(*trace, true); err != nil {
+		if err := c.WriteTraceFile(*trace); err != nil {
 			fmt.Fprintf(os.Stderr, "trace export failed: %v\n", err)
 			os.Exit(1)
 		}

@@ -2,6 +2,7 @@ package cepheus
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -107,8 +108,9 @@ func TestPrimedSafeguardReTripsOnStillLossyLink(t *testing.T) {
 }
 
 // graySoakWorkload runs a gray-only soak (loss, burst, corruption, latency,
-// bandwidth, control storms — no fail-stop) and returns the canonical trace
-// bytes plus the SLO report with per-episode goodput.
+// bandwidth, control storms — no fail-stop), broadcasting once in the middle
+// of every episode, and returns the canonical trace bytes plus the SLO report
+// with per-episode goodput.
 func graySoakWorkload(t *testing.T, seed int64) ([]byte, string) {
 	t.Helper()
 	c := NewLeafSpine(2, 2, 4, Options{Seed: seed})
@@ -145,6 +147,17 @@ func graySoakWorkload(t *testing.T, seed int64) ([]byte, string) {
 			t.Fatal(err)
 		}
 	}
+	// The broadcasts above end long before the first episode starts; one
+	// more broadcast in the middle of each episode sends frames through the
+	// impaired ports.
+	for _, ep := range plan {
+		if mid := ep.Start + (ep.End-ep.Start)/2; c.Now() < mid {
+			c.SettleUntil(mid)
+		}
+		if _, err := c.RunBcastErr(b, 0, 256<<10); err != nil {
+			t.Fatalf("broadcast during episode %d (%s): %v", ep.Index, ep.Kind, err)
+		}
+	}
 	const horizon = 50 * sim.Millisecond
 	c.SettleUntil(horizon)
 	evs := rec.EventsUntil(horizon)
@@ -177,5 +190,28 @@ func TestGraySoakRepeatable(t *testing.T) {
 	}
 	if slo != refSLO {
 		t.Errorf("second run's SLO report diverges:\n--- first\n%s\n--- second\n%s", refSLO, slo)
+	}
+}
+
+// TestPinnedGraySoak pins graySoakWorkload's trace and SLO report at seed 1.
+// The goldens were captured while impaired ports still dispatched their
+// per-frame events through typed handlers; they pin that the impaired-port
+// path keeps its exact event order across refactors, which a
+// same-binary repeat cannot show.
+func TestPinnedGraySoak(t *testing.T) {
+	t.Parallel()
+	trace, slo := graySoakWorkload(t, 1)
+	for _, r := range []string{`"reason":"impair-loss"`, `"reason":"corrupt"`, `"reason":"ctrl-storm"`} {
+		if !bytes.Contains(trace, []byte(r)) {
+			t.Errorf("trace has no %s drop; the pin does not cover the impaired path", r)
+		}
+	}
+	const wantTrace = "8d1cbc3c3aa2c0d490b55dc54fba1650430e4c904cb741caa1a6291b84b2ea9c"
+	if got := fmt.Sprintf("%x", sha256.Sum256(trace)); got != wantTrace || len(trace) != 26943395 {
+		t.Errorf("trace drifted: sha256 %s (%d bytes), want %s (26943395 bytes)", got, len(trace), wantTrace)
+	}
+	const wantSLO = "8dbb0d4d74c7c9cb1859eef61908c78f10021d6ed762adde2d9e68e42e49d106"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(slo))); got != wantSLO {
+		t.Errorf("SLO report drifted: sha256 %s, want %s; report:\n%s", got, wantSLO, slo)
 	}
 }

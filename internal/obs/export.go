@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-
-	"repro/internal/sim"
 )
 
 // WriteJSONL writes events as one JSON object per line. The schema is
@@ -24,35 +22,6 @@ func (r *Recorder) WriteJSONL(w io.Writer, evs []Event) error {
 			int64(e.At), r.DevName(e.Dev), e.Port, e.Kind.String(), e.Reason.String(),
 			PktTypeName(e.PT), AddrString(e.Src), AddrString(e.Dst), e.SrcQP, e.DstQP, e.PSN, e.Msg, e.A, e.B)
 		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// WriteText writes events in a pcap-like human-readable form, one event per
-// line: timestamp, device[:port], kind, frame type, src > dst, PSN, and the
-// kind-specific a/b payload.
-func (r *Recorder) WriteText(w io.Writer, evs []Event) error {
-	bw := bufio.NewWriter(w)
-	for i := range evs {
-		e := &evs[i]
-		dev := r.DevName(e.Dev)
-		if e.Port >= 0 {
-			dev = fmt.Sprintf("%s:%d", dev, e.Port)
-		}
-		line := fmt.Sprintf("%-14v %-12s %-11s", sim.Time(e.At), dev, e.Kind)
-		if e.Reason != RNone {
-			line += fmt.Sprintf(" [%s]", e.Reason)
-		}
-		if e.Src != 0 || e.Dst != 0 {
-			line += fmt.Sprintf(" %s %s > %s psn=%d", PktTypeName(e.PT), AddrString(e.Src), AddrString(e.Dst), e.PSN)
-		}
-		if e.Msg != 0 {
-			line += fmt.Sprintf(" msg=%d", e.Msg)
-		}
-		line += fmt.Sprintf(" a=%d b=%d", e.A, e.B)
-		if _, err := fmt.Fprintln(bw, line); err != nil {
 			return err
 		}
 	}

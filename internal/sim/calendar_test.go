@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refQueue is the reference model the calendar queue is checked against: a
@@ -73,11 +75,6 @@ func (r *refQueue) check(e *Engine) {
 	}
 }
 
-// idHandler dispatches the typed path to a test callback by int argument.
-type idHandler struct{ fn func(id int) }
-
-func (h *idHandler) OnEvent(_ *Engine, arg any) { h.fn(arg.(int)) }
-
 // refDelay draws a delay from a mix that exercises every calendar path:
 // same-nanosecond ties, the dense sub-bucket and near-future bands, gaps of
 // more than one bucket cycle, and second-scale timers.
@@ -99,105 +96,108 @@ func refDelay(rng *rand.Rand) Time {
 }
 
 // TestCalendarMatchesReference drives random sequences of Schedule,
-// ScheduleHandler, Timer.Reset/Stop, re-arms and scheduling from inside
-// callbacks, bursts that grow the calendar, Run slices and RunUntil jumps,
-// and checks every execution against the reference (at, seq) order.
+// Timer.Reset/Stop, re-arms and scheduling from inside callbacks, bursts
+// that grow the calendar, Run slices and RunUntil jumps, and checks every
+// execution against the reference (at, seq) order. Each seed runs as its
+// own parallel subtest.
 func TestCalendarMatchesReference(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 8; seed++ {
-		e := New(seed)
-		rng := rand.New(rand.NewSource(seed))
-		ref := newRefQueue(t)
-		const nTimers = 24
-		budget := 5000 // arms left; callbacks stop arming when it runs out
-		nextID := nTimers
-		var op func()
-		h := &idHandler{}
-		h.fn = func(id int) {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			checkCalendarReference(t, seed)
+		})
+	}
+}
+
+// checkCalendarReference is one seed of TestCalendarMatchesReference.
+func checkCalendarReference(t *testing.T, seed int64) {
+	e := New(seed)
+	rng := rand.New(rand.NewSource(seed))
+	ref := newRefQueue(t)
+	const nTimers = 24
+	budget := 5000 // arms left; callbacks stop arming when it runs out
+	nextID := nTimers
+	var op func()
+	closure := func(id int) func() {
+		return func() {
 			ref.fire(e, id)
 			if rng.Intn(3) == 0 {
 				op()
 			}
 		}
-		closure := func(id int) func() {
-			return func() { h.fn(id) }
-		}
-		timers := make([]*Timer, nTimers)
-		for i := range timers {
-			i := i
-			timers[i] = e.NewTimer(func() {
-				ref.fire(e, i)
-				if budget > 0 && rng.Intn(2) == 0 {
-					budget--
-					d := refDelay(rng)
-					ref.arm(i, e.Now()+d)
-					timers[i].Reset(d) // re-arm from its own callback
-				}
-				if rng.Intn(3) == 0 {
-					op()
-				}
-			})
-		}
-		op = func() {
-			if budget <= 0 {
-				return
+	}
+	timers := make([]*Timer, nTimers)
+	for i := range timers {
+		i := i
+		timers[i] = e.NewTimer(func() {
+			ref.fire(e, i)
+			if budget > 0 && rng.Intn(2) == 0 {
+				budget--
+				d := refDelay(rng)
+				ref.arm(i, e.Now()+d)
+				timers[i].Reset(d) // re-arm from its own callback
 			}
-			budget--
-			switch rng.Intn(7) {
-			case 0, 1:
-				at := e.Now() + refDelay(rng)
+			if rng.Intn(3) == 0 {
+				op()
+			}
+		})
+	}
+	op = func() {
+		if budget <= 0 {
+			return
+		}
+		budget--
+		switch rng.Intn(7) {
+		case 0, 1, 2:
+			at := e.Now() + refDelay(rng)
+			ref.arm(nextID, at)
+			e.Schedule(at, closure(nextID))
+			nextID++
+		case 3, 4:
+			i, d := rng.Intn(nTimers), refDelay(rng)
+			ref.arm(i, e.Now()+d)
+			timers[i].Reset(d)
+		case 5:
+			i := rng.Intn(nTimers)
+			_, armed := ref.pending[i]
+			delete(ref.pending, i)
+			if timers[i].Stop() != armed {
+				t.Fatalf("timer %d Stop = %v, reference armed %v", i, !armed, armed)
+			}
+		case 6: // a burst at one or a few instants grows the calendar
+			base := e.Now() + refDelay(rng)
+			for k := rng.Intn(300); k > 0 && budget > 0; k-- {
+				budget--
+				at := base + Time(rng.Intn(4))*Time(rng.Intn(64))
 				ref.arm(nextID, at)
 				e.Schedule(at, closure(nextID))
 				nextID++
-			case 2:
-				at := e.Now() + refDelay(rng)
-				ref.arm(nextID, at)
-				e.ScheduleHandler(at, h, nextID)
-				nextID++
-			case 3, 4:
-				i, d := rng.Intn(nTimers), refDelay(rng)
-				ref.arm(i, e.Now()+d)
-				timers[i].Reset(d)
-			case 5:
-				i := rng.Intn(nTimers)
-				_, armed := ref.pending[i]
-				delete(ref.pending, i)
-				if timers[i].Stop() != armed {
-					t.Fatalf("timer %d Stop = %v, reference armed %v", i, !armed, armed)
-				}
-			case 6: // a burst at one or a few instants grows the calendar
-				base := e.Now() + refDelay(rng)
-				for k := rng.Intn(300); k > 0 && budget > 0; k-- {
-					budget--
-					at := base + Time(rng.Intn(4))*Time(rng.Intn(64))
-					ref.arm(nextID, at)
-					e.ScheduleHandler(at, h, nextID)
-					nextID++
-				}
 			}
 		}
-		for round := 0; round < 400; round++ {
-			for k := rng.Intn(6); k >= 0; k-- {
-				op()
-			}
-			ref.check(e)
-			if rng.Intn(4) == 0 {
-				to := e.Now() + refDelay(rng)
-				e.RunUntil(to)
-				if e.Now() != to {
-					t.Fatalf("RunUntil(%v) left the clock at %v", to, e.Now())
-				}
-			} else {
-				n := rng.Intn(50)
-				e.Run(MaxTime, func() bool { n--; return n < 0 })
-			}
-			ref.check(e)
+	}
+	for round := 0; round < 400; round++ {
+		for k := rng.Intn(6); k >= 0; k-- {
+			op()
 		}
-		budget = 0
-		e.Run(MaxTime, nil)
 		ref.check(e)
-		if len(ref.pending) != 0 {
-			t.Fatalf("seed %d: %d reference entries never ran", seed, len(ref.pending))
+		if rng.Intn(4) == 0 {
+			to := e.Now() + refDelay(rng)
+			e.RunUntil(to)
+			if e.Now() != to {
+				t.Fatalf("RunUntil(%v) left the clock at %v", to, e.Now())
+			}
+		} else {
+			n := rng.Intn(50)
+			e.Run(MaxTime, func() bool { n--; return n < 0 })
 		}
+		ref.check(e)
+	}
+	budget = 0
+	e.Run(MaxTime, nil)
+	ref.check(e)
+	if len(ref.pending) != 0 {
+		t.Fatalf("seed %d: %d reference entries never ran", seed, len(ref.pending))
 	}
 }
 
@@ -206,6 +206,7 @@ func TestCalendarMatchesReference(t *testing.T) {
 // earlier insert must pull the cursor back, or once that insert is popped the
 // next scan starts past every nearer entry.
 func TestCalendarCursorMovesBack(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
@@ -226,5 +227,15 @@ func TestCalendarCursorMovesBack(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("ran %v, want %v", got, want)
 		}
+	}
+}
+
+// TestEngineSlotSize guards the calendar arena's entry size, paid once per
+// pending event: a slot holds its key, its links and one payload pointer of
+// each kind (closure or timer), 40 bytes on 64-bit hosts.
+func TestEngineSlotSize(t *testing.T) {
+	t.Parallel()
+	if sz := unsafe.Sizeof(eslot{}); sz > 40 {
+		t.Fatalf("eslot is %d bytes, want <= 40", sz)
 	}
 }

@@ -11,11 +11,10 @@
 // then schedule order, found through an occupancy bitmap), so the dense
 // near-future band of a busy fabric costs O(1) per insert and pop instead of
 // a heap's O(log n). Entries live in a recycled slot arena linked by index,
-// so relinking triggers no GC write barriers; the typed Handler dispatch
-// path carries a receiver plus argument without building a closure per
-// event; and Timers own a single entry that Reset relinks and Stop unlinks
-// in place — arming and cancelling schedules no garbage. See DESIGN.md §8
-// for the internals.
+// so relinking triggers no GC write barriers; and Timers own a single entry
+// that Reset relinks and Stop unlinks in place — arming and cancelling
+// schedules no garbage. An event is either a closure or a timer. See
+// DESIGN.md §8 for the internals.
 package sim
 
 import (
@@ -62,26 +61,16 @@ func (t Time) String() string {
 	}
 }
 
-// Handler is the typed event dispatch path: hot paths implement OnEvent once
-// and schedule (receiver, arg) pairs instead of building a closure per event.
-// arg carries per-event state; storing pointers in it does not allocate.
-type Handler interface {
-	OnEvent(e *Engine, arg any)
-}
-
 // eslot is one scheduled entry: its ordering key, its links in a calendar
-// bucket, and its payload. Exactly one of fn, h, or tm is set: fn is the
-// closure path, h the typed-handler path, tm a Timer's entry (the timer
-// tracks its slot index, so Stop/Reset unlink it in O(1)). The links are
-// slot indices rather than pointers, so relinking triggers no GC write
-// barriers.
+// bucket, and its payload. Exactly one of fn or tm is set: fn is a
+// scheduled closure, tm a Timer's entry (the timer tracks its slot index, so
+// Stop/Reset unlink it in O(1)). The links are slot indices rather than
+// pointers, so relinking triggers no GC write barriers.
 type eslot struct {
 	at         Time
 	seq        uint64 // tie-break: FIFO among equal timestamps
 	next, prev int32  // neighbours in the bucket list, -1 at either end
 	fn         func()
-	h          Handler
-	arg        any
 	tm         *Timer
 }
 
@@ -260,14 +249,14 @@ func (e *Engine) unlink(s int32) {
 }
 
 // remove unlinks slot s, disarms its timer if it has one, and recycles it
-// with its callback and argument references dropped for the GC.
+// with its callback and timer references dropped for the GC.
 func (e *Engine) remove(s int32) {
 	e.unlink(s)
 	sl := &e.slots[s]
 	if sl.tm != nil {
 		sl.tm.slot = -1
 	}
-	sl.fn, sl.h, sl.arg, sl.tm = nil, nil, nil, nil
+	sl.fn, sl.tm = nil, nil
 	e.free = append(e.free, s)
 }
 
@@ -342,39 +331,21 @@ func (e *Engine) grow() {
 	}
 }
 
-// schedule validates the timestamp, takes the next seq, and queues the
-// payload.
-func (e *Engine) schedule(at Time, fn func(), h Handler, arg any) {
+// Schedule runs fn at absolute time at. It panics if at precedes Now, since a
+// causal model can never schedule into the past.
+func (e *Engine) Schedule(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
 	s := e.allocSlot()
 	sl := &e.slots[s]
-	sl.at, sl.seq, sl.fn, sl.h, sl.arg = at, e.seq, fn, h, arg
+	sl.at, sl.seq, sl.fn = at, e.seq, fn
 	e.link(s)
-}
-
-// Schedule runs fn at absolute time at. It panics if at precedes Now, since a
-// causal model can never schedule into the past.
-func (e *Engine) Schedule(at Time, fn func()) {
-	e.schedule(at, fn, nil, nil)
 }
 
 // After runs fn d nanoseconds from now. A negative d panics via Schedule.
 func (e *Engine) After(d Time, fn func()) { e.Schedule(e.now+d, fn) }
-
-// ScheduleHandler runs h.OnEvent(e, arg) at absolute time at. Unlike
-// Schedule, it allocates nothing when h and arg hold pointers — the typed
-// path per-packet machinery (ports, QPs) uses on every hop.
-func (e *Engine) ScheduleHandler(at Time, h Handler, arg any) {
-	e.schedule(at, nil, h, arg)
-}
-
-// AfterHandler runs h.OnEvent(e, arg) d nanoseconds from now.
-func (e *Engine) AfterHandler(d Time, h Handler, arg any) {
-	e.ScheduleHandler(e.now+d, h, arg)
-}
 
 // Timer is a cancellable, re-armable scheduled callback. A timer owns at most
 // one queue entry: Reset re-arms it in place and Stop removes it immediately,
@@ -466,13 +437,9 @@ func (e *Engine) step() {
 	}
 	// Retire the entry before dispatching, so a callback that schedules
 	// immediately reuses the slot it just vacated.
-	fn, h, arg := sl.fn, sl.h, sl.arg
+	fn := sl.fn
 	e.remove(s)
-	if h != nil {
-		h.OnEvent(e, arg)
-	} else {
-		fn()
-	}
+	fn()
 }
 
 // Outcome reports why a Run returned.

@@ -89,23 +89,3 @@ func BenchmarkTimerRearmDense(b *testing.B) {
 	b.ResetTimer()
 	e.Run(MaxTime, nil)
 }
-
-// BenchmarkHandlerDispatch measures the typed-handler path ports use per hop.
-// Should be allocation-free when the handler and arg are pointers.
-func BenchmarkHandlerDispatch(b *testing.B) {
-	e := New(1)
-	h := &nopHandler{}
-	arg := &struct{}{}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.AfterHandler(Time(i%1000), h, arg)
-		if i%1024 == 0 {
-			e.Run(MaxTime, nil)
-		}
-	}
-	e.Run(MaxTime, nil)
-}
-
-type nopHandler struct{}
-
-func (*nopHandler) OnEvent(*Engine, any) {}

@@ -8,6 +8,7 @@ import (
 )
 
 func TestScheduleOrder(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var got []int
 	e.Schedule(30, func() { got = append(got, 3) })
@@ -23,6 +24,7 @@ func TestScheduleOrder(t *testing.T) {
 }
 
 func TestFIFOAtSameTimestamp(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var got []int
 	for i := 0; i < 100; i++ {
@@ -38,6 +40,7 @@ func TestFIFOAtSameTimestamp(t *testing.T) {
 }
 
 func TestSchedulePastPanics(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	e.Schedule(100, func() {})
 	e.Run(MaxTime, nil)
@@ -50,6 +53,7 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 func TestAfterNested(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var at []Time
 	e.After(10, func() {
@@ -63,6 +67,7 @@ func TestAfterNested(t *testing.T) {
 }
 
 func TestRunUntil(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	ran := 0
 	e.Schedule(10, func() { ran++ })
@@ -84,6 +89,7 @@ func TestRunUntil(t *testing.T) {
 // first event and after every event, the event past the limit is never
 // executed, and an empty queue is Quiescent.
 func TestRunOutcomes(t *testing.T) {
+	t.Parallel()
 	t.Run("engine", func(t *testing.T) {
 		e := New(1)
 		ran := 0
@@ -115,6 +121,7 @@ func TestRunOutcomes(t *testing.T) {
 }
 
 func TestRunUntilAdvancesIdleClock(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	e.RunUntil(1000)
 	if e.Now() != 1000 {
@@ -123,6 +130,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 }
 
 func TestTimerStop(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	fired := false
 	tm := e.AfterTimer(10, func() { fired = true })
@@ -139,6 +147,7 @@ func TestTimerStop(t *testing.T) {
 }
 
 func TestTimerFires(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	fired := false
 	tm := e.AfterTimer(10, func() { fired = true })
@@ -155,6 +164,7 @@ func TestTimerFires(t *testing.T) {
 // scheduler. The old implementation left cancelled closures in the heap until
 // their deadline, so RTO churn (re-armed on every ACK) accumulated garbage.
 func TestTimerChurnDoesNotGrowPending(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	tm := e.NewTimer(func() {})
 	for i := 0; i < 10000; i++ {
@@ -173,6 +183,7 @@ func TestTimerChurnDoesNotGrowPending(t *testing.T) {
 }
 
 func TestTimerReset(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var firedAt []Time
 	tm := e.NewTimer(func() { firedAt = append(firedAt, e.Now()) })
@@ -199,6 +210,7 @@ func TestTimerReset(t *testing.T) {
 // sequence number, so it runs after events already scheduled at the same
 // instant — exactly as if it had been cancelled and re-scheduled.
 func TestTimerResetReordersAfterPeers(t *testing.T) {
+	t.Parallel()
 	e := New(1)
 	var got []string
 	tm := e.NewTimer(func() { got = append(got, "timer") })
@@ -211,54 +223,24 @@ func TestTimerResetReordersAfterPeers(t *testing.T) {
 	}
 }
 
-type recordingHandler struct {
-	got []any
-	at  []Time
-}
-
-func (h *recordingHandler) OnEvent(e *Engine, arg any) {
-	h.got = append(h.got, arg)
-	h.at = append(h.at, e.Now())
-}
-
-func TestScheduleHandler(t *testing.T) {
-	e := New(1)
-	h := &recordingHandler{}
-	e.ScheduleHandler(20, h, "b")
-	e.ScheduleHandler(10, h, "a")
-	e.AfterHandler(30, h, nil)
-	e.Run(MaxTime, nil)
-	if len(h.got) != 3 || h.got[0] != "a" || h.got[1] != "b" || h.got[2] != nil {
-		t.Fatalf("handler args = %v", h.got)
-	}
-	if h.at[0] != 10 || h.at[1] != 20 || h.at[2] != 30 {
-		t.Fatalf("handler times = %v", h.at)
-	}
-}
-
-// Closure, handler, and timer events scheduled at one instant interleave in
-// schedule order — the dispatch paths share one sequence space.
+// Closure and timer events scheduled at one instant interleave in schedule
+// order — the two payload kinds share one sequence space.
 func TestMixedDispatchFIFO(t *testing.T) {
+	t.Parallel()
 	e := New(1)
-	var got []any
-	h := &recordingHandler{}
+	var got []string
 	e.Schedule(5, func() { got = append(got, "fn1") })
-	e.ScheduleHandler(5, h, "h1")
 	tm := e.NewTimer(func() { got = append(got, "tm") })
 	tm.Reset(5)
 	e.Schedule(5, func() { got = append(got, "fn2") })
 	e.Run(MaxTime, nil)
-	// Handler records separately; merge check via timestamps is overkill —
-	// assert closure/timer order and that the handler ran once.
 	if len(got) != 3 || got[0] != "fn1" || got[1] != "tm" || got[2] != "fn2" {
 		t.Fatalf("closure/timer order = %v", got)
-	}
-	if len(h.got) != 1 {
-		t.Fatalf("handler ran %d times, want 1", len(h.got))
 	}
 }
 
 func TestDeterminismAcrossSeededRuns(t *testing.T) {
+	t.Parallel()
 	run := func(seed int64) []Time {
 		e := New(seed)
 		var order []Time
@@ -292,6 +274,7 @@ func TestDeterminismAcrossSeededRuns(t *testing.T) {
 // Property: events always execute in non-decreasing timestamp order no matter
 // the insertion order.
 func TestEventOrderProperty(t *testing.T) {
+	t.Parallel()
 	f := func(times []uint16) bool {
 		e := New(1)
 		var got []Time
@@ -314,6 +297,7 @@ func TestEventOrderProperty(t *testing.T) {
 }
 
 func TestTimeString(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		t    Time
 		want string

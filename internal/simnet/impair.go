@@ -151,7 +151,7 @@ func (im *impairState) fate(p *Packet) obs.Reason {
 // propagation for latency/jitter, and schedules delivery only for survivors.
 // Doomed frames still hold the link for their (stretched) serialization time
 // — the bits went onto the wire — and are recorded and released when
-// serialization completes (txDoneHandler), keeping the link-busy and PFC
+// serialization completes (impairTxDone), keeping the link-busy and PFC
 // accounting identical to the healthy path.
 func (pt *Port) impairSend(p *Packet, tx sim.Time) {
 	im := pt.imp
@@ -168,10 +168,32 @@ func (pt *Port) impairSend(p *Packet, tx sim.Time) {
 		}
 	}
 	p.txEpoch, p.peerEpoch = pt.epoch, pt.Peer.epoch
-	pt.eng.AfterHandler(tx, &pt.txDoneH, p)
+	pt.eng.After(tx, func() { pt.impairTxDone(p) })
 	if reason == obs.RNone {
-		pt.eng.AfterHandler(tx+prop, &pt.deliverH, p)
+		pt.eng.After(tx+prop, func() { pt.arrive(p) })
 	}
+}
+
+// impairTxDone fires when a frame finishes serializing on the per-frame
+// path: the link is free for the next frame and the frame's ingress-buffer
+// reservation is returned. The healthy burst path releases accounting at
+// commit time and uses the txT timer instead.
+func (pt *Port) impairTxDone(p *Packet) {
+	pt.busy = false
+	if p.acct != nil {
+		p.acct.release(p.Size())
+		p.acct = nil
+	}
+	if p.impairDrop != obs.RNone {
+		// The impaired wire killed this frame; no delivery was scheduled,
+		// so serialization end is where it dies.
+		pt.recordImpairDrop(p)
+		p.Release()
+	}
+	if pt.OnDrain != nil && pt.qBytes <= pt.LowWater {
+		pt.OnDrain()
+	}
+	pt.trySend()
 }
 
 // recordImpairDrop books a frame the impaired wire killed, at serialization

@@ -78,12 +78,6 @@ type Port struct {
 
 	Stats PortStats
 
-	// MaxTrain caps how many back-to-back frames one transmission train may
-	// commit (0 means DefaultMaxTrain). Larger trains amortize more scheduler
-	// work per frame but coarsen PFC pause/drain reaction to the train
-	// boundary; see DESIGN.md §13.
-	MaxTrain int
-
 	eng    *sim.Engine
 	queues [2]pktRing // [0] control/feedback (strict priority), [1] data
 	qBytes int
@@ -115,11 +109,6 @@ type Port struct {
 	// Gray-failure state: nil on a healthy egress (the nil check is the
 	// entire disabled cost); see impair.go.
 	imp *impairState
-
-	// Typed event handlers, allocated once with the port so per-packet
-	// scheduling boxes nothing (&pt.txDoneH is an interior pointer).
-	txDoneH  txDoneHandler
-	deliverH deliverHandler
 
 	// Observability. tr is the owning device's flight-recorder handle (nil
 	// while tracing is off — the nil check is the entire disabled cost); fab
@@ -182,52 +171,11 @@ func (pt *Port) rec(k obs.Kind, r obs.Reason, p *Packet, a, size int64) {
 	pt.tr.Record(pt.eng.Now(), k, r, pt.ID, uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, a, size)
 }
 
-// DefaultMaxTrain bounds one transmission train to 32 frames: long enough to
+// maxTrain bounds one transmission train to 32 frames: long enough to
 // amortize the per-train timer over a deep queue, short enough that pause and
 // drain reactions (which wait for the train boundary) stay within a few
 // microseconds of wire time at 100Gbps.
-const DefaultMaxTrain = 32
-
-// txDoneHandler fires when a frame finishes serializing on the per-frame
-// (impaired) path: the link is free for the next frame and the frame's
-// ingress-buffer reservation is returned. The healthy burst path releases
-// accounting at commit time and uses the txT timer instead.
-type txDoneHandler struct{ pt *Port }
-
-func (h *txDoneHandler) OnEvent(_ *sim.Engine, arg any) {
-	pt := h.pt
-	p := arg.(*Packet)
-	pt.busy = false
-	if p.acct != nil {
-		p.acct.release(p.Size())
-		p.acct = nil
-	}
-	if p.impairDrop != obs.RNone {
-		// The impaired wire killed this frame (impair.go); no delivery was
-		// scheduled, so serialization end is where it dies.
-		pt.recordImpairDrop(p)
-		p.Release()
-	}
-	if pt.OnDrain != nil && pt.qBytes <= pt.LowWater {
-		pt.OnDrain()
-	}
-	pt.trySend()
-}
-
-// deliverHandler fires when a frame finishes propagating: the peer device
-// receives it, unless either end of the link flapped while it was in flight.
-type deliverHandler struct{ pt *Port }
-
-func (h *deliverHandler) OnEvent(_ *sim.Engine, arg any) {
-	pt := h.pt
-	p := arg.(*Packet)
-	peer := pt.Peer
-	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.faultDrop(p, 0)
-		return
-	}
-	peer.Dev.Receive(p, peer)
-}
+const maxTrain = 32
 
 // queue classes (Fig 7a's queue system: physical-queue-level isolation,
 // with the multiplexer giving feedback strict priority over bulk data).
@@ -349,10 +297,7 @@ func classOf(p *Packet) int {
 
 // NewPort creates an unconnected port owned by dev.
 func NewPort(eng *sim.Engine, dev Device, rateBps float64, prop sim.Time) *Port {
-	pt := &Port{Dev: dev, RateBps: rateBps, PropDelay: prop, eng: eng, QueueLimit: 4 << 20}
-	pt.txDoneH.pt = pt
-	pt.deliverH.pt = pt
-	return pt
+	return &Port{Dev: dev, RateBps: rateBps, PropDelay: prop, eng: eng, QueueLimit: 4 << 20}
 }
 
 // Engine returns the engine the port schedules on.
@@ -551,12 +496,8 @@ func (pt *Port) trySend() {
 	}
 	peer := pt.Peer
 	end := now
-	limit := pt.MaxTrain
-	if limit <= 0 {
-		limit = DefaultMaxTrain
-	}
 	n := 0
-	for n < limit && !pt.paused && !pt.down && pt.qBytes > 0 {
+	for n < maxTrain && !pt.paused && !pt.down && pt.qBytes > 0 {
 		// Strict priority among frames that predate the formation instant:
 		// control/feedback before bulk data.
 		cls := -1
@@ -607,7 +548,7 @@ func (pt *Port) trySend() {
 		}
 	}
 	if pt.qBytes > 0 {
-		// Frames remain (deferred same-instant arrivals or the MaxTrain
+		// Frames remain (deferred same-instant arrivals or the maxTrain
 		// cap): the txT firing at the boundary is this train's one txDone.
 		pt.armTx(now)
 		pt.eng.Credit(uint64(n - 1))
@@ -643,8 +584,9 @@ func (pt *Port) onTxDone() {
 
 // trySendImpaired is the per-frame transmit path for an impaired egress:
 // gray-failure fates draw from the port RNG in a fixed per-frame order, and
-// jittered arrivals are not FIFO, so impaired ports keep the
-// one-event-per-frame schedule (txDoneH/deliverH) instead of trains.
+// jittered arrivals are not FIFO, so impaired ports keep a per-frame
+// schedule (impairTxDone and arrive events, see impairSend) instead of
+// trains.
 func (pt *Port) trySendImpaired() {
 	cls := qCtrl
 	if pt.queues[qCtrl].len() == 0 {
@@ -686,7 +628,12 @@ func (pt *Port) onArrive() {
 		// engine clock read.
 		pt.rxT.Reset(pt.flight.peekFront().at - fe.at)
 	}
-	p := fe.p
+	pt.arrive(fe.p)
+}
+
+// arrive hands a frame that finished propagating to the peer device, unless
+// either end of the link flapped while it was in flight.
+func (pt *Port) arrive(p *Packet) {
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
 		pt.faultDrop(p, 0)

@@ -202,26 +202,22 @@ func (c *Cluster) TrackQPRates(s *obs.SeriesSet) {
 	}
 }
 
-// WriteTrace exports the recorded history to w: JSONL when jsonl is true,
-// pcap-like text otherwise. A convenience over Rec.Events + WriteJSONL.
-func (c *Cluster) WriteTrace(w io.Writer, jsonl bool) error {
+// WriteTrace exports the recorded history to w as JSONL (cmd/cepheus-trace
+// reads it). A convenience over Rec.Events + WriteJSONL.
+func (c *Cluster) WriteTrace(w io.Writer) error {
 	if c.Rec == nil {
 		return nil
 	}
-	evs := c.Rec.Events()
-	if jsonl {
-		return c.Rec.WriteJSONL(w, evs)
-	}
-	return c.Rec.WriteText(w, evs)
+	return c.Rec.WriteJSONL(w, c.Rec.Events())
 }
 
 // WriteTraceFile is WriteTrace to a named file.
-func (c *Cluster) WriteTraceFile(path string, jsonl bool) error {
+func (c *Cluster) WriteTraceFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := c.WriteTrace(f, jsonl); err != nil {
+	if err := c.WriteTrace(f); err != nil {
 		f.Close()
 		return err
 	}
