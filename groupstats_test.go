@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/simnet"
 )
 
 // Group attribution promises byte-level neutrality: it books per-group
@@ -129,5 +131,108 @@ func TestGroupStatsSLOEndToEnd(t *testing.T) {
 	again := run(obs.SLOObjective{DeliveryP99: 1})
 	if !reflect.DeepEqual(hard, again) {
 		t.Errorf("breach timeline not deterministic:\n  first: %+v\n  again: %+v", hard, again)
+	}
+}
+
+// groupTotals is the part of a group report the live and offline paths
+// must agree on.
+type groupTotals struct {
+	Group                    uint32
+	DroppedPkts, RetransPkts uint64
+	Messages                 uint64
+	DroppedBytes, Delivered  int64
+}
+
+func totalsOf(r *obs.GroupReport) groupTotals {
+	return groupTotals{r.Group, r.DroppedPkts, r.RetransPkts, r.Messages, r.DroppedBytes, r.DeliveredBytes}
+}
+
+// liveAndOffline returns c's live group totals and the totals
+// GroupReportsFromEvents rebuilds from c's trace, in group order.
+func liveAndOffline(t *testing.T, c *Cluster) (live, off []groupTotals) {
+	t.Helper()
+	if c.Rec.Lost() != 0 {
+		t.Fatalf("flight recorder overflowed (lost %d)", c.Rec.Lost())
+	}
+	for _, r := range c.GroupReports() {
+		live = append(live, totalsOf(&r))
+	}
+	for _, r := range obs.GroupReportsFromEvents(c.Rec.Events(), c.GS.Bucket(), nil) {
+		off = append(off, totalsOf(&r))
+	}
+	return live, off
+}
+
+// TestGroupDropAttributionLiveMatchesOffline: a traced run that loses frames
+// to switch loss, an impaired port and a switch crash books the same drops,
+// retransmissions, messages and delivered bytes per group live
+// (GroupReports) as offline from its own events (GroupReportsFromEvents,
+// what cepheus-trace groups runs). Both sides attribute a drop through
+// obs.GroupStats.DropFrame. Latency is left out: the live side books whole-
+// message latency and KDeliver carries the last packet's, a known
+// disagreement (ROADMAP item 6).
+//
+// Delivered bytes agree until the crash, and then differ by a pinned gap:
+// the live side books payload per accepted packet, the offline side per
+// completed message (KDeliver), so only the live side counts what the
+// members accepted natively of the broadcast the crash aborted (the
+// fallback completes it over unicast, outside the group). The gap is the
+// same difference of granularity as the latency one.
+func TestGroupDropAttributionLiveMatchesOffline(t *testing.T) {
+	t.Parallel()
+	c := NewTestbed(4, Options{Seed: 1})
+	c.EnableTrace(1 << 19) // the run records about 391K events
+	c.EnableGroupStats(0)
+	c.SetLossRate(1e-3)
+	c.Host(0).NIC.SetImpairment(simnet.Impairment{LossRate: 1e-3, CorruptRate: 1e-3}, 1)
+	rg, err := c.NewResilientGroup([]int{0, 1, 2, 3}, 0, fastRecovery())
+	if err != nil {
+		t.Fatalf("registration: %v", err)
+	}
+	runRBcast(t, c, rg, 0, 1<<20)
+	c.SettleUntil(c.Now() + sim.Millisecond)
+	live, off := liveAndOffline(t, c)
+	if !reflect.DeepEqual(live, off) {
+		t.Errorf("before the crash: live %+v, offline %+v", live, off)
+	}
+
+	in := fault.NewInjector(c.Net)
+	tor := c.Net.Switches[0]
+	in.CrashAt(c.Now()+500*sim.Microsecond, tor)
+	in.RestartAt(c.Now()+3*sim.Millisecond, tor)
+	runRBcast(t, c, rg, 0, 16<<20)
+	runUntil(t, c, rg.Native, 100*sim.Millisecond, "restore to native")
+	runRBcast(t, c, rg, 0, 1<<20)
+	c.SettleUntil(c.Now() + sim.Millisecond)
+
+	reasons := map[obs.Reason]int{}
+	for _, e := range c.Rec.Events() {
+		if e.Kind == obs.KDrop {
+			reasons[e.Reason]++
+		}
+	}
+	t.Logf("%d events; drops by reason: %v", len(c.Rec.Events()), reasons)
+	for _, r := range []obs.Reason{obs.RLoss, obs.RImpairLoss, obs.RCrash} {
+		if reasons[r] == 0 {
+			t.Errorf("no %s drop in the run (drops by reason: %v); the test does not cover that sink", r, reasons)
+		}
+	}
+
+	// Each of the three members accepted 4,903 KiB of the aborted 16 MiB
+	// broadcast natively before the crash.
+	const abortedPartial = 3 * 4903 << 10
+	live, off = liveAndOffline(t, c)
+	if len(live) != 1 || len(off) != 1 {
+		t.Fatalf("live reports %d groups, offline %d; want 1 each", len(live), len(off))
+	}
+	if live[0].DroppedPkts == 0 {
+		t.Error("no drops booked; the comparison is vacuous")
+	}
+	if gap := live[0].Delivered - off[0].Delivered; gap != abortedPartial {
+		t.Errorf("live delivered %d - offline %d = %d, want %d", live[0].Delivered, off[0].Delivered, gap, abortedPartial)
+	}
+	off[0].Delivered += abortedPartial
+	if live[0] != off[0] {
+		t.Errorf("live %+v, offline %+v (offline delivered bytes include the pinned gap)", live[0], off[0])
 	}
 }

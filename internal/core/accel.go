@@ -190,12 +190,10 @@ func (a *Accel) Handle(sw *simnet.Switch, p *simnet.Packet, in *simnet.Port) boo
 		// the sender discovering the black hole only via safeguard timeout.
 		if p.Type == simnet.Data {
 			a.Stats.UnknownGroupDrops++
-			a.sw.GroupStats().Drop(uint32(p.Dst), a.sw.Engine().Now(), int64(p.Size()))
-			if tr := a.sw.Tracer(); tr.On() {
-				tr.Record(a.sw.Engine().Now(), obs.KDrop, obs.RUnknownGroup, in.ID,
-					uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, 0, int64(p.Size()))
-			}
-			a.nackUnknownGroup(p)
+			grp, src := p.Dst, p.Src
+			a.sw.Drop(p, obs.RUnknownGroup, in.ID)
+			a.nackUnknownGroup(grp, src)
+			return true
 		}
 		p.Release()
 		return true
@@ -367,22 +365,22 @@ func staleEpoch(a, b uint16) bool {
 // no forwarding state for the group. The rejection is rate-limited per group
 // and carries no epoch (the switch does not know one) — the controller
 // treats it as an invalidation of a registered group.
-func (a *Accel) nackUnknownGroup(p *simnet.Packet) {
+func (a *Accel) nackUnknownGroup(grp, src simnet.Addr) {
 	now := a.sw.Engine().Now()
 	if a.lastUnknownNack == nil {
 		a.lastUnknownNack = make(map[simnet.Addr]sim.Time)
 	}
-	if last, ok := a.lastUnknownNack[p.Dst]; ok && now-last < a.Cfg.UnknownGroupNackHoldoff {
+	if last, ok := a.lastUnknownNack[grp]; ok && now-last < a.Cfg.UnknownGroupNackHoldoff {
 		return
 	}
-	a.lastUnknownNack[p.Dst] = now
+	a.lastUnknownNack[grp] = now
 	a.Stats.UnknownGroupNacks++
-	a.recMFT(obs.KMFTNack, p.Dst, 0)
+	a.recMFT(obs.KMFTNack, grp, 0)
 	rp := simnet.NewPacket()
-	rp.Type, rp.Src, rp.Dst = simnet.MRPReject, p.Dst, p.Src
+	rp.Type, rp.Src, rp.Dst = simnet.MRPReject, grp, src
 	rp.Payload = 64
 	rp.Meta = &confirmPayload{
-		McstID: p.Dst, Epoch: epochUnknown,
+		McstID: grp, Epoch: epochUnknown,
 		Reason: "switch " + a.sw.Name + ": no MFT for group (crashed or never registered)",
 	}
 	a.sw.Forward(rp, nil)

@@ -19,7 +19,7 @@ func BenchmarkAccelReplicate(b *testing.B) {
 		b.Run(fmt.Sprintf("paths=%d", paths), func(b *testing.B) {
 			eng := sim.New(1)
 			sw := simnet.NewSwitch(eng, "leaf")
-			sw.PFC = simnet.DefaultPFC
+			sw.PFC = simnet.DefaultPFC()
 			a := Attach(sw, DefaultAccelConfig())
 			src := simnet.NewHost(eng, "src", 1, 100e9, 600)
 			in := sw.AddPort(100e9, 600)
@@ -66,7 +66,7 @@ func BenchmarkAccelAckAggregate(b *testing.B) {
 		b.Run(fmt.Sprintf("paths=%d", paths), func(b *testing.B) {
 			eng := sim.New(1)
 			sw := simnet.NewSwitch(eng, "leaf")
-			sw.PFC = simnet.DefaultPFC
+			sw.PFC = simnet.DefaultPFC()
 			a := Attach(sw, DefaultAccelConfig())
 			src := simnet.NewHost(eng, "src", 1, 100e9, 600)
 			acks := 0

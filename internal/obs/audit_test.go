@@ -41,6 +41,7 @@ func sendEv(at int64, psn uint64) Event {
 }
 
 func TestAuditCleanStream(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	evs := []Event{sendEv(100, 0), sendEv(200, 1), sendEv(300, 2),
 		{At: 400, Dev: 0, Kind: KAckRx, Port: -1, Src: audPeer, Dst: audHost, SrcQP: 3, DstQP: 2, PSN: 2},
@@ -61,6 +62,7 @@ func TestAuditCleanStream(t *testing.T) {
 }
 
 func TestAuditPSNSkip(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	evs := []Event{sendEv(100, 0), sendEv(200, 3)}
 	evs[1].A = 2128
@@ -69,6 +71,7 @@ func TestAuditPSNSkip(t *testing.T) {
 }
 
 func TestAuditRetxOfAcked(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	evs := []Event{sendEv(100, 0), sendEv(200, 1),
 		{At: 300, Dev: 0, Kind: KAckRx, Port: -1, Src: audPeer, Dst: audHost, SrcQP: 3, DstQP: 2, PSN: 1},
@@ -81,6 +84,7 @@ func TestAuditRetxOfAcked(t *testing.T) {
 }
 
 func TestAuditAckBeyondSent(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{sendEv(100, 0),
 		{At: 200, Dev: 0, Kind: KAckRx, Port: -1, Src: audPeer, Dst: audHost, SrcQP: 3, DstQP: 2, PSN: 9},
@@ -89,6 +93,7 @@ func TestAuditAckBeyondSent(t *testing.T) {
 }
 
 func TestAuditNackBeyondNext(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{sendEv(100, 0),
 		{At: 200, Dev: 0, Kind: KNackRx, Port: -1, Src: audPeer, Dst: audHost, SrcQP: 3, DstQP: 2, PSN: 9},
@@ -97,6 +102,7 @@ func TestAuditNackBeyondNext(t *testing.T) {
 }
 
 func TestAuditWindowOverrun(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{WindowPkts: 2})
 	evs := []Event{sendEv(100, 0), sendEv(200, 1), sendEv(300, 2)}
 	evs[1].A, evs[2].A = 2128, 3192
@@ -105,6 +111,7 @@ func TestAuditWindowOverrun(t *testing.T) {
 }
 
 func TestAuditRetxDecision(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{sendEv(100, 0),
 		// RNIC-level retransmit of a PSN that was never transmitted.
@@ -114,6 +121,7 @@ func TestAuditRetxDecision(t *testing.T) {
 }
 
 func TestAuditDuplicateDeliver(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	msg := uint64(audHost)<<32 | 9
 	d := Event{At: 100, Dev: 5, Kind: KDeliver, Port: -1, Dst: audPeer, DstQP: 3, PSN: 4, Msg: msg, A: 400, B: 1024}
@@ -128,6 +136,7 @@ func TestAuditDuplicateDeliver(t *testing.T) {
 }
 
 func TestAuditDeliveryPSNRegression(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{
 		{At: 100, Dev: 5, Kind: KDeliver, Port: -1, Dst: audPeer, DstQP: 3, PSN: 7, A: 400, B: 1024},
@@ -137,6 +146,7 @@ func TestAuditDeliveryPSNRegression(t *testing.T) {
 }
 
 func TestAuditPortConservation(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	enq := func(at, depth int64) Event {
 		return Event{At: simT(at), Dev: 1, Kind: KEnqueue, Port: 2, PT: ptData, Src: audHost, Dst: audPeer, A: depth, B: 1064}
@@ -153,6 +163,7 @@ func TestAuditPortConservation(t *testing.T) {
 }
 
 func TestAuditFaultDropDesyncs(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{
 		{At: 100, Dev: 1, Kind: KEnqueue, Port: 2, PT: ptData, A: 1064, B: 1064},
@@ -168,6 +179,7 @@ func TestAuditFaultDropDesyncs(t *testing.T) {
 }
 
 func TestAuditTailDropDepth(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{
 		{At: 100, Dev: 1, Kind: KEnqueue, Port: 2, PT: ptData, A: 1064, B: 1064},
@@ -178,6 +190,7 @@ func TestAuditTailDropDepth(t *testing.T) {
 }
 
 func TestAuditMFTLifecycle(t *testing.T) {
+	t.Parallel()
 	grp := uint32(0xE0000001)
 	mft := func(at int64, k Kind, epoch int64) Event {
 		return Event{At: simT(at), Dev: 1, Kind: k, Port: -1, Dst: grp, A: epoch}
@@ -240,6 +253,7 @@ func TestAuditMFTLifecycle(t *testing.T) {
 }
 
 func TestAuditPSNSyncResets(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	evs := []Event{sendEv(100, 0), sendEv(200, 1)}
 	evs[1].A = 2128
@@ -270,6 +284,7 @@ func TestAuditPSNSyncResets(t *testing.T) {
 // batch sizes; the auditor is per-event streaming, so cadence cannot change
 // the verdict.
 func TestAuditBatchCadenceInvariance(t *testing.T) {
+	t.Parallel()
 	evs := []Event{sendEv(100, 0), sendEv(200, 3), // skip -> 1 violation
 		{At: 300, Dev: 5, Kind: KDeliver, Port: -1, Dst: audPeer, DstQP: 3, PSN: 7, A: 1, B: 1024},
 		{At: 400, Dev: 5, Kind: KDeliver, Port: -1, Dst: audPeer, DstQP: 3, PSN: 6, A: 1, B: 1024},
@@ -293,6 +308,7 @@ func TestAuditBatchCadenceInvariance(t *testing.T) {
 }
 
 func TestAuditErrAndReport(t *testing.T) {
+	t.Parallel()
 	a := NewAuditor(AuditConfig{})
 	observeAll(a, []Event{sendEv(100, 0), sendEv(200, 3)})
 	evErr := a.Err()

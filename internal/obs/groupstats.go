@@ -168,13 +168,31 @@ func (g *GroupStats) Cell(group uint32) *GroupCell {
 	return c
 }
 
-// Drop books a dropped frame against group. Safe on a nil receiver; drop
-// paths are cold, so the per-call map lookup is fine.
-func (g *GroupStats) Drop(group uint32, at sim.Time, frameBytes int64) {
+// dropGroup is the one rule for which group owns a dropped frame:
+// forward-path frames belong to their destination group, group-sourced
+// feedback (whose Src the leaf accelerator rewrote to the McstID) to its
+// source group. ok is false for a unicast-only frame.
+func dropGroup(src, dst uint32) (group uint32, ok bool) {
+	switch {
+	case IsGroupAddr(dst):
+		return dst, true
+	case IsGroupAddr(src):
+		return src, true
+	}
+	return 0, false
+}
+
+// DropFrame books a frame the fabric killed against the group that owns it
+// (see dropGroup); a unicast-only frame books nothing. The live drop sinks
+// and GroupReportsFromEvents both book through it. Safe on a nil receiver;
+// drop paths are cold, so the per-call map lookup is fine.
+func (g *GroupStats) DropFrame(src, dst uint32, at sim.Time, frameBytes int64) {
 	if g == nil {
 		return
 	}
-	g.Cell(group).Drop(at, frameBytes)
+	if grp, ok := dropGroup(src, dst); ok {
+		g.Cell(grp).Drop(at, frameBytes)
+	}
 }
 
 // Bucket returns the goodput time-series resolution.
@@ -303,16 +321,16 @@ func GroupReportsFromEvents(evs []Event, bucket sim.Time, objFor func(uint32) (S
 		for i := range evs {
 			e := &evs[i]
 			var grp uint32
-			switch {
-			case e.Kind == KDeliver && IsGroupAddr(e.Src):
-				grp = e.Src
-			case e.Kind == KRetransmit && IsGroupAddr(e.Dst):
-				grp = e.Dst
-			case e.Kind == KDrop && IsGroupAddr(e.Dst):
-				grp = e.Dst
-			case e.Kind == KDrop && IsGroupAddr(e.Src):
-				grp = e.Src
-			default:
+			var ok bool
+			switch e.Kind {
+			case KDeliver:
+				grp, ok = e.Src, IsGroupAddr(e.Src)
+			case KRetransmit:
+				grp, ok = e.Dst, IsGroupAddr(e.Dst)
+			case KDrop:
+				grp, ok = dropGroup(e.Src, e.Dst)
+			}
+			if !ok {
 				continue
 			}
 			if _, ok := gs.objs[grp]; ok {
@@ -337,12 +355,7 @@ func GroupReportsFromEvents(evs []Event, bucket sim.Time, objFor func(uint32) (S
 				gs.Cell(e.Dst).Retransmit(e.At, e.B)
 			}
 		case KDrop:
-			switch {
-			case IsGroupAddr(e.Dst):
-				gs.Drop(e.Dst, e.At, e.B)
-			case IsGroupAddr(e.Src):
-				gs.Drop(e.Src, e.At, e.B)
-			}
+			gs.DropFrame(e.Src, e.Dst, e.At, e.B)
 		}
 	}
 	return gs.Snapshot()

@@ -13,12 +13,13 @@ const g0 = GroupAddrBase // first group id
 // TestGroupStatsTotals: bookings over eight milliseconds sum into one
 // report per group with one goodput bucket per millisecond.
 func TestGroupStatsTotals(t *testing.T) {
+	t.Parallel()
 	gs := NewGroupStats(0)
 	for i := 0; i < 8; i++ {
 		c := gs.Cell(g0)
 		c.Packet(sim.Time(i)*sim.Millisecond, 1000)
 		c.Message(sim.Time(i)*sim.Millisecond, int64(1000+i))
-		gs.Drop(g0, sim.Time(i)*sim.Millisecond, 64)
+		gs.DropFrame(0, g0, sim.Time(i)*sim.Millisecond, 64)
 		c.Retransmit(sim.Time(i)*sim.Millisecond, 256)
 	}
 	snap := gs.Snapshot()
@@ -39,11 +40,12 @@ func TestGroupStatsTotals(t *testing.T) {
 // TestGroupStatsNilSafe: every disabled-path receiver is a no-op, not a
 // panic — the contract the hot-path call sites rely on.
 func TestGroupStatsNilSafe(t *testing.T) {
+	t.Parallel()
 	var gs *GroupStats
 	if gs.Cell(g0) != nil || gs.Snapshot() != nil {
 		t.Fatal("nil *GroupStats not inert")
 	}
-	gs.Drop(g0, 0, 64) // must not panic
+	gs.DropFrame(0, g0, 0, 64) // must not panic
 	if _, ok := gs.ObjectiveFor(g0); ok {
 		t.Fatal("nil *GroupStats claims an objective")
 	}
@@ -52,6 +54,7 @@ func TestGroupStatsNilSafe(t *testing.T) {
 // TestFairnessMath pins Jain's index, max/min ratio, and the isolation gap
 // on hand-checkable distributions.
 func TestFairnessMath(t *testing.T) {
+	t.Parallel()
 	mk := func(bytes ...int64) []GroupReport {
 		gs := NewGroupStats(0)
 		for i, b := range bytes {
@@ -87,6 +90,7 @@ func TestFairnessMath(t *testing.T) {
 
 // TestParseSLO covers the shared CLI spec grammar.
 func TestParseSLO(t *testing.T) {
+	t.Parallel()
 	o, w, err := ParseSLO("p99=2ms,goodput=1e9,drops=0.001,window=500us")
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +115,7 @@ func TestParseSLO(t *testing.T) {
 // parse into an empty or unreachable objective, or a negative window:
 // non-finite numbers and durations that overflow sim.Time.
 func TestParseSLORejectsNonFinite(t *testing.T) {
+	t.Parallel()
 	for _, bad := range []string{
 		"p99=NaN", "p99=Inf", "p99=+Inf", "p99=1e300", "p99=1e10s",
 		"p99=9223372036854775807", "drops=NaN", "drops=Inf", "goodput=NaN",
@@ -180,6 +185,7 @@ func synthReport(bytes []int64, slow []uint64) GroupReport {
 // TestSLOBreachTimeline: a goodput collapse mid-run opens exactly one
 // breach covering the starved span, once both windows confirm it.
 func TestSLOBreachTimeline(t *testing.T) {
+	t.Parallel()
 	// 100us buckets; 10KB/bucket = 1e8 B/s. Floor at 5e7 B/s: the zeroed
 	// span [20, 40) starves both windows.
 	bytes := make([]int64, 60)
@@ -218,6 +224,7 @@ func TestSLOBreachTimeline(t *testing.T) {
 // short window but not the long one, so no breach opens — the whole point
 // of multi-window burn rates.
 func TestSLOMultiWindowSuppressesBlips(t *testing.T) {
+	t.Parallel()
 	slow := make([]uint64, 60)
 	slow[30] = 1 // one slow message among 60 fast ones
 	r := synthReport(make([]int64, 60), slow)
@@ -239,6 +246,7 @@ func TestSLOMultiWindowSuppressesBlips(t *testing.T) {
 // deliveries, retransmits, and drops by the same classification the live
 // hooks use, at message granularity.
 func TestGroupReportsFromEvents(t *testing.T) {
+	t.Parallel()
 	host := uint32(0x0A000001)
 	evs := []Event{
 		{At: 1000, Kind: KDeliver, Src: g0, Dst: host, A: 500, B: 4096, Msg: 1},
@@ -273,6 +281,7 @@ func TestGroupReportsFromEvents(t *testing.T) {
 
 // TestWriteGroupTable smoke-checks the shared table renderer.
 func TestWriteGroupTable(t *testing.T) {
+	t.Parallel()
 	var sb strings.Builder
 	WriteGroupTable(&sb, nil)
 	if !strings.Contains(sb.String(), "no group traffic") {

@@ -10,6 +10,7 @@ import (
 // Edge cases the main quantile/merge tests don't reach.
 
 func TestHistogramEmptyQuantiles(t *testing.T) {
+	t.Parallel()
 	var h Histogram
 	for _, q := range []float64{0.5, 0.99, 0.999, 1} {
 		if got := h.Quantile(q); got != 0 {
@@ -26,6 +27,7 @@ func TestHistogramEmptyQuantiles(t *testing.T) {
 }
 
 func TestHistogramSingleSample(t *testing.T) {
+	t.Parallel()
 	var h Histogram
 	h.Observe(12345)
 	for _, q := range []float64{0.001, 0.5, 0.99, 0.999, 1} {
@@ -43,6 +45,7 @@ func TestHistogramSingleSample(t *testing.T) {
 // 2^60) and checks the quantiles stay clamped to the true observed range
 // rather than reporting a bucket upper bound past max.
 func TestHistogramOverflowBucketP999(t *testing.T) {
+	t.Parallel()
 	var h Histogram
 	const big = int64(1) << 62
 	for i := 0; i < 999; i++ {
@@ -71,6 +74,7 @@ func TestHistogramOverflowBucketP999(t *testing.T) {
 }
 
 func TestHistogramMergeDisjointShards(t *testing.T) {
+	t.Parallel()
 	// Two shards with disjoint value ranges, as per-QP latency histograms are.
 	var lo, hi, merged Histogram
 	for i := int64(1); i <= 100; i++ {
@@ -113,6 +117,7 @@ func TestHistogramMergeDisjointShards(t *testing.T) {
 // its length depends only on that maximum index and never on the order in
 // which shards of different lengths are merged.
 func TestHistogramGrowsInOctaves(t *testing.T) {
+	t.Parallel()
 	var zero Histogram
 	if zero.buckets != nil {
 		t.Fatal("zero histogram must hold no buckets")
@@ -159,6 +164,7 @@ func TestHistogramGrowsInOctaves(t *testing.T) {
 // TestGroupReportHistIsCopy checks that GroupReport.Hist hands out a
 // histogram that shares no buckets with the report.
 func TestGroupReportHistIsCopy(t *testing.T) {
+	t.Parallel()
 	gs := NewGroupStats(sim.Millisecond)
 	c := gs.Cell(GroupAddrBase + 1)
 	c.Message(10, 5000)

@@ -11,6 +11,7 @@ import (
 )
 
 func TestHistIndexRoundTrip(t *testing.T) {
+	t.Parallel()
 	for _, v := range []uint64{0, 1, 7, 8, 15, 16, 17, 100, 1023, 1024, 1 << 20, 1<<62 - 1, 1 << 62} {
 		i := histIndex(v)
 		if i < 0 || i >= histBuckets {
@@ -40,6 +41,7 @@ func TestHistIndexRoundTrip(t *testing.T) {
 }
 
 func TestHistogramQuantiles(t *testing.T) {
+	t.Parallel()
 	var h Histogram
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]int64, 0, 100000)
@@ -69,6 +71,7 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramMergeEqualsCombined(t *testing.T) {
+	t.Parallel()
 	var a, b, all Histogram
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 5000; i++ {
@@ -99,6 +102,7 @@ func TestHistogramMergeEqualsCombined(t *testing.T) {
 // TestFabricNilSafeAndTotals: a nil Fabric observes nothing without
 // panicking, and a live one totals every observed queue depth.
 func TestFabricNilSafeAndTotals(t *testing.T) {
+	t.Parallel()
 	var nilFab *Fabric
 	nilFab.ObserveQueue(64) // must not panic
 	if q := nilFab.QueueDepth(); q.Count != 0 {
@@ -115,6 +119,7 @@ func TestFabricNilSafeAndTotals(t *testing.T) {
 }
 
 func TestTracerNilOn(t *testing.T) {
+	t.Parallel()
 	var tr *Tracer
 	if tr.On() {
 		t.Fatal("nil tracer must report off")
@@ -122,6 +127,7 @@ func TestTracerNilOn(t *testing.T) {
 }
 
 func TestRecorderCanonicalOrder(t *testing.T) {
+	t.Parallel()
 	r := NewRecorder(1 << 12)
 	// Register in a fixed order; record interleaved across devices.
 	t0 := r.NewTracer("s0")
@@ -153,6 +159,7 @@ func TestRecorderCanonicalOrder(t *testing.T) {
 }
 
 func TestRecorderRingOverwrite(t *testing.T) {
+	t.Parallel()
 	r := NewRecorder(1024) // floor capacity
 	tr := r.NewTracer("d")
 	const total = 3000
@@ -173,6 +180,7 @@ func TestRecorderRingOverwrite(t *testing.T) {
 }
 
 func TestRecorderEventsUntil(t *testing.T) {
+	t.Parallel()
 	r := NewRecorder(1 << 12)
 	tr := r.NewTracer("d")
 	for i := 0; i < 10; i++ {
@@ -187,6 +195,7 @@ func TestRecorderEventsUntil(t *testing.T) {
 // exactly that many of the newest events, in canonical order, and Lost
 // counts the rest.
 func TestRecorderExactCapacity(t *testing.T) {
+	t.Parallel()
 	const capacity, total = 3000, 5000
 	r := NewRecorder(capacity)
 	trs := []*Tracer{r.NewTracer("d0"), r.NewTracer("d1")}
@@ -223,6 +232,7 @@ func TestRecorderExactCapacity(t *testing.T) {
 // TestRecorderObserverSeesEverything: the attached observer sees every
 // recorded event, in record order, even after the ring overwrites them.
 func TestRecorderObserverSeesEverything(t *testing.T) {
+	t.Parallel()
 	const total = 5000
 	r := NewRecorder(1024)
 	tr := r.NewTracer("d")
@@ -245,6 +255,7 @@ func TestRecorderObserverSeesEverything(t *testing.T) {
 }
 
 func TestRecordZeroAlloc(t *testing.T) {
+	t.Parallel()
 	r := NewRecorder(1 << 12)
 	tr := r.NewTracer("d")
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -261,6 +272,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 }
 
 func TestExportFormats(t *testing.T) {
+	t.Parallel()
 	r := NewRecorder(1 << 12)
 	tr := r.NewTracer("s3")
 	tr.Record(1500, KDrop, RQueueLimit, 2, 0, 0x0A000001, 0xE0000003, 3, 1, 42, 7, 81920, 1064)
@@ -277,6 +289,7 @@ func TestExportFormats(t *testing.T) {
 }
 
 func TestKindReasonNames(t *testing.T) {
+	t.Parallel()
 	if len(kindNames) != int(numKinds) {
 		t.Fatalf("kindNames has %d entries, want %d", len(kindNames), numKinds)
 	}
@@ -315,6 +328,7 @@ func BenchmarkHistogramObserve(b *testing.B) {
 }
 
 func TestParseAddr(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		s    string
 		want uint32

@@ -9,6 +9,7 @@ import (
 )
 
 func TestSeriesSampling(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	s := NewSeriesSet(eng, 10, 0)
 	var counter float64
@@ -50,6 +51,7 @@ func TestSeriesSampling(t *testing.T) {
 }
 
 func TestSeriesDecimation(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	s := NewSeriesSet(eng, 10, 16)
 	s.Track("now", func() float64 { return float64(eng.Now()) })
@@ -75,6 +77,7 @@ func TestSeriesDecimation(t *testing.T) {
 }
 
 func TestSeriesDecimationExactCapacity(t *testing.T) {
+	t.Parallel()
 	// Decimation triggers exactly when the sample count reaches capacity —
 	// one tick earlier the set is still full-resolution.
 	eng := sim.New(1)
@@ -92,6 +95,7 @@ func TestSeriesDecimationExactCapacity(t *testing.T) {
 }
 
 func TestSeriesSingleSample(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	s := NewSeriesSet(eng, 10, 16)
 	s.Track("v", func() float64 { return 7 })
@@ -114,6 +118,7 @@ func TestSeriesSingleSample(t *testing.T) {
 }
 
 func TestSeriesRefillAfterDecimation(t *testing.T) {
+	t.Parallel()
 	// After the first decimation (8 samples @ interval 20), the set keeps
 	// sampling on the doubled grid, refills to capacity, and decimates
 	// again — interval 40, still the even-indexed survivors of the finer
@@ -151,6 +156,7 @@ func TestSeriesRefillAfterDecimation(t *testing.T) {
 }
 
 func TestSeriesExports(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	s := NewSeriesSet(eng, 10, 0)
 	s.Track("a", func() float64 { return 1.5 })
@@ -186,6 +192,7 @@ func TestSeriesExports(t *testing.T) {
 }
 
 func TestSeriesTrackAfterSamplingPanics(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	s := NewSeriesSet(eng, 10, 0)
 	s.Track("a", func() float64 { return 0 })

@@ -7,6 +7,7 @@ import (
 )
 
 func TestQuantileEmpty(t *testing.T) {
+	t.Parallel()
 	if got := Quantile(nil, 0.5); got != -1 {
 		t.Fatalf("Quantile(nil) = %v, want -1", got)
 	}
@@ -16,6 +17,7 @@ func TestQuantileEmpty(t *testing.T) {
 }
 
 func TestQuantileSingle(t *testing.T) {
+	t.Parallel()
 	xs := []sim.Time{42}
 	for _, q := range []float64{0.01, 0.5, 0.99, 1} {
 		if got := Quantile(xs, q); got != 42 {
@@ -25,6 +27,7 @@ func TestQuantileSingle(t *testing.T) {
 }
 
 func TestQuantileNearestRank(t *testing.T) {
+	t.Parallel()
 	// Unsorted on purpose: Quantile must sort a copy.
 	xs := []sim.Time{70, 10, 100, 40, 90, 20, 60, 30, 80, 50}
 	cases := []struct {

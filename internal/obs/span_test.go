@@ -34,6 +34,7 @@ func spanTestEvents() ([]Event, uint64) {
 }
 
 func TestBuildSpansTreeAndDeliveries(t *testing.T) {
+	t.Parallel()
 	evs, msg := spanTestEvents()
 	spans := BuildSpans(evs)
 	if len(spans) != 1 {
@@ -80,6 +81,7 @@ func TestBuildSpansTreeAndDeliveries(t *testing.T) {
 }
 
 func TestBuildSpansDropAndRetx(t *testing.T) {
+	t.Parallel()
 	evs, msg := spanTestEvents()
 	extra := []Event{
 		{At: 350, Dev: 1, Kind: KDrop, Reason: RQueueLimit, Port: 1, PT: 0, Src: spanOrigin, Dst: spanRcv1, PSN: 6, Msg: msg, A: 1064, B: 1064},
@@ -99,6 +101,7 @@ func TestBuildSpansDropAndRetx(t *testing.T) {
 }
 
 func TestBuildSpansDeterministic(t *testing.T) {
+	t.Parallel()
 	evs, _ := spanTestEvents()
 	names := func(d uint32) string { return []string{"h1", "tor", "h2", "h3"}[d] }
 	var a, b bytes.Buffer
@@ -124,12 +127,14 @@ func TestBuildSpansDeterministic(t *testing.T) {
 }
 
 func TestMsgString(t *testing.T) {
+	t.Parallel()
 	if got := MsgString(uint64(spanOrigin)<<32 | 42); got != "10.0.0.1#42" {
 		t.Fatalf("MsgString = %q", got)
 	}
 }
 
 func TestWriteTimeline(t *testing.T) {
+	t.Parallel()
 	evs, msg := spanTestEvents()
 	names := func(d uint32) string { return []string{"h1", "tor", "h2", "h3"}[d] }
 	var buf bytes.Buffer

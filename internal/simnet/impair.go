@@ -186,32 +186,14 @@ func (pt *Port) impairTxDone(p *Packet) {
 	}
 	if p.impairDrop != obs.RNone {
 		// The impaired wire killed this frame; no delivery was scheduled,
-		// so serialization end is where it dies.
-		pt.recordImpairDrop(p)
-		p.Release()
+		// so serialization end is where it dies. The drop is post-dequeue,
+		// so the recorded depth is the port's current one, which the
+		// auditor checks against its replay (injected loss stays
+		// distinguishable from an accounting bug).
+		pt.drop(p, p.impairDrop, int64(pt.qBytes))
 	}
 	if pt.OnDrain != nil && pt.qBytes <= pt.LowWater {
 		pt.OnDrain()
 	}
 	pt.trySend()
-}
-
-// recordImpairDrop books a frame the impaired wire killed, at serialization
-// end. The drop is post-dequeue, so it must not perturb the queue-depth
-// replay: the recorded depth is the port's current depth, which the auditor
-// checks against its replayed value (injected loss distinguishable from an
-// accounting bug).
-func (pt *Port) recordImpairDrop(p *Packet) {
-	switch p.impairDrop {
-	case obs.RImpairLoss:
-		pt.Stats.ImpairDrops++
-	case obs.RCorrupt:
-		pt.Stats.CorruptDrops++
-	case obs.RStormLoss:
-		pt.Stats.StormDrops++
-	}
-	pt.gsDrop(p)
-	if pt.tr.On() {
-		pt.rec(obs.KDrop, p.impairDrop, p, int64(pt.qBytes), int64(p.Size()))
-	}
 }

@@ -9,10 +9,12 @@ import "sync"
 //
 //   - Port.Send / Switch.Output / Switch.Forward take ownership. The caller
 //     must not touch the packet afterwards — it is either delivered, or
-//     released internally on a drop (congestion, loss injection, dead link,
-//     crash, no route).
+//     released by a drop sink (Port.drop for queue-limit, dead-link and
+//     impairment drops; Switch.Drop for crash, no-route and loss-injection
+//     drops).
 //   - A SwitchHook that returns true from Handle owns the packet and must
-//     Release it or forward it onward (ownership transfers with each path).
+//     Release it, drop it through Switch.Drop, or forward it onward
+//     (ownership transfers with each path).
 //   - Host.Receive releases the packet after Host.Handler returns. A handler
 //     that wants to keep any part of it must copy fields out or Clone.
 //   - Clone returns an independently owned packet; replication paths clone

@@ -27,8 +27,11 @@ type ECNConfig struct {
 	PMax      float64
 }
 
-// DefaultECN is the marking profile used on 100Gbps ports (see DESIGN.md §5).
-var DefaultECN = ECNConfig{Enabled: true, KminBytes: 100 << 10, KmaxBytes: 400 << 10, PMax: 0.2}
+// DefaultECN returns the marking profile used on 100Gbps ports (see
+// DESIGN.md §5).
+func DefaultECN() ECNConfig {
+	return ECNConfig{Enabled: true, KminBytes: 100 << 10, KmaxBytes: 400 << 10, PMax: 0.2}
+}
 
 // PortStats counts what happened on a port's egress side.
 type PortStats struct {
@@ -134,30 +137,29 @@ func (pt *Port) SetFabric(fab *obs.Fabric) { pt.fab = fab }
 // SetGroupStats attaches the cluster's group-stats registry.
 func (pt *Port) SetGroupStats(gs *obs.GroupStats) { pt.gs = gs }
 
-// gsDrop attributes one dropped frame to its multicast group: forward-path
-// frames by destination, group-sourced feedback (whose Src the leaf accel
-// rewrote to the McstID) by source. No-op for unicast-only frames or while
-// attribution is off; drop paths are cold, so the map lookup inside is fine.
-func (pt *Port) gsDrop(p *Packet) {
-	if pt.gs == nil {
-		return
+// drop is the port's one sink for a frame it kills. In this order it counts
+// the drop under r's counter, books it against the frame's group, records
+// KDrop with payload a (the queue depth the auditor replays), and releases p.
+// Stats.Drops counts every frame killed at or in the queue: it is
+// RQueueLimit's counter, and the callers that kill a frame at or in a down
+// queue (enqueue while down, purge) bump it beside RFault's.
+func (pt *Port) drop(p *Packet, r obs.Reason, a int64) {
+	switch r {
+	case obs.RQueueLimit:
+		pt.Stats.Drops++
+	case obs.RFault:
+		pt.Stats.FaultDrops++
+	case obs.RImpairLoss:
+		pt.Stats.ImpairDrops++
+	case obs.RCorrupt:
+		pt.Stats.CorruptDrops++
+	case obs.RStormLoss:
+		pt.Stats.StormDrops++
 	}
-	switch {
-	case p.Dst.IsMulticast():
-		pt.gs.Drop(uint32(p.Dst), pt.eng.Now(), int64(p.Size()))
-	case p.Src.IsMulticast():
-		pt.gs.Drop(uint32(p.Src), pt.eng.Now(), int64(p.Size()))
-	}
-}
-
-// faultDrop kills p on a dead or flapped link: it counts the fault drop,
-// attributes it to p's group, records it with queue depth a, and releases
-// p. Callers that drop at enqueue time also count it in Stats.Drops.
-func (pt *Port) faultDrop(p *Packet, a int64) {
-	pt.Stats.FaultDrops++
-	pt.gsDrop(p)
+	size := int64(p.Size())
+	pt.gs.DropFrame(uint32(p.Src), uint32(p.Dst), pt.eng.Now(), size)
 	if pt.tr.On() {
-		pt.rec(obs.KDrop, obs.RFault, p, a, int64(p.Size()))
+		pt.rec(obs.KDrop, r, p, a, size)
 	}
 	p.Release()
 }
@@ -344,17 +346,12 @@ func (pt *Port) purge() {
 	for cls := range pt.queues {
 		for pt.queues[cls].len() > 0 {
 			p := pt.queues[cls].popFront()
+			acct, size := p.acct, p.Size()
 			pt.Stats.Drops++
-			pt.Stats.FaultDrops++
-			pt.gsDrop(p)
-			if pt.tr.On() {
-				pt.rec(obs.KDrop, obs.RFault, p, int64(pt.qBytes), int64(p.Size()))
+			pt.drop(p, obs.RFault, int64(pt.qBytes))
+			if acct != nil {
+				acct.release(size)
 			}
-			if p.acct != nil {
-				p.acct.release(p.Size())
-				p.acct = nil
-			}
-			p.Release()
 		}
 	}
 	pt.qBytes = 0
@@ -390,7 +387,7 @@ func (pt *Port) Send(p *Packet) {
 func (pt *Port) SendUrgent(p *Packet) {
 	if pt.down {
 		pt.Stats.Drops++
-		pt.faultDrop(p, int64(pt.qBytes))
+		pt.drop(p, obs.RFault, int64(pt.qBytes))
 		return
 	}
 	p.enqAt = pt.eng.Now()
@@ -407,17 +404,12 @@ func (pt *Port) enqueue(p *Packet, urgent bool) {
 	size := p.Size()
 	if pt.down {
 		pt.Stats.Drops++
-		pt.faultDrop(p, int64(pt.qBytes))
+		pt.drop(p, obs.RFault, int64(pt.qBytes))
 		return
 	}
 	if pt.QueueLimit > 0 && pt.qBytes+size > pt.QueueLimit {
-		pt.Stats.Drops++
-		pt.gsDrop(p)
-		if pt.tr.On() {
-			pt.rec(obs.KDrop, obs.RQueueLimit, p, int64(pt.qBytes), int64(size))
-		}
 		// The packet never occupied the queue; no accounting to release.
-		p.Release()
+		pt.drop(p, obs.RQueueLimit, int64(pt.qBytes))
 		return
 	}
 	if mp := pt.markProbability(); pt.ECN.Enabled && p.Type == Data && mp > 0 {
@@ -636,7 +628,7 @@ func (pt *Port) onArrive() {
 func (pt *Port) arrive(p *Packet) {
 	peer := pt.Peer
 	if pt.epoch != p.txEpoch || peer.epoch != p.peerEpoch {
-		pt.faultDrop(p, 0)
+		pt.drop(p, obs.RFault, 0)
 		return
 	}
 	peer.Dev.Receive(p, peer)

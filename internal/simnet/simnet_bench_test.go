@@ -6,7 +6,9 @@ import (
 	"repro/internal/sim"
 )
 
-// BenchmarkPortForwarding measures per-packet cost through one link.
+// BenchmarkPortForwarding measures per-packet cost through one link. Frames
+// come from the packet pool, as in the simulator, so allocs/op is the port
+// path's own.
 func BenchmarkPortForwarding(b *testing.B) {
 	eng := sim.New(1)
 	a := NewHost(eng, "a", 1, gbps100, 600)
@@ -16,7 +18,9 @@ func BenchmarkPortForwarding(b *testing.B) {
 	c.Handler = func(p *Packet) { got++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		a.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
+		p := NewPacket()
+		p.Type, p.Src, p.Dst, p.Payload = Data, 1, 2, 1024
+		a.Send(p)
 		if i%256 == 0 {
 			eng.Run(sim.MaxTime, nil)
 		}
@@ -28,11 +32,11 @@ func BenchmarkPortForwarding(b *testing.B) {
 }
 
 // BenchmarkSwitchTransit measures host->switch->host per-packet cost,
-// including FIB lookup and PFC accounting.
+// including FIB lookup and PFC accounting, on pooled frames.
 func BenchmarkSwitchTransit(b *testing.B) {
 	eng := sim.New(1)
 	sw := NewSwitch(eng, "s0")
-	sw.PFC = DefaultPFC
+	sw.PFC = DefaultPFC()
 	h1 := NewHost(eng, "h1", 1, gbps100, 600)
 	h2 := NewHost(eng, "h2", 2, gbps100, 600)
 	Connect(h1.NIC, sw.AddPort(gbps100, 600))
@@ -43,7 +47,9 @@ func BenchmarkSwitchTransit(b *testing.B) {
 	h2.Handler = func(p *Packet) { got++ }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h1.Send(&Packet{Type: Data, Src: 1, Dst: 2, Payload: 1024})
+		p := NewPacket()
+		p.Type, p.Src, p.Dst, p.Payload = Data, 1, 2, 1024
+		h1.Send(p)
 		if i%256 == 0 {
 			eng.Run(sim.MaxTime, nil)
 		}

@@ -22,8 +22,10 @@ type PFCConfig struct {
 	XOnBytes  int
 }
 
-// DefaultPFC is the lossless profile from DESIGN.md §5.
-var DefaultPFC = PFCConfig{Enabled: true, XOffBytes: 2 << 20, XOnBytes: 1 << 20}
+// DefaultPFC returns the lossless profile from DESIGN.md §5.
+func DefaultPFC() PFCConfig {
+	return PFCConfig{Enabled: true, XOffBytes: 2 << 20, XOnBytes: 1 << 20}
+}
 
 // ingressAccount tracks, per ingress port, how many bytes received on that
 // port currently sit in this switch's egress queues. Crossing XOFF pauses
@@ -160,28 +162,29 @@ func (sw *Switch) SetGroupStats(gs *obs.GroupStats) {
 	}
 }
 
-// GroupStats returns the switch's group-stats registry (nil while
-// attribution is off), so the attached accelerator can book its drops
-// against it.
-func (sw *Switch) GroupStats() *obs.GroupStats { return sw.gs }
-
-// gsDrop attributes a switch-level drop to its multicast group (see
-// Port.gsDrop for the classification rule).
-func (sw *Switch) gsDrop(p *Packet) {
-	if sw.gs == nil {
-		return
+// Drop is the switch's one sink for a frame it kills, port being the
+// ingress or egress port the drop is recorded under (-1 for none). In this
+// order it counts the drop under r's counter, books it against the frame's
+// group, records KDrop, and releases p. The attached accelerator drops
+// through it too; it owns the counter of the reason it adds
+// (RUnknownGroup), so that reason bumps no switch counter.
+func (sw *Switch) Drop(p *Packet, r obs.Reason, port int) {
+	switch r {
+	case obs.RCrash:
+		sw.CrashDrops++
+	case obs.RNoRoute:
+		sw.NoRouteDrops++
+	case obs.RLoss:
+		sw.DataDrops++
+	case obs.RCtrlLoss:
+		sw.CtrlDrops++
 	}
-	switch {
-	case p.Dst.IsMulticast():
-		sw.gs.Drop(uint32(p.Dst), sw.eng.Now(), int64(p.Size()))
-	case p.Src.IsMulticast():
-		sw.gs.Drop(uint32(p.Src), sw.eng.Now(), int64(p.Size()))
+	size := int64(p.Size())
+	sw.gs.DropFrame(uint32(p.Src), uint32(p.Dst), sw.eng.Now(), size)
+	if sw.tr.On() {
+		sw.tr.Record(sw.eng.Now(), obs.KDrop, r, port, uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, 0, size)
 	}
-}
-
-// recDrop captures a switch-level drop; callers guard with sw.tr.On().
-func (sw *Switch) recDrop(r obs.Reason, p *Packet, port int) {
-	sw.tr.Record(sw.eng.Now(), obs.KDrop, r, port, uint8(p.Type), uint32(p.Src), uint32(p.Dst), p.SrcQP, p.DstQP, p.PSN, p.MsgID, 0, int64(p.Size()))
+	p.Release()
 }
 
 // NewSwitch creates a switch with no ports.
@@ -203,7 +206,7 @@ func (sw *Switch) AddPort(rateBps float64, prop sim.Time) *Port {
 	p := NewPort(sw.eng, sw, rateBps, prop)
 	p.ID = len(sw.Ports)
 	p.QueueLimit = 0
-	p.ECN = DefaultECN
+	p.ECN = DefaultECN()
 	sw.Ports = append(sw.Ports, p)
 	sw.accounts = append(sw.accounts, &ingressAccount{sw: sw, in: p})
 	return p
@@ -252,16 +255,7 @@ func (sw *Switch) Restart() {
 // Receive implements Device.
 func (sw *Switch) Receive(p *Packet, in *Port) {
 	if sw.down {
-		sw.CrashDrops++
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			port := -1
-			if in != nil {
-				port = in.ID
-			}
-			sw.recDrop(obs.RCrash, p, port)
-		}
-		p.Release()
+		sw.Drop(p, obs.RCrash, portID(in))
 		return
 	}
 	switch p.Type {
@@ -285,16 +279,7 @@ func (sw *Switch) Receive(p *Packet, in *Port) {
 func (sw *Switch) Forward(p *Packet, in *Port) {
 	ports := sw.Route(p.Dst)
 	if len(ports) == 0 {
-		sw.NoRouteDrops++
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			port := -1
-			if in != nil {
-				port = in.ID
-			}
-			sw.recDrop(obs.RNoRoute, p, port)
-		}
-		p.Release()
+		sw.Drop(p, obs.RNoRoute, portID(in))
 		return
 	}
 	out := ports[0]
@@ -308,36 +293,30 @@ func (sw *Switch) Forward(p *Packet, in *Port) {
 // PFC ingress accounting. in may be nil for locally generated packets.
 func (sw *Switch) Output(p *Packet, out int, in *Port) {
 	if sw.down {
-		sw.CrashDrops++
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RCrash, p, out)
-		}
-		p.Release()
+		sw.Drop(p, obs.RCrash, out)
 		return
 	}
 	if sw.LossRate > 0 && p.Type == Data && sw.eng.Rand().Float64() < sw.LossRate {
-		sw.DataDrops++
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RLoss, p, out)
-		}
-		p.Release()
+		sw.Drop(p, obs.RLoss, out)
 		return
 	}
 	if sw.ControlLossRate > 0 && isLossyControl(p.Type) && sw.eng.Rand().Float64() < sw.ControlLossRate {
-		sw.CtrlDrops++
-		sw.gsDrop(p)
-		if sw.tr.On() {
-			sw.recDrop(obs.RCtrlLoss, p, out)
-		}
-		p.Release()
+		sw.Drop(p, obs.RCtrlLoss, out)
 		return
 	}
 	if sw.PFC.Enabled && in != nil && in.Dev == Device(sw) {
 		p.acct = sw.accounts[in.ID]
 	}
 	sw.Ports[out].Send(p)
+}
+
+// portID is the id a switch-level drop records for ingress port in: -1 for a
+// locally generated packet.
+func portID(in *Port) int {
+	if in == nil {
+		return -1
+	}
+	return in.ID
 }
 
 // isLossyControl classifies the control traffic ControlLossRate applies to.

@@ -74,7 +74,7 @@ func Testbed(eng *sim.Engine, nHosts int) *Network {
 func TestbedWith(eng *sim.Engine, nHosts int, rate float64, prop sim.Time) *Network {
 	n := &Network{Eng: eng, LinkRate: rate, PropDelay: prop}
 	sw := simnet.NewSwitch(eng, "tor0")
-	sw.PFC = simnet.DefaultPFC
+	sw.PFC = simnet.DefaultPFC()
 	n.Switches = []*simnet.Switch{sw}
 	for i := 0; i < nHosts; i++ {
 		h := simnet.NewHost(eng, fmt.Sprintf("h%d", i), HostIP(i), rate, prop)
@@ -111,7 +111,7 @@ func FatTreeWithTrunk(eng *sim.Engine, k int, rate float64, prop, coreProp sim.T
 
 	newSwitch := func(name string) *simnet.Switch {
 		sw := simnet.NewSwitch(eng, name)
-		sw.PFC = simnet.DefaultPFC
+		sw.PFC = simnet.DefaultPFC()
 		n.Switches = append(n.Switches, sw)
 		return sw
 	}
@@ -190,12 +190,12 @@ func LeafSpineWith(eng *sim.Engine, leaves, spines, hostsPerLeaf int, rate float
 	leafSw := make([]*simnet.Switch, leaves)
 	for l := range leafSw {
 		leafSw[l] = simnet.NewSwitch(eng, fmt.Sprintf("leaf-%d", l))
-		leafSw[l].PFC = simnet.DefaultPFC
+		leafSw[l].PFC = simnet.DefaultPFC()
 		n.Switches = append(n.Switches, leafSw[l])
 	}
 	for s := 0; s < spines; s++ {
 		sp := simnet.NewSwitch(eng, fmt.Sprintf("spine-%d", s))
-		sp.PFC = simnet.DefaultPFC
+		sp.PFC = simnet.DefaultPFC()
 		n.Switches = append(n.Switches, sp)
 		for _, lf := range leafSw {
 			pa := lf.AddPort(rate, prop)
