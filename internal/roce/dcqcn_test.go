@@ -9,6 +9,7 @@ import (
 
 // dcqcnEnv: two senders share one receiver's link through the ToR.
 func TestDCQCNFairConvergence(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 3)
 	cfg := DefaultConfig()
@@ -50,6 +51,7 @@ func TestDCQCNFairConvergence(t *testing.T) {
 }
 
 func TestDCQCNCutsOnCNP(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 2)
 	cfg := DefaultConfig()
@@ -72,6 +74,7 @@ func TestDCQCNCutsOnCNP(t *testing.T) {
 }
 
 func TestDCQCNMinDecreaseInterval(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 2)
 	cfg := DefaultConfig()
@@ -88,6 +91,7 @@ func TestDCQCNMinDecreaseInterval(t *testing.T) {
 }
 
 func TestDCQCNRecoversAfterCongestion(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 2)
 	cfg := DefaultConfig()
@@ -113,6 +117,7 @@ func TestDCQCNRecoversAfterCongestion(t *testing.T) {
 }
 
 func TestDCQCNAlphaDecays(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := topo.Testbed(eng, 2)
 	cfg := DefaultConfig()

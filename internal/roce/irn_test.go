@@ -14,6 +14,7 @@ func irnConfig() Config {
 }
 
 func TestIRNDeliversInOrder(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, irnConfig())
 	var sizes []int
 	e.qb.OnMessage = func(m Message) { sizes = append(sizes, m.Size) }
@@ -26,6 +27,7 @@ func TestIRNDeliversInOrder(t *testing.T) {
 }
 
 func TestIRNSelectiveRepairSingleLoss(t *testing.T) {
+	t.Parallel()
 	cfg := irnConfig()
 	e := newPairEnv(t, cfg)
 	dropped := false
@@ -57,6 +59,7 @@ func TestIRNSelectiveRepairSingleLoss(t *testing.T) {
 }
 
 func TestIRNFarLessRetransmissionThanGBN(t *testing.T) {
+	t.Parallel()
 	run := func(irn bool) (retx uint64, ok bool) {
 		cfg := DefaultConfig()
 		cfg.IRN = irn
@@ -79,6 +82,7 @@ func TestIRNFarLessRetransmissionThanGBN(t *testing.T) {
 }
 
 func TestIRNHeavyLossCompletes(t *testing.T) {
+	t.Parallel()
 	cfg := irnConfig()
 	e := newPairEnv(t, cfg)
 	e.net.Switches[0].LossRate = 0.2
@@ -92,6 +96,7 @@ func TestIRNHeavyLossCompletes(t *testing.T) {
 }
 
 func TestIRNGoodputExact(t *testing.T) {
+	t.Parallel()
 	cfg := irnConfig()
 	e := newPairEnv(t, cfg)
 	e.net.Switches[0].LossRate = 0.05
@@ -112,6 +117,7 @@ func TestIRNGoodputExact(t *testing.T) {
 // are unchanged, so the accelerator interoperates with IRN endpoints; this
 // is the §V-C suggestion for tolerating higher loss rates.
 func TestIRNTailLossRTO(t *testing.T) {
+	t.Parallel()
 	cfg := irnConfig()
 	e := newPairEnv(t, cfg)
 	dropped := false

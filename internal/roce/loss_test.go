@@ -14,6 +14,7 @@ import (
 // retransmission (R >= D), and each recovery event — a NACK rewind tied to a
 // drop or an RTO — resends at most one window (R <= (D + timeouts) * W).
 func TestGoBackNLossSweepBound(t *testing.T) {
+	t.Parallel()
 	for _, p := range []float64{0.01, 0.03, 0.05} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("p%.2f/seed%d", p, seed), func(t *testing.T) {
@@ -59,6 +60,7 @@ func TestGoBackNLossSweepBound(t *testing.T) {
 // count underflows, and — with everything acknowledged — the RTO stops, so
 // the QP is permanently dormant: the next PostSend never transmits.
 func TestNackRewindAckRaceDoesNotWedge(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	blackhole := true
@@ -106,6 +108,7 @@ func TestNackRewindAckRaceDoesNotWedge(t *testing.T) {
 // consecutive timeouts with zero progress double the RTO up to the cap, and
 // the first cumulative-ACK progress snaps it back to the configured base.
 func TestRetxBackoffGrowsAndResets(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.RetxBackoff = 2
 	cfg.RetxBackoffMax = 4 * cfg.RetxTimeout
@@ -143,6 +146,7 @@ func TestRetxBackoffGrowsAndResets(t *testing.T) {
 // the RTO stays at the fixed configured timeout, byte-identical to the
 // pre-backoff golden traces.
 func TestRetxBackoffDefaultOff(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	dropped := false

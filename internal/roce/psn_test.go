@@ -6,6 +6,7 @@ import (
 )
 
 func TestWirePSN(t *testing.T) {
+	t.Parallel()
 	if WirePSN(0) != 0 {
 		t.Fatal("WirePSN(0)")
 	}
@@ -18,6 +19,7 @@ func TestWirePSN(t *testing.T) {
 }
 
 func TestReconstructExactAtRef(t *testing.T) {
+	t.Parallel()
 	for _, ref := range []uint64{0, 1, 100, PSNSpace - 1, PSNSpace, 3 * PSNSpace / 2, 10 * PSNSpace} {
 		if got := ReconstructPSN(ref, WirePSN(ref)); got != ref {
 			t.Fatalf("ReconstructPSN(%d, wire) = %d", ref, got)
@@ -26,6 +28,7 @@ func TestReconstructExactAtRef(t *testing.T) {
 }
 
 func TestReconstructAcrossWrap(t *testing.T) {
+	t.Parallel()
 	ref := uint64(PSNSpace - 10)
 	v := uint64(PSNSpace + 10) // 20 ahead, wire wraps to 10
 	if got := ReconstructPSN(ref, WirePSN(v)); got != v {
@@ -41,6 +44,7 @@ func TestReconstructAcrossWrap(t *testing.T) {
 // Property: reconstruction inverts WirePSN for any offset within half the
 // PSN space of the reference.
 func TestReconstructProperty(t *testing.T) {
+	t.Parallel()
 	f := func(refRaw uint64, deltaRaw int32) bool {
 		ref := refRaw % (1 << 40)
 		delta := int64(deltaRaw) % (PSNSpace / 2)
@@ -56,6 +60,7 @@ func TestReconstructProperty(t *testing.T) {
 }
 
 func TestPSNLess(t *testing.T) {
+	t.Parallel()
 	cases := []struct {
 		a, b uint32
 		want bool
@@ -77,6 +82,7 @@ func TestPSNLess(t *testing.T) {
 // Property: PSNLess is antisymmetric for distinct wire PSNs outside the
 // ambiguous half-space boundary.
 func TestPSNLessAntisymmetric(t *testing.T) {
+	t.Parallel()
 	f := func(a, b uint32) bool {
 		a &= psnMask
 		b &= psnMask

@@ -31,6 +31,7 @@ func newPairEnv(t testing.TB, cfg Config) *pairEnv {
 }
 
 func TestSendDeliverSmall(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
@@ -52,6 +53,7 @@ func TestSendDeliverSmall(t *testing.T) {
 }
 
 func TestSendMultiPacketMessage(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	var got *Message
@@ -68,6 +70,7 @@ func TestSendMultiPacketMessage(t *testing.T) {
 }
 
 func TestMultipleMessagesInOrder(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	var sizes []int
 	e.qb.OnMessage = func(m Message) { sizes = append(sizes, m.Size) }
@@ -81,6 +84,7 @@ func TestMultipleMessagesInOrder(t *testing.T) {
 }
 
 func TestWriteCarriesMR(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	var got *Message
 	e.qb.OnMessage = func(m Message) { got = &m }
@@ -95,6 +99,7 @@ func TestWriteCarriesMR(t *testing.T) {
 }
 
 func TestAckCoalescing(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.AckEvery = 4
 	e := newPairEnv(t, cfg)
@@ -108,6 +113,7 @@ func TestAckCoalescing(t *testing.T) {
 }
 
 func TestThroughputNearLineRate(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	done := sim.Time(0)
@@ -124,6 +130,7 @@ func TestThroughputNearLineRate(t *testing.T) {
 }
 
 func TestGoBackNRecoversFromLoss(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	e.net.Switches[0].LossRate = 0.01
@@ -144,6 +151,7 @@ func TestGoBackNRecoversFromLoss(t *testing.T) {
 }
 
 func TestHeavyLossStillCompletes(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	e.net.Switches[0].LossRate = 0.2
@@ -158,6 +166,7 @@ func TestHeavyLossStillCompletes(t *testing.T) {
 }
 
 func TestRTORecoversFromTailLoss(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	e := newPairEnv(t, cfg)
 	// Drop exactly the last data packet once via a hook.
@@ -191,6 +200,7 @@ func (f hookFunc) Handle(sw *simnet.Switch, p *simnet.Packet, in *simnet.Port) b
 }
 
 func TestWindowLimitsOutstanding(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.WindowPkts = 4
 	e := newPairEnv(t, cfg)
@@ -206,6 +216,7 @@ func TestWindowLimitsOutstanding(t *testing.T) {
 }
 
 func TestPostOverheadSerializes(t *testing.T) {
+	t.Parallel()
 	cfg := DefaultConfig()
 	cfg.PostOverhead = 10 * sim.Microsecond
 	e := newPairEnv(t, cfg)
@@ -225,6 +236,7 @@ func TestPostOverheadSerializes(t *testing.T) {
 }
 
 func TestPSNSynchronization(t *testing.T) {
+	t.Parallel()
 	// The §III-E source-switching PSN sync: after A sends to B, B can take
 	// over as source once both sides synchronize sqPSN/rqPSN.
 	e := newPairEnv(t, DefaultConfig())
@@ -247,6 +259,7 @@ func TestPSNSynchronization(t *testing.T) {
 }
 
 func TestSetSqPSNPanicsWithInflight(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	e.qa.PostSend(1024, nil)
 	e.eng.RunFor(DefaultConfig().PostOverhead + 1)
@@ -259,6 +272,7 @@ func TestSetSqPSNPanicsWithInflight(t *testing.T) {
 }
 
 func TestPostNonPositivePanics(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	defer func() {
 		if recover() == nil {
@@ -269,6 +283,7 @@ func TestPostNonPositivePanics(t *testing.T) {
 }
 
 func TestUnknownQPNDropped(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	// Packet to a QPN that does not exist must not crash.
 	e.net.Hosts[0].Send(&simnet.Packet{
@@ -279,6 +294,7 @@ func TestUnknownQPNDropped(t *testing.T) {
 }
 
 func TestGoodputBytesCountsInOrderOnly(t *testing.T) {
+	t.Parallel()
 	e := newPairEnv(t, DefaultConfig())
 	e.net.Switches[0].LossRate = 0.05
 	size := 1 << 20
@@ -298,6 +314,7 @@ func TestGoodputBytesCountsInOrderOnly(t *testing.T) {
 // touch acknowledged PSNs, across random loss patterns and both
 // retransmission modes.
 func TestWindowAndRetxInvariants(t *testing.T) {
+	t.Parallel()
 	for _, irn := range []bool{false, true} {
 		for seed := int64(1); seed <= 3; seed++ {
 			cfg := DefaultConfig()
@@ -342,5 +359,37 @@ func TestWindowAndRetxInvariants(t *testing.T) {
 				t.Fatalf("irn=%v seed=%d: goodput %d", irn, seed, qb.GoodputBytes)
 			}
 		}
+	}
+}
+
+// TestKickReusesParkedLists: a NIC drain resumes every QP parked on
+// backpressure, and steady park/drain cycles reuse kick's two lists
+// instead of allocating a new one per drain.
+func TestKickReusesParkedLists(t *testing.T) {
+	t.Parallel()
+	e := newPairEnv(t, DefaultConfig())
+	qs := []*QP{e.qa, e.ra.CreateQP(), e.ra.CreateQP()}
+	cycle := func() {
+		for _, qp := range qs {
+			e.ra.defer1(qp)
+			e.ra.defer1(qp) // a QP parks once however often it is deferred
+		}
+		if len(e.ra.blocked) != len(qs) {
+			t.Fatalf("%d QPs parked, want %d", len(e.ra.blocked), len(qs))
+		}
+		e.ra.kick()
+		for _, qp := range qs {
+			if qp.backpressured {
+				t.Fatalf("qp%d still parked after a drain", qp.QPN)
+			}
+		}
+		if len(e.ra.blocked) != 0 {
+			t.Fatalf("%d QPs parked after a drain", len(e.ra.blocked))
+		}
+	}
+	cycle()
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("a park/drain cycle allocates %.1f times, want 0", n)
 	}
 }

@@ -51,7 +51,9 @@ type RNIC struct {
 	cpuT    *sim.Timer // one re-armable timer walks cpuQ (see stackDefer)
 
 	// blocked holds QPs deferred by NIC backpressure, resumed on drain.
-	blocked []*QP
+	// spare is the list kick drained last time: the two backing arrays
+	// take turns, so a backpressure cycle parks QPs without allocating.
+	blocked, spare []*QP
 
 	// tr is the host's flight-recorder handle (shared with the NIC port);
 	// nil while tracing is off.
@@ -143,17 +145,21 @@ func (r *RNIC) defer1(qp *QP) {
 	r.blocked = append(r.blocked, qp)
 }
 
-// kick resumes every parked QP.
+// kick resumes every parked QP in the order they parked. QPs that park
+// again while it runs go to the other list; spare is empty for the
+// duration, so a nested kick starts a fresh list instead of reusing qs.
 func (r *RNIC) kick() {
 	if len(r.blocked) == 0 {
 		return
 	}
 	qs := r.blocked
-	r.blocked = nil
+	r.blocked, r.spare = r.spare[:0], nil
 	for _, qp := range qs {
 		qp.backpressured = false
 		qp.trySend()
 	}
+	clear(qs)
+	r.spare = qs[:0]
 }
 
 // Engine returns the simulation engine.

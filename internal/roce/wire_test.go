@@ -9,6 +9,7 @@ import (
 )
 
 func TestHeaderRoundTripData(t *testing.T) {
+	t.Parallel()
 	h := &WireHeader{
 		Opcode: OpSendOnly, Src: 0x0A000001, Dst: 0xE0000001,
 		DstQP: 0x123456, PSN: 0xABCDEF, AckReq: true,
@@ -25,6 +26,7 @@ func TestHeaderRoundTripData(t *testing.T) {
 }
 
 func TestHeaderRoundTripWrite(t *testing.T) {
+	t.Parallel()
 	h := &WireHeader{
 		Opcode: OpWriteFirst, Src: 1, Dst: 2, DstQP: 7, PSN: 0,
 		HasRETH: true, VA: 0xDEADBEEF00112233, RKey: 42, DMALen: 1 << 20,
@@ -44,6 +46,7 @@ func TestHeaderRoundTripWrite(t *testing.T) {
 }
 
 func TestHeaderRoundTripAckNack(t *testing.T) {
+	t.Parallel()
 	for _, nack := range []bool{false, true} {
 		h := &WireHeader{Opcode: OpAcknowledge, Src: 9, Dst: 8, DstQP: 3, PSN: 77, Nack: nack}
 		buf := make([]byte, MaxHeaderBytes)
@@ -59,6 +62,7 @@ func TestHeaderRoundTripAckNack(t *testing.T) {
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
+	t.Parallel()
 	if _, err := DecodeHeader(make([]byte, 4)); err == nil {
 		t.Fatal("short buffer accepted")
 	}
@@ -77,6 +81,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 // Property: encode/decode round-trips arbitrary headers, and the PSN on the
 // wire combined with ReconstructPSN recovers the virtual PSN.
 func TestHeaderRoundTripProperty(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	f := func(srcRaw, dstRaw, qpRaw uint32, psnRaw uint64, op uint8) bool {
 		ops := []Opcode{OpSendOnly, OpWriteFirst, OpWriteOnly, OpAcknowledge, OpCNP}
@@ -109,6 +114,7 @@ func TestHeaderRoundTripProperty(t *testing.T) {
 }
 
 func TestHeaderFor(t *testing.T) {
+	t.Parallel()
 	p := &simnet.Packet{Type: simnet.Data, Src: 1, Dst: 2, DstQP: 9, PSN: PSNSpace + 5,
 		WriteVA: 0x100, WriteRKey: 3, Last: true}
 	h := HeaderFor(p, 4096)
@@ -132,6 +138,7 @@ func TestHeaderFor(t *testing.T) {
 // a bridged copy (dst, dstQP, src, RETH) must produce a decodable header
 // with the receiver's values — the connection-bridging contract of Fig 4.
 func TestBridgingPreservesWireValidity(t *testing.T) {
+	t.Parallel()
 	orig := &simnet.Packet{
 		Type: simnet.Data, Src: 0x0A000001, Dst: 0xE0000001, DstQP: 1,
 		PSN: 42, WriteVA: 0x1000, WriteRKey: 5,

@@ -1,6 +1,10 @@
 package simnet
 
 import (
+	"fmt"
+	"slices"
+	"unsafe"
+
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -72,13 +76,17 @@ type Switch struct {
 	// topology code uses to keep per-switch state in dense slices.
 	Index int
 
-	// fib is the FIB as a dense table: fib[i] is the set of equal-cost
-	// egress ports toward address fibBase+i (nil: no route), and flows are
+	// fib is the FIB as a dense table: fib[i] indexes sets, the
+	// equal-cost egress ports toward address fibBase+i, and flows are
 	// hashed onto one of them. Host addresses are dense, so the table spans
-	// the routed hosts with no map; entries for hosts behind one leaf
-	// share one port slice. See Route.
-	fib     [][]int
+	// the routed hosts with no map. sets works like a hardware ECMP group
+	// table: each distinct port set is stored once (at most k+1 on a
+	// k-ary fat-tree), so an entry costs 2 bytes, not a slice header.
+	// sets[0] is nil, meaning no route (NewSwitch and ResetFIB keep it
+	// there). See Route and Intern.
+	fib     []uint16
 	fibBase Addr
+	sets    [][]int
 
 	// Hook, when set, sees every packet before unicast forwarding.
 	Hook SwitchHook
@@ -189,7 +197,7 @@ func (sw *Switch) Drop(p *Packet, r obs.Reason, port int) {
 
 // NewSwitch creates a switch with no ports.
 func NewSwitch(eng *sim.Engine, name string) *Switch {
-	return &Switch{Name: name, eng: eng}
+	return &Switch{Name: name, eng: eng, sets: [][]int{nil}}
 }
 
 // DeviceName implements Device.
@@ -333,10 +341,10 @@ func isLossyControl(t PacketType) bool {
 
 // Route returns the equal-cost egress ports toward dst in FIB order, or
 // nil when the switch has no route to it. The caller must not modify the
-// slice: hosts behind one leaf share it.
+// slice: every destination with the same port set shares it.
 func (sw *Switch) Route(dst Addr) []int {
 	if i := uint32(dst - sw.fibBase); i < uint32(len(sw.fib)) {
-		return sw.fib[i]
+		return sw.sets[sw.fib[i]]
 	}
 	return nil
 }
@@ -345,8 +353,35 @@ func (sw *Switch) Route(dst Addr) []int {
 // far-apart addresses fails loudly instead of allocating gigabytes.
 const maxFIBSpan = 1 << 22
 
+// maxFIBSets is the most distinct port sets a FIB entry can index: entries
+// are 16 bits and index 0 means no route.
+const maxFIBSets = 1<<16 - 1
+
+// PortSet is a handle to one of a switch's interned equal-cost port sets.
+// It is valid on the switch that interned it until the next ResetFIB.
+type PortSet uint16
+
+// Intern returns the handle of the port set equal to ports (same ports, same
+// order), storing a copy of ports if the switch holds no such set yet. An
+// empty set is the no-route handle. The switch never aliases ports.
+func (sw *Switch) Intern(ports []int) PortSet {
+	if len(ports) == 0 {
+		return 0
+	}
+	for i, s := range sw.sets[1:] {
+		if slices.Equal(s, ports) {
+			return PortSet(i + 1)
+		}
+	}
+	if len(sw.sets) > maxFIBSets {
+		panic(fmt.Sprintf("simnet: %s: FIB needs more than %d distinct port sets", sw.Name, maxFIBSets))
+	}
+	sw.sets = append(sw.sets, slices.Clone(ports))
+	return PortSet(len(sw.sets) - 1)
+}
+
 // fibSlot returns dst's FIB entry, widening the table to cover dst.
-func (sw *Switch) fibSlot(dst Addr) *[]int {
+func (sw *Switch) fibSlot(dst Addr) *uint16 {
 	if len(sw.fib) == 0 {
 		sw.fibBase = dst
 	}
@@ -356,34 +391,49 @@ func (sw *Switch) fibSlot(dst Addr) *[]int {
 		panic("simnet: " + sw.Name + ": FIB destinations span too many addresses")
 	}
 	if lo < sw.fibBase {
-		sw.fib = append(make([][]int, sw.fibBase-lo, n), sw.fib...)
+		sw.fib = append(make([]uint16, sw.fibBase-lo, n), sw.fib...)
 		sw.fibBase = lo
 	}
 	if n > len(sw.fib) {
-		sw.fib = append(sw.fib, make([][]int, n-len(sw.fib))...)
+		sw.fib = append(sw.fib, make([]uint16, n-len(sw.fib))...)
 	}
 	return &sw.fib[dst-sw.fibBase]
 }
 
-// AddRoute appends an equal-cost egress port for dst.
+// AddRoute appends an equal-cost egress port for dst. The extended set is
+// interned like any other, so no other destination's route changes.
 func (sw *Switch) AddRoute(dst Addr, port int) {
-	s := sw.fibSlot(dst)
-	*s = append(*s, port)
+	var buf [8]int
+	sw.SetRoutes(dst, append(append(buf[:0], sw.Route(dst)...), port))
 }
 
-// SetRoutes installs the full equal-cost port set for dst in one write.
-// The switch takes ownership of ports without copying; callers that share one
-// slice across destinations must pass it with len == cap so a later AddRoute
-// append reallocates instead of mutating the shared backing array.
+// SetRoutes installs the full equal-cost port set for dst in one write. The
+// switch interns a copy, so the caller keeps ownership of ports.
 func (sw *Switch) SetRoutes(dst Addr, ports []int) {
-	*sw.fibSlot(dst) = ports
+	sw.SetPortSet(dst, sw.Intern(ports))
 }
 
-// ResetFIB discards every route ahead of a rebuild and sizes the table for
-// the n destinations starting at lo, so a rebuild that installs them fills
-// it without regrowing. Routes outside that span still install.
+// SetPortSet installs an interned port set as dst's route: one 2-byte write,
+// so a caller routing many destinations through one set interns it once.
+func (sw *Switch) SetPortSet(dst Addr, s PortSet) {
+	if int(s) >= len(sw.sets) {
+		panic(fmt.Sprintf("simnet: %s: port set %d was not interned here", sw.Name, s))
+	}
+	*sw.fibSlot(dst) = uint16(s)
+}
+
+// ResetFIB discards every route and interned port set ahead of a rebuild
+// and sizes the table for the n destinations starting at lo, so a rebuild
+// that installs them fills it without regrowing. Routes outside that span
+// still install.
 func (sw *Switch) ResetFIB(lo Addr, n int) {
-	sw.fib, sw.fibBase = make([][]int, n), lo
+	sw.fib, sw.fibBase, sw.sets = make([]uint16, n), lo, [][]int{nil}
+}
+
+// FIBSize reports the FIB's footprint: the bytes its dense entry table
+// holds, and the number of distinct non-empty port sets it indexes.
+func (sw *Switch) FIBSize() (entryBytes, sets int) {
+	return cap(sw.fib) * int(unsafe.Sizeof(sw.fib[0])), len(sw.sets) - 1
 }
 
 // flowHash spreads flows across ECMP members (FNV-1a over the 5-tuple-ish

@@ -80,6 +80,7 @@ func checkRoutes(t *testing.T, n *Network) {
 }
 
 func TestRoutesMatchReference(t *testing.T) {
+	t.Parallel()
 	for _, c := range []struct {
 		name  string
 		build func(*sim.Engine) *Network
@@ -105,6 +106,7 @@ func TestRoutesMatchReference(t *testing.T) {
 // a core switch — and checks the rebuilt FIBs against the reference after
 // each step, then after everything comes back.
 func TestRebuiltRoutesMatchReference(t *testing.T) {
+	t.Parallel()
 	n := FatTree(sim.New(1), 4)
 	sw := func(name string) *simnet.Switch {
 		for _, s := range n.Switches {
@@ -165,5 +167,50 @@ func TestRebuiltRoutesMatchReference(t *testing.T) {
 				t.Fatalf("%s: restored Route(%s) = %v, fresh fabric has %v", s.Name, h.IP, got, want)
 			}
 		}
+	}
+}
+
+// TestFatTreeFIBFootprint pins the FIB's shape on the paper's fat-trees:
+// each switch interns at most k+1 distinct equal-cost port sets (a core
+// switch has one down port per pod, an edge or aggregation switch one set
+// per port below it plus one up-set), each FIB entry is a 2-byte index into
+// them, and hosts behind one leaf share the interned set on every other
+// switch. A rebuild resets the set table rather than growing it.
+func TestFatTreeFIBFootprint(t *testing.T) {
+	t.Parallel()
+	for _, k := range []int{8, 16} {
+		t.Run(fmt.Sprintf("k%d", k), func(t *testing.T) {
+			t.Parallel()
+			n := FatTree(sim.New(1), k)
+			check := func() {
+				t.Helper()
+				for _, sw := range n.Switches {
+					entryBytes, sets := sw.FIBSize()
+					if sets > k+1 {
+						t.Fatalf("%s interns %d port sets, want at most %d", sw.Name, sets, k+1)
+					}
+					if want := 2 * len(n.Hosts); entryBytes != want {
+						t.Fatalf("%s FIB entries take %d bytes, want %d (2 per host)", sw.Name, entryBytes, want)
+					}
+				}
+				for i := 1; i < len(n.Hosts); i++ {
+					a, b := n.Hosts[i-1], n.Hosts[i]
+					if n.LeafOf(a) != n.LeafOf(b) {
+						continue
+					}
+					for _, sw := range n.Switches {
+						if sw == n.LeafOf(a) {
+							continue
+						}
+						if ra, rb := sw.Route(a.IP), sw.Route(b.IP); len(ra) == 0 || &ra[0] != &rb[0] {
+							t.Fatalf("%s routes %s and %s (same leaf) through different sets %v, %v", sw.Name, a.IP, b.IP, ra, rb)
+						}
+					}
+				}
+			}
+			check()
+			n.RebuildRoutes()
+			check()
+		})
 	}
 }

@@ -234,11 +234,12 @@ func linkUp(pt *simnet.Port) bool {
 // entries for every host destination via BFS across the switch graph. Both
 // the distance field and the resulting (switch, port) route set depend only
 // on the host's leaf (and whether its access link is up), so hosts sharing a
-// leaf compute them once and install the shared per-switch port sets with
-// one table write per switch — on a fat-tree that divides the route-build
-// cost by the hosts-per-leaf count and makes the replay allocation-free,
-// which is what keeps the 1024-host topology's setup cheap. Only the leaf's
-// direct route to the host itself differs per host.
+// leaf compute them once, intern each switch's port set once, and install
+// the interned handle with one 2-byte table write per switch — on a
+// fat-tree that divides the route-build cost by the hosts-per-leaf count
+// and makes the replay allocation-free, which is what keeps the 1024-host
+// topology's setup cheap. Only the leaf's direct route to the host itself
+// differs per host.
 func buildRoutes(n *Network) {
 	for i, sw := range n.Switches {
 		sw.Index = i // the BFS arrays here and in PathExists index by it
@@ -249,8 +250,8 @@ func buildRoutes(n *Network) {
 		up   bool
 	}
 	type swRoutes struct {
-		sw    int   // switch index
-		ports []int // ECMP egress ports toward the leaf, FIB order, len == cap
+		sw  int            // switch index
+		set simnet.PortSet // ECMP egress ports toward the leaf, interned on sw
 	}
 	type leafRoutes struct {
 		reachable bool // the leaf itself is up and routable
@@ -292,10 +293,10 @@ func buildRoutes(n *Network) {
 				}
 			}
 			// Every non-leaf switch routes toward the leaf via ports whose
-			// switch peer is one hop closer. The per-switch port set is
-			// frozen with len == cap so every host behind this leaf can
-			// share it (see Switch.SetRoutes).
+			// switch peer is one hop closer. Intern copies the set, so one
+			// scratch slice serves every switch.
 			lr = &leafRoutes{reachable: dist[leaf.Index] == 0}
+			var ports []int
 			for i, sw := range n.Switches {
 				if sw == leaf {
 					continue
@@ -304,7 +305,7 @@ func buildRoutes(n *Network) {
 				if d == -1 {
 					continue
 				}
-				var ports []int
+				ports = ports[:0]
 				for _, pt := range sw.Ports {
 					peer, ok := pt.Peer.Dev.(*simnet.Switch)
 					if !ok || !linkUp(pt) {
@@ -315,8 +316,7 @@ func buildRoutes(n *Network) {
 					}
 				}
 				if len(ports) > 0 {
-					ports = ports[:len(ports):len(ports)]
-					lr.routes = append(lr.routes, swRoutes{sw: i, ports: ports})
+					lr.routes = append(lr.routes, swRoutes{sw: i, set: sw.Intern(ports)})
 				}
 			}
 			cache[key] = lr
@@ -332,7 +332,7 @@ func buildRoutes(n *Network) {
 			}
 		}
 		for _, rt := range lr.routes {
-			n.Switches[rt.sw].SetRoutes(h.IP, rt.ports)
+			n.Switches[rt.sw].SetPortSet(h.IP, rt.set)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 )
 
 func TestTestbedWiring(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := Testbed(eng, 4)
 	if len(n.Hosts) != 4 || len(n.Switches) != 1 {
@@ -24,6 +25,7 @@ func TestTestbedWiring(t *testing.T) {
 }
 
 func TestHostByIP(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := Testbed(eng, 4)
 	if n.HostByIP(HostIP(2)) != n.Hosts[2] {
@@ -38,6 +40,7 @@ func TestHostByIP(t *testing.T) {
 }
 
 func TestAllocMcstIDPerNetwork(t *testing.T) {
+	t.Parallel()
 	a, b := Testbed(sim.New(1), 4), Testbed(sim.New(1), 4)
 	for i, want := range []simnet.Addr{simnet.MulticastBase + 1, simnet.MulticastBase + 2} {
 		if got := a.AllocMcstID(); got != want || !got.IsMulticast() {
@@ -50,6 +53,7 @@ func TestAllocMcstIDPerNetwork(t *testing.T) {
 }
 
 func TestFatTreeShape(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	k := 4
 	n := FatTree(eng, k)
@@ -68,6 +72,7 @@ func TestFatTreeShape(t *testing.T) {
 }
 
 func TestFatTreeOddArityPanics(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("odd arity did not panic")
@@ -91,6 +96,7 @@ func deliver(t *testing.T, n *Network, from, to int) sim.Time {
 }
 
 func TestFatTreeAllPairsReachable(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := FatTree(eng, 4)
 	for from := 0; from < len(n.Hosts); from++ {
@@ -104,6 +110,7 @@ func TestFatTreeAllPairsReachable(t *testing.T) {
 }
 
 func TestFatTreeHopCounts(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := FatTree(eng, 4)
 	// Same edge switch: host -> edge -> host = 2 links.
@@ -125,6 +132,7 @@ func TestFatTreeHopCounts(t *testing.T) {
 }
 
 func TestFatTreeECMPPresence(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := FatTree(eng, 4)
 	// An edge switch should have 2 equal-cost uplinks toward a host in a
@@ -141,6 +149,7 @@ func TestFatTreeECMPPresence(t *testing.T) {
 }
 
 func TestFatTree16Scale(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("k=16 build is slow in -short mode")
 	}
@@ -153,6 +162,7 @@ func TestFatTree16Scale(t *testing.T) {
 }
 
 func TestLeafSpineShape(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := LeafSpine(eng, 4, 2, 8) // 2:1 oversubscribed
 	if len(n.Hosts) != 32 || len(n.Switches) != 6 {
@@ -166,6 +176,7 @@ func TestLeafSpineShape(t *testing.T) {
 }
 
 func TestLeafSpineAllPairs(t *testing.T) {
+	t.Parallel()
 	eng := sim.New(1)
 	n := LeafSpine(eng, 3, 3, 2)
 	for from := 0; from < len(n.Hosts); from++ {
@@ -176,6 +187,7 @@ func TestLeafSpineAllPairs(t *testing.T) {
 // TestFatTreeCrossPodLatency: a cross-pod packet crosses 6 links, each
 // costing its serialization plus propagation delay and nothing more.
 func TestFatTreeCrossPodLatency(t *testing.T) {
+	t.Parallel()
 	n := FatTree(sim.New(1), 4)
 	from, to := 0, 4 // different pods: 6 links
 	txPlusProp := n.Hosts[from].NIC.TxTime(64+simnet.WireOverhead) + DefaultPropDelay
@@ -189,6 +201,7 @@ func TestFatTreeCrossPodLatency(t *testing.T) {
 // hosts off from every other pod and from each other across edges, while
 // hosts under one edge stay connected.
 func TestFatTreePathExists(t *testing.T) {
+	t.Parallel()
 	n := FatTree(sim.New(1), 4)
 	byName := func(name string) *simnet.Switch {
 		for _, sw := range n.Switches {
@@ -217,6 +230,7 @@ func TestFatTreePathExists(t *testing.T) {
 }
 
 func TestLeafSpineBadDimensionsPanic(t *testing.T) {
+	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero spines accepted")
